@@ -46,6 +46,8 @@ class RateResult:
 
 
 def _require_block_length(n) -> int:
+    if isinstance(n, (bool, np.bool_)):
+        raise ValueError(f"block length must be an integer, got {n!r}")
     if isinstance(n, float):
         if not n.is_integer():
             raise ValueError(f"block length must be an integer, got {n!r}")
@@ -225,6 +227,8 @@ def min_n_for_rate(
     reachable ceiling.
     """
     target_rate = float(target_rate)
+    if not math.isfinite(target_rate):
+        raise ValueError(f"target rate must be finite, got {target_rate!r}")
     epsilon = _require_epsilon(epsilon)
     if method == "legacy":
         if family is not MeasurementFamily.BB84:

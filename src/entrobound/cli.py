@@ -12,7 +12,8 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 * ``feasible`` checks a rate against the binary-entropy error cost.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
-errors including malformed table files.
+errors including malformed table files and results that are not finite
+(stdout is always valid JSON).
 """
 
 from __future__ import annotations
@@ -99,7 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+    """Print one JSON line; a non-finite number is refused rather than printed."""
+    try:
+        line = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"result is not finite, refusing to print it: {payload!r}") from None
+    sys.stdout.write(line + "\n")
 
 
 def _cmd_rate(args) -> int:

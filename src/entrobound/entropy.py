@@ -34,10 +34,26 @@ def cond_min_entropy(table: ConditionalTable) -> float:
     return -math.log2(guess)
 
 
+def _power_sums(weights: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray:
+    return ((probs**alpha).sum(axis=-1) * weights).sum(axis=-1)
+
+
 def renyi_power_sum(table: ConditionalTable, alpha: float) -> float:
     """Weighted sum of alpha-th powers of the outcome probabilities."""
     alpha = _require_alpha(alpha)
-    return float(np.dot(table.weight_vector, (table.prob_matrix**alpha).sum(axis=1)))
+    return float(_power_sums(table.weight_vector, table.prob_matrix, alpha))
+
+
+def renyi_entropies(weights: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray:
+    """Conditional Renyi entropies of order alpha of a stack of tables.
+
+    ``probs`` holds validated rows with shape (..., contexts, outcomes) and
+    ``weights`` broadcasts against (..., contexts); the result has the
+    leading shape. Each entry is log2 of the weighted power sum, scaled by
+    1/(1 - alpha).
+    """
+    alpha = _require_alpha(alpha)
+    return np.log2(_power_sums(weights, probs, alpha)) / (1.0 - alpha)
 
 
 def cond_renyi_entropy(table: ConditionalTable, alpha: float) -> float:
@@ -46,7 +62,7 @@ def cond_renyi_entropy(table: ConditionalTable, alpha: float) -> float:
     Computed as log2 of the weighted power sum, scaled by 1/(1 - alpha).
     Never smaller than :func:`cond_min_entropy` of the same table.
     """
-    return math.log2(renyi_power_sum(table, alpha)) / (1.0 - alpha)
+    return float(renyi_entropies(table.weight_vector, table.prob_matrix, alpha))
 
 
 def cond_shannon_entropy(table: ConditionalTable) -> float:

@@ -2,13 +2,16 @@
 
 Everything here is dense linear algebra on 2^n dimensional matrices and is
 deliberately capped at desk scale (the outcome table over all basis strings
-grows as bases^n * 2^n). States are validated on construction: Hermitian,
-positive semidefinite and unit trace, each within small tolerances scaled
-by the matrix norm.
+grows as bases^n * 2^n). The n-qubit basis unitaries are built once per
+(family, n) as one read-only stack; outcome tables, measurement projectors
+and conditioning all read from it. States are validated on construction:
+Hermitian, positive semidefinite and unit trace, each within small
+tolerances scaled by the matrix norm.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import MeasurementFamily
-from .tables import NORM_TOL, ConditionalTable, Context
+from .tables import NORM_TOL, ConditionalTable
 
 ATOL = 1e-12
 
@@ -91,17 +94,36 @@ class StateEnsemble:
         self.n_qubits = members[0].state.n_qubits
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_unitaries(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
+    """Read-only ``(bases^n, 2^n, 2^n)`` stack of n-qubit basis unitaries.
+
+    Entry ``j`` is the Kronecker product of the single-qubit unitaries of the
+    ``j``-th basis string in lexicographic order (first qubit most
+    significant), so column ``x`` of it is the eigenvector for outcome
+    string ``x``. Built once per (family, n) on first use.
+    """
+    singles = np.stack([family.basis_unitary(t) for t in range(family.bases_per_qubit)])
+    stack = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        count, dim = len(stack) * len(singles), 2 * stack.shape[1]
+        stack = np.einsum("aij,bkl->abikjl", stack, singles).reshape(count, dim, dim)
+    stack.setflags(write=False)
+    return stack
+
+
 def _basis_vector(family: MeasurementFamily, theta: Sequence[int], x: Sequence[int]) -> np.ndarray:
     if len(theta) != len(x):
         raise ValueError("basis and outcome strings must have equal length")
     if len(theta) == 0:
         raise ValueError("basis string must be nonempty")
-    vec = np.array([1.0 + 0.0j])
+    string = column = 0
     for t, b in zip(theta, x):
         if b not in (0, 1):
             raise ValueError(f"outcome bit {b!r} out of range")
-        vec = np.kron(vec, family.basis_unitary(t)[:, b])
-    return vec
+        string = string * family.bases_per_qubit + int(family.require_basis(t))
+        column = 2 * column + int(b)
+    return _basis_unitaries(family, len(theta))[string, :, column]
 
 
 def measurement_operator(
@@ -109,10 +131,11 @@ def measurement_operator(
 ) -> np.ndarray:
     """Rank-1 projector for outcome string ``x`` in basis string ``theta``.
 
-    Built as the tensor product of conjugated single-qubit projectors
-    ``U |x><x| U^dagger``; conjugation (rather than two-sided multiplication
-    by the same matrix) is required because the three-basis cycling unitary
-    is not Hermitian.
+    The tensor product of conjugated single-qubit projectors
+    ``U |x><x| U^dagger``, formed as the outer product of column ``x`` of
+    the n-qubit basis unitary with itself; conjugation (rather than
+    two-sided multiplication by the same matrix) is required because the
+    three-basis cycling unitary is not Hermitian.
     """
     vec = _basis_vector(family, theta, x)
     return np.outer(vec, vec.conj())
@@ -159,6 +182,45 @@ def _as_ensemble(states: DensityOperator | StateEnsemble) -> StateEnsemble:
     return StateEnsemble([EnsembleMember("0", 1.0, states)])
 
 
+# Bounds the (states, bases^n, 2^n, 2^n) intermediate of one batched product.
+_BATCH_ENTRIES = 1 << 20
+
+
+def outcome_probabilities(
+    states: Sequence[DensityOperator],
+    family: MeasurementFamily,
+    max_qubits: int | None = None,
+) -> np.ndarray:
+    """Outcome probabilities of equal-size states in every basis string.
+
+    Returns a ``(len(states), bases^n, 2^n)`` array whose entry ``[t, j, x]``
+    is the probability of outcome string ``x`` when state ``t`` is measured
+    in the ``j``-th basis string (lexicographic order), with entries below
+    1e-15 in magnitude set to exactly 0. The diagonals of ``U^dagger rho U``
+    come from one batched product per block of states. Raises when ``n``
+    exceeds the family's qubit budget unless a larger ``max_qubits`` is
+    passed explicitly.
+    """
+    matrices = np.stack([state.matrix for state in states])
+    dim = matrices.shape[-1]
+    n = dim.bit_length() - 1
+    budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
+    if n > budget:
+        raise ValueError(
+            f"{n} qubits exceeds the {family.value!r} table budget of {budget}; "
+            f"pass max_qubits to override"
+        )
+    unitaries = _basis_unitaries(family, n)
+    adjoints = unitaries.conj()
+    probs = np.empty((len(matrices), len(unitaries), dim))
+    step = max(1, _BATCH_ENTRIES // unitaries.size)
+    for start in range(0, len(matrices), step):
+        rotated = matrices[start : start + step, None] @ unitaries
+        probs[start : start + step] = np.einsum("bji,tbji->tbi", adjoints, rotated).real
+    probs[np.abs(probs) < 1e-15] = 0.0
+    return probs
+
+
 def outcome_table(
     states: DensityOperator | StateEnsemble,
     family: MeasurementFamily,
@@ -173,38 +235,18 @@ def outcome_table(
     ``max_qubits`` is passed explicitly.
     """
     ensemble = _as_ensemble(states)
-    n = ensemble.n_qubits
-    budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
-    if n > budget:
-        raise ValueError(
-            f"{n} qubits exceeds the {family.value!r} table budget of {budget}; "
-            f"pass max_qubits to override"
-        )
-    bases = range(family.bases_per_qubit)
-    theta_strings = list(itertools.product(bases, repeat=n))
-    unitaries = []
-    for theta in theta_strings:
-        u = np.array([1.0 + 0.0j])
-        for t in theta:
-            u = np.kron(u, family.basis_unitary(t))
-        unitaries.append(u.reshape(ensemble.dim, ensemble.dim))
-    base_weight = 1.0 / len(theta_strings)
-
-    contexts = []
-    for member in ensemble.members:
-        rho = member.state.matrix
-        for theta, u in zip(theta_strings, unitaries):
-            probs = np.einsum("ji,jk,ki->i", u.conj(), rho, u).real
-            probs[np.abs(probs) < 1e-15] = 0.0
-            contexts.append(
-                Context(
-                    k=member.k,
-                    theta="".join(map(str, theta)),
-                    weight=member.probability * base_weight,
-                    outcome_probs=tuple(probs),
-                )
-            )
-    return ConditionalTable(contexts)
+    probs = outcome_probabilities([m.state for m in ensemble.members], family, max_qubits)
+    thetas = [
+        "".join(map(str, theta))
+        for theta in itertools.product(range(family.bases_per_qubit), repeat=ensemble.n_qubits)
+    ]
+    base_weight = 1.0 / len(thetas)
+    return ConditionalTable.from_arrays(
+        ks=[m.k for m in ensemble.members for _ in thetas],
+        thetas=thetas * len(ensemble.members),
+        weights=[m.probability * base_weight for m in ensemble.members for _ in thetas],
+        probs=probs.reshape(-1, ensemble.dim),
+    )
 
 
 def post_measurement_state(

@@ -39,17 +39,80 @@ class Context:
     outcome_probs: tuple[float, ...]
 
 
-def _clean_probs(values: np.ndarray, where: str) -> np.ndarray:
-    if np.any(values < -_ENTRY_TOL) or np.any(values > 1.0 + _ENTRY_TOL):
-        bad = int(np.argmax((values < -_ENTRY_TOL) | (values > 1.0 + _ENTRY_TOL)))
-        raise ValueError(f"{where}[{bad}] = {values[bad]!r} is not a probability")
-    cleaned = values.copy()
+def validate_weights(weights) -> np.ndarray:
+    """Checked, normalised copy of a context weight vector.
+
+    Raises when a weight is negative beyond rounding or not finite, or when
+    the weights sum to 1 only beyond ``NORM_TOL``; weights below
+    ``ZERO_PROB`` become exact zeros before the sum is renormalised to 1.
+    """
+    weights = np.array(weights, dtype=float)
+    if weights.ndim != 1:
+        raise ValueError(f"context weights must form a vector, got shape {weights.shape}")
+    finite = np.isfinite(weights)
+    bad = ~finite | (weights < -_ENTRY_TOL)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        problem = "is negative" if finite[i] else "is not finite"
+        raise ValueError(f"contexts[{i}].weight = {weights[i]!r} {problem}")
+    weights[weights < ZERO_PROB] = 0.0
+    total = float(weights.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"context weights sum to {total!r}, expected 1 within {NORM_TOL}")
+    return weights / total
+
+
+def validate_rows(probs) -> np.ndarray:
+    """Checked, normalised copy of a (contexts x outcomes) probability matrix.
+
+    Row ``i`` is reported as ``contexts[i].p_x``: an entry outside [0, 1]
+    beyond rounding (or not finite) raises, as does a row that sums to 1
+    only beyond ``NORM_TOL``. Entries below ``ZERO_PROB`` become exact
+    zeros, entries just above 1 are clipped, and each row is renormalised.
+    The first offending row is reported, an entry before its sum.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2:
+        raise ValueError(
+            "outcome probabilities must form a (contexts x outcomes) matrix, "
+            f"got shape {probs.shape}"
+        )
+    bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
+    cleaned = probs.copy()
     cleaned[cleaned < ZERO_PROB] = 0.0
     cleaned[cleaned > 1.0] = 1.0
-    total = float(cleaned.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"{where} sums to {total!r}, expected 1 within {NORM_TOL}")
-    return cleaned / total
+    totals = cleaned.sum(axis=1)
+    bad_row = bad_entry.any(axis=1) | (np.abs(totals - 1.0) > NORM_TOL)
+    if np.any(bad_row):
+        i = int(np.argmax(bad_row))
+        if bad_entry[i].any():
+            j = int(np.argmax(bad_entry[i]))
+            raise ValueError(f"contexts[{i}].p_x[{j}] = {probs[i, j]!r} is not a probability")
+        raise ValueError(
+            f"contexts[{i}].p_x sums to {float(totals[i])!r}, expected 1 within {NORM_TOL}"
+        )
+    return cleaned / totals[:, None]
+
+
+def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The one validation pass behind every table constructor."""
+    if len(rows) == 0:
+        raise ValueError("conditional table must contain at least one context")
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        sizes = {rows.shape[1]}
+    else:
+        sizes = {len(row) for row in rows}
+    if len(sizes) != 1:
+        raise ValueError(f"contexts disagree on outcome alphabet size: {sorted(sizes)}")
+    if sizes == {0}:
+        raise ValueError("contexts must have a nonempty outcome alphabet")
+    if len(weights) != len(rows):
+        raise ValueError(f"{len(weights)} context weights for {len(rows)} outcome rows")
+    weights = validate_weights(weights)
+    probs = validate_rows(rows)
+    weights.setflags(write=False)
+    probs.setflags(write=False)
+    return weights, probs
 
 
 class ConditionalTable:
@@ -57,50 +120,57 @@ class ConditionalTable:
 
     All contexts must share one outcome alphabet size. Weights and rows are
     renormalised when they drift from 1 by no more than ``NORM_TOL`` and
-    rejected beyond that.
+    rejected beyond that. Build one from ``Context`` records or, without
+    per-row objects, with :meth:`from_arrays`; both validate the same way.
     """
 
     def __init__(self, contexts: Iterable[Context]):
         ctx = list(contexts)
-        if not ctx:
-            raise ValueError("conditional table must contain at least one context")
-        sizes = {len(c.outcome_probs) for c in ctx}
-        if len(sizes) != 1:
-            raise ValueError(f"contexts disagree on outcome alphabet size: {sorted(sizes)}")
-        (self._num_outcomes,) = sizes
-        if self._num_outcomes == 0:
-            raise ValueError("contexts must have a nonempty outcome alphabet")
-
-        weights = np.array([c.weight for c in ctx], dtype=float)
-        if np.any(weights < -_ENTRY_TOL):
-            bad = int(np.argmax(weights < -_ENTRY_TOL))
-            raise ValueError(f"contexts[{bad}].weight = {weights[bad]!r} is negative")
-        weights[weights < ZERO_PROB] = 0.0
-        total = float(weights.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"context weights sum to {total!r}, expected 1 within {NORM_TOL}")
-        weights /= total
-
-        probs = np.empty((len(ctx), self._num_outcomes), dtype=float)
-        for i, c in enumerate(ctx):
-            probs[i] = _clean_probs(np.asarray(c.outcome_probs, dtype=float), f"contexts[{i}].p_x")
-
-        weights.setflags(write=False)
-        probs.setflags(write=False)
-        self._weights = weights
-        self._probs = probs
-        self._contexts = tuple(
-            Context(c.k, c.theta, float(weights[i]), tuple(float(p) for p in probs[i]))
-            for i, c in enumerate(ctx)
+        self._set(
+            [c.k for c in ctx],
+            [c.theta for c in ctx],
+            [c.weight for c in ctx],
+            [c.outcome_probs for c in ctx],
         )
+
+    @classmethod
+    def from_arrays(cls, ks, thetas, weights, probs) -> "ConditionalTable":
+        """Table from parallel label sequences, a weight vector and a row matrix.
+
+        ``probs`` is (contexts x outcomes), as an array or a sequence of rows.
+        The whole matrix is validated in one vectorised pass, with the checks
+        and messages of the ``Context`` constructor; ``contexts`` is only
+        built when first read.
+        """
+        table = cls.__new__(cls)
+        table._set(ks, thetas, weights, probs)
+        return table
+
+    def _set(self, ks, thetas, weights, probs) -> None:
+        self._weights, self._probs = _validated(weights, probs)
+        self._ks = tuple(ks)
+        self._thetas = tuple(thetas)
+        if not len(self._ks) == len(self._thetas) == len(self._weights):
+            raise ValueError(
+                f"{len(self._ks)} k labels and {len(self._thetas)} theta labels "
+                f"for {len(self._weights)} contexts"
+            )
+        self._contexts: tuple[Context, ...] | None = None
 
     @property
     def contexts(self) -> tuple[Context, ...]:
+        if self._contexts is None:
+            self._contexts = tuple(
+                Context(k, theta, weight, tuple(row))
+                for k, theta, weight, row in zip(
+                    self._ks, self._thetas, self._weights.tolist(), self._probs.tolist()
+                )
+            )
         return self._contexts
 
     @property
     def num_outcomes(self) -> int:
-        return self._num_outcomes
+        return self._probs.shape[1]
 
     @property
     def weight_vector(self) -> np.ndarray:
@@ -113,12 +183,12 @@ class ConditionalTable:
         return self._probs
 
     def __len__(self) -> int:
-        return len(self._contexts)
+        return len(self._weights)
 
     def subtables_by_k(self) -> dict[str, "ConditionalTable"]:
         """Split into per-k tables, renormalising weights within each group."""
         groups: dict[str, list[Context]] = {}
-        for c in self._contexts:
+        for c in self.contexts:
             groups.setdefault(c.k, []).append(c)
         out = {}
         for k, members in groups.items():
@@ -134,7 +204,7 @@ class ConditionalTable:
         return {
             "contexts": [
                 {"k": c.k, "theta": c.theta, "weight": c.weight, "p_x": list(c.outcome_probs)}
-                for c in self._contexts
+                for c in self.contexts
             ]
         }
 
@@ -148,7 +218,7 @@ def table_from_json_dict(doc: object) -> ConditionalTable:
     raw = doc["contexts"]
     if not isinstance(raw, list):
         raise ValueError('"contexts" must be a JSON array')
-    contexts = []
+    ks, thetas, weights, rows = [], [], [], []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValueError(f"contexts[{i}] must be a JSON object")
@@ -166,10 +236,11 @@ def table_from_json_dict(doc: object) -> ConditionalTable:
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in p_x
         ):
             raise ValueError(f"contexts[{i}].p_x must be an array of numbers")
-        contexts.append(
-            Context(entry["k"], entry["theta"], float(entry["weight"]), tuple(map(float, p_x)))
-        )
-    return ConditionalTable(contexts)
+        ks.append(entry["k"])
+        thetas.append(entry["theta"])
+        weights.append(entry["weight"])
+        rows.append(p_x)
+    return ConditionalTable.from_arrays(ks, thetas, weights, rows)
 
 
 def load_table(path: str) -> ConditionalTable:

@@ -28,16 +28,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import InfeasibleRateError, min_n_for_rate, renyi_floor
-from .entropy import cond_renyi_entropy
+from .entropy import renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
     DensityOperator,
     EnsembleMember,
     StateEnsemble,
-    outcome_table,
+    outcome_probabilities,
     product_eigenstate,
     random_density,
 )
+from .tables import validate_rows, validate_weights
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -334,9 +335,8 @@ def curvature_gap_sweep(
     )
 
 
-def _serialize_state(state: DensityOperator) -> str:
-    pairs = [[float(v.real), float(v.imag)] for v in state.matrix.flatten()]
-    return json.dumps(pairs)
+def _state_pairs(state: DensityOperator) -> list[list[float]]:
+    return [[float(v.real), float(v.imag)] for v in state.matrix.flatten()]
 
 
 def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
@@ -347,6 +347,17 @@ def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
         (tuple(i % bases for i in range(n_qubits)), (1,) * n_qubits),
     ]
     return probes
+
+
+def _validated_rows(states: list[DensityOperator], family: MeasurementFamily) -> np.ndarray:
+    """Validated ``(states, bases^n, 2^n)`` outcome rows of one batch of states."""
+    probs = outcome_probabilities(states, family)
+    return validate_rows(probs.reshape(-1, probs.shape[-1])).reshape(probs.shape)
+
+
+def _uniform_weights(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
+    strings = family.bases_per_qubit**n_qubits
+    return validate_weights([1.0 / strings] * strings)
 
 
 def additivity_trial(
@@ -361,7 +372,9 @@ def additivity_trial(
     Draws seeded random states of cycling rank (pure, generically entangled,
     through full rank), computes the exact conditional Renyi entropy of their
     outcome tables and verifies it never falls below ``n`` times the one-qubit
-    floor. Product eigenstates must attain the floor to within 1e-10.
+    floor. Product eigenstates must attain the floor to within 1e-10. The
+    trial states and the eigenstate probes are tabulated in one batch and
+    their entropies reduced along the trial axis.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -369,36 +382,29 @@ def additivity_trial(
     dim = 2**n_qubits
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
 
-    worst = math.inf
-    worst_index = 0
-    worst_state = None
-    for t in range(trials):
-        rank = 1 + (t % dim)
-        state = random_density(n_qubits, rank, int(trial_seeds[t]))
-        entropy = cond_renyi_entropy(outcome_table(state, family), alpha)
-        margin = entropy - floor_total
-        if margin < worst:
-            worst = margin
-            worst_index = t
-            worst_state = state
-
-    eigen_dev = 0.0
-    for theta, x in _eigenstate_probes(family, n_qubits):
-        state = product_eigenstate(family, theta, x)
-        entropy = cond_renyi_entropy(outcome_table(state, family), alpha)
-        eigen_dev = max(eigen_dev, abs(entropy - floor_total))
+    states = [
+        random_density(n_qubits, 1 + t % dim, int(trial_seeds[t])) for t in range(trials)
+    ]
+    probes = [
+        product_eigenstate(family, theta, x) for theta, x in _eigenstate_probes(family, n_qubits)
+    ]
+    rows = _validated_rows(states + probes, family)
+    margins = renyi_entropies(_uniform_weights(family, n_qubits), rows, alpha) - floor_total
+    worst_index = int(np.argmin(margins[:trials]))
+    worst = float(margins[worst_index])
+    eigen_dev = float(np.max(np.abs(margins[trials:])))
 
     passed = worst >= -1e-9 and eigen_dev <= 1e-10
     notes = (
         f"family={family.value}; alpha={alpha!r}; n={n_qubits}; floor={floor_total!r}; "
         f"ranks cycled 1..{dim}; eigenstate deviation={eigen_dev!r} (needs <= 1e-10); "
         f"{PRNG_DESCRIPTION}; worst state (row-major re/im pairs): "
-        f"{_serialize_state(worst_state)}"
+        f"{json.dumps(_state_pairs(states[worst_index]))}"
     )
     return VerificationReport(
         suite="additivity",
         passed=passed,
-        worst_margin=float(worst),
+        worst_margin=worst,
         argmin=(float(worst_index),),
         resolution=0,
         trials=trials,
@@ -420,7 +426,9 @@ def ensemble_trial(
     Each trial draws a labelled mixture of random states with random mixing
     probabilities. The table conditioned on both basis and label must stay
     above ``n`` times the floor (within 1e-9) and above the worst member's
-    own entropy (within 1e-10).
+    own entropy (within 1e-10). Every member of every trial is tabulated
+    once, in one batch; the ensemble tables and the member tables are both
+    read off those rows.
     """
     if k_count < 2:
         raise ValueError(f"k_count must be >= 2, got {k_count!r}")
@@ -430,12 +438,8 @@ def ensemble_trial(
     dim = 2**n_qubits
     children = np.random.SeedSequence(seed).spawn(trials)
 
-    worst_floor = math.inf
-    worst_member = math.inf
-    worst_combined = math.inf
-    worst_index = 0
-    worst_states: list[DensityOperator] = []
-    for t, child in enumerate(children):
+    ensembles = []
+    for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
         probabilities = rng.dirichlet(np.ones(k_count))
         ranks = rng.integers(1, dim + 1, size=k_count)
@@ -448,31 +452,42 @@ def ensemble_trial(
             )
             for j in range(k_count)
         ]
-        ensemble = StateEnsemble(members)
-        table_entropy = cond_renyi_entropy(outcome_table(ensemble, family), alpha)
-        member_entropies = [
-            cond_renyi_entropy(outcome_table(m.state, family), alpha) for m in members
+        ensembles.append(StateEnsemble(members))
+
+    rows = _validated_rows([m.state for e in ensembles for m in e.members], family)
+    strings, outcomes = rows.shape[1:]
+    base_weight = 1.0 / strings
+    member_entropies = renyi_entropies(
+        _uniform_weights(family, n_qubits), rows.reshape(trials, k_count, strings, outcomes), alpha
+    )
+    # Context (j, theta) of an ensemble table has weight p_j / bases^n.
+    ensemble_weights = np.stack(
+        [
+            validate_weights(np.repeat([m.probability * base_weight for m in e.members], strings))
+            for e in ensembles
         ]
-        floor_margin = table_entropy - floor_total
-        member_margin = table_entropy - min(member_entropies)
-        if min(floor_margin, member_margin) < worst_combined:
-            worst_combined = min(floor_margin, member_margin)
-            worst_index = t
-            worst_states = [m.state for m in members]
-        worst_floor = min(worst_floor, floor_margin)
-        worst_member = min(worst_member, member_margin)
+    )
+    table_entropies = renyi_entropies(
+        ensemble_weights, rows.reshape(trials, k_count * strings, outcomes), alpha
+    )
+    floor_margins = table_entropies - floor_total
+    member_margins = table_entropies - member_entropies.min(axis=1)
+    worst_index = int(np.argmin(np.minimum(floor_margins, member_margins)))
+    worst_floor = float(floor_margins.min())
+    worst_member = float(member_margins.min())
+    worst_states = [_state_pairs(m.state) for m in ensembles[worst_index].members]
 
     passed = worst_floor >= -1e-9 and worst_member >= -1e-10
     notes = (
         f"family={family.value}; alpha={alpha!r}; n={n_qubits}; k={k_count}; "
         f"floor={floor_total!r}; worst margin above weakest member={worst_member!r} "
         f"(needs >= -1e-10); {PRNG_DESCRIPTION}; worst ensemble states "
-        f"(row-major re/im pairs): {json.dumps([json.loads(_serialize_state(s)) for s in worst_states])}"
+        f"(row-major re/im pairs): {json.dumps(worst_states)}"
     )
     return VerificationReport(
         suite="ensemble",
         passed=passed,
-        worst_margin=float(worst_floor),
+        worst_margin=worst_floor,
         argmin=(float(worst_index),),
         resolution=0,
         trials=trials,

@@ -3,20 +3,31 @@
 The oracles here deliberately avoid the code paths they are used to check:
 the dense rate scan never calls the golden-section optimiser, the nested
 power sum goes through conditional states instead of the full outcome table,
-and the series remainder bound never sums the series it bounds.
+the series remainder bound never sums the series it bounds, the outcome
+table oracles build one row at a time (by Kronecker products, or by traces
+against measurement projectors) instead of in one batched product, and the
+reference trials loop over per-trial tables instead of reducing a stack.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from entrobound import (
     ConditionalTable,
     Context,
+    EnsembleMember,
     MeasurementFamily,
+    StateEnsemble,
+    cond_renyi_entropy,
     measurement_operator,
     post_measurement_state,
+    product_eigenstate,
+    random_density,
+    renyi_floor,
 )
+from entrobound.verify import _eigenstate_probes
 
 
 def eigenstate_table() -> ConditionalTable:
@@ -97,3 +108,116 @@ def nested_power_sum(rho, family: MeasurementFamily, alpha: float) -> float:
             inner += max(p_b, 0.0) ** alpha
         total += p_a**alpha * inner / bases
     return total / bases
+
+
+def _members(states):
+    if isinstance(states, StateEnsemble):
+        return states.members
+    return (EnsembleMember("0", 1.0, states),)
+
+
+def kron_outcome_table(states, family: MeasurementFamily) -> ConditionalTable:
+    """Outcome table built row by row from per-string Kronecker unitaries.
+
+    For every basis string the n-qubit unitary is the Kronecker product of
+    the single-qubit ones, and row ``(k, theta)`` holds the diagonal of
+    ``U^dagger rho_k U``; one ``Context`` per row.
+    """
+    members = _members(states)
+    n = members[0].state.n_qubits
+    theta_strings = list(itertools.product(range(family.bases_per_qubit), repeat=n))
+    base_weight = 1.0 / len(theta_strings)
+    contexts = []
+    for member in members:
+        for theta in theta_strings:
+            u = np.array([1.0 + 0.0j])
+            for t in theta:
+                u = np.kron(u, family.basis_unitary(t))
+            u = u.reshape(2**n, 2**n)
+            probs = np.einsum("ji,jk,ki->i", u.conj(), member.state.matrix, u).real
+            probs[np.abs(probs) < 1e-15] = 0.0
+            contexts.append(
+                Context(
+                    member.k,
+                    "".join(map(str, theta)),
+                    member.probability * base_weight,
+                    tuple(probs),
+                )
+            )
+    return ConditionalTable(contexts)
+
+
+def trace_outcome_rows(states, family: MeasurementFamily) -> dict:
+    """``{(k, theta): [p(x|theta) for x]}`` with ``p = tr(M_theta,x rho_k)``.
+
+    No normalisation and no snapping: the raw Born-rule values.
+    """
+    out = {}
+    for member in _members(states):
+        n = member.state.n_qubits
+        for theta in itertools.product(range(family.bases_per_qubit), repeat=n):
+            out[(member.k, "".join(map(str, theta)))] = [
+                float(np.trace(measurement_operator(family, theta, x) @ member.state.matrix).real)
+                for x in itertools.product(range(2), repeat=n)
+            ]
+    return out
+
+
+def reference_additivity(
+    n_qubits: int, alpha: float, family: MeasurementFamily, trials: int, seed: int
+):
+    """Per-trial loop of the additivity check: (passed, worst index, worst margin)."""
+    floor_total = n_qubits * renyi_floor(alpha, family)
+    dim = 2**n_qubits
+    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    worst, worst_index = math.inf, 0
+    for t in range(trials):
+        state = random_density(n_qubits, 1 + t % dim, int(trial_seeds[t]))
+        margin = cond_renyi_entropy(kron_outcome_table(state, family), alpha) - floor_total
+        if margin < worst:
+            worst, worst_index = margin, t
+    eigen_dev = 0.0
+    for theta, x in _eigenstate_probes(family, n_qubits):
+        table = kron_outcome_table(product_eigenstate(family, theta, x), family)
+        eigen_dev = max(eigen_dev, abs(cond_renyi_entropy(table, alpha) - floor_total))
+    return worst >= -1e-9 and eigen_dev <= 1e-10, worst_index, worst
+
+
+def reference_ensemble(
+    n_qubits: int, alpha: float, family: MeasurementFamily, k_count: int, trials: int, seed: int
+):
+    """Per-trial loop of the ensemble check: (passed, worst index, worst floor margin).
+
+    Tabulates every ensemble, and every member again on its own.
+    """
+    floor_total = n_qubits * renyi_floor(alpha, family)
+    dim = 2**n_qubits
+    worst_floor = worst_member = worst_combined = math.inf
+    worst_index = 0
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        probabilities = rng.dirichlet(np.ones(k_count))
+        ranks = rng.integers(1, dim + 1, size=k_count)
+        state_seeds = rng.integers(0, 2**63, size=k_count)
+        members = [
+            EnsembleMember(
+                str(j),
+                float(probabilities[j]),
+                random_density(n_qubits, int(ranks[j]), int(state_seeds[j])),
+            )
+            for j in range(k_count)
+        ]
+        table_entropy = cond_renyi_entropy(
+            kron_outcome_table(StateEnsemble(members), family), alpha
+        )
+        weakest = min(
+            cond_renyi_entropy(kron_outcome_table(m.state, family), alpha) for m in members
+        )
+        floor_margin = table_entropy - floor_total
+        member_margin = table_entropy - weakest
+        if min(floor_margin, member_margin) < worst_combined:
+            worst_combined = min(floor_margin, member_margin)
+            worst_index = t
+        worst_floor = min(worst_floor, floor_margin)
+        worst_member = min(worst_member, member_margin)
+    return worst_floor >= -1e-9 and worst_member >= -1e-10, worst_index, worst_floor

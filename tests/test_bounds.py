@@ -98,6 +98,19 @@ class TestNewRates:
                 assert result.rate == expected
                 assert result.s_opt == s
 
+    def test_bool_block_length_rejected(self):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="integer"):
+                rate_bb84(flag, 0.1)
+        with pytest.raises(ValueError, match="integer"):
+            legacy_epsilon(True, 0.1)
+
+    def test_non_finite_target_rate_rejected(self):
+        for target in (math.nan, math.inf, -math.inf):
+            for method in ("new", "legacy"):
+                with pytest.raises(ValueError, match="finite"):
+                    min_n_for_rate(target, 0.1, BB84, method)
+
     def test_fixed_s_understates_maximum(self):
         # plugging in s = 0.1 lands visibly below the maximised value
         fixed = rate_bb84(23_600, 0.1, s=0.1).rate

@@ -51,6 +51,13 @@ class TestRateCommand:
         assert code == 2
         assert "epsilon" in err
 
+    def test_infinite_rate_is_refused(self, capsys):
+        # eps^2 is subnormal here, so the correction term and the rate are infinite
+        code, out, err = run_cli(capsys, "rate", "--family", "bb84", "--n", "1000", "--eps", "1e-160")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
     def test_scientific_notation_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--family", "bb84", "--n", "23600", "--eps", "1e-1")
         assert code == 0
@@ -83,6 +90,16 @@ class TestBlocklenCommand:
         )
         assert code == 2
         assert "legacy" in err
+
+    def test_nan_rate_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "blocklen", "--family", "bb84", "--rate", "nan", "--eps", "0.1",
+            "--method", "new",
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_infeasible_rate(self, capsys):
         code, _, err = run_cli(
@@ -226,6 +243,13 @@ class TestFeasibleCommand:
         doc = json.loads(out)
         assert doc["feasible"] is False
         assert doc["margin"] < 0.0
+
+
+    def test_nan_margin_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "feasible", "--rate", "nan", "--perr", "0.01")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
 
 
 class TestUsageErrors:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import (
     DensityOperator,
@@ -21,7 +23,8 @@ from entrobound import (
     renyi_floor,
     renyi_power_sum,
 )
-from helpers import nested_power_sum
+from entrobound.simulator import _basis_unitaries
+from helpers import kron_outcome_table, nested_power_sum, trace_outcome_rows
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -94,6 +97,16 @@ class TestMeasurementOperators:
                 total += proj
             assert np.max(np.abs(total - np.eye(2**n))) <= 1e-12
 
+    @pytest.mark.parametrize("family,n", [(BB84, 3), (SIX, 2)])
+    def test_projector_is_tensor_product_of_single_qubit_projectors(self, family, n):
+        # qubit order: the first entry of theta and x is the leading factor
+        for theta in itertools.product(range(family.bases_per_qubit), repeat=n):
+            for x in itertools.product(range(2), repeat=n):
+                expected = np.ones((1, 1), dtype=complex)
+                for t, b in zip(theta, x):
+                    expected = np.kron(expected, measurement_operator(family, (t,), (b,)))
+                assert np.max(np.abs(measurement_operator(family, theta, x) - expected)) <= 1e-15
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             measurement_operator(BB84, (2,), (0,))
@@ -159,6 +172,67 @@ class TestOutcomeTable:
                     assert cond_renyi_entropy(table, alpha) == pytest.approx(
                         n * renyi_floor(alpha, family), abs=1e-10
                     )
+
+
+@st.composite
+def states_and_ensembles(draw):
+    """A random state or labelled ensemble of 1..budget qubits, and its family."""
+    family = draw(st.sampled_from([BB84, SIX]))
+    n = draw(st.integers(1, family.default_qubit_budget))
+    members = draw(st.integers(1, 3))
+    states = [
+        random_density(n, draw(st.integers(1, 2**n)), draw(st.integers(0, 2**32)))
+        for _ in range(members)
+    ]
+    if members == 1:
+        return family, states[0]
+    weights = [draw(st.floats(0.05, 1.0)) for _ in range(members)]
+    total = sum(weights)
+    return family, StateEnsemble(
+        EnsembleMember(f"k{j}", w / total, state)
+        for j, (w, state) in enumerate(zip(weights, states))
+    )
+
+
+class TestStackedOutcomeTable:
+    @settings(max_examples=40, deadline=None)
+    @given(states_and_ensembles())
+    def test_matches_trace_oracle(self, case):
+        family, states = case
+        table = outcome_table(states, family)
+        oracle = trace_outcome_rows(states, family)
+        assert [(c.k, c.theta) for c in table.contexts] == list(oracle)
+        assert np.max(np.abs(table.prob_matrix - np.array(list(oracle.values())))) <= 1e-12
+        if isinstance(states, StateEnsemble):
+            members = states.members
+        else:
+            members = [EnsembleMember("0", 1.0, states)]
+        strings = family.bases_per_qubit ** members[0].state.n_qubits
+        expected_weights = np.repeat([m.probability / strings for m in members], strings)
+        assert np.max(np.abs(table.weight_vector - expected_weights)) <= 1e-12
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    def test_matches_kronecker_oracle(self, family):
+        for n in range(1, family.default_qubit_budget + 1):
+            for seed in range(3):
+                state = random_density(n, 1 + seed % 2**n, seed=500 + seed)
+                table = outcome_table(state, family)
+                oracle = kron_outcome_table(state, family)
+                assert [(c.k, c.theta) for c in table.contexts] == [
+                    (c.k, c.theta) for c in oracle.contexts
+                ]
+                assert np.max(np.abs(table.prob_matrix - oracle.prob_matrix)) <= 1e-12
+                assert np.max(np.abs(table.weight_vector - oracle.weight_vector)) <= 1e-15
+
+    @pytest.mark.parametrize("family,n", [(BB84, 1), (BB84, 4), (SIX, 1), (SIX, 3)])
+    def test_unitary_stack_cached_read_only_and_unitary(self, family, n):
+        stack = _basis_unitaries(family, n)
+        assert _basis_unitaries(family, n) is stack
+        assert stack.shape == (family.bases_per_qubit**n, 2**n, 2**n)
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+        gram = np.einsum("bji,bjk->bik", stack.conj(), stack)
+        assert np.max(np.abs(gram - np.eye(2**n))) <= 1e-14
 
 
 class TestPostMeasurement:

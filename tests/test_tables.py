@@ -1,6 +1,7 @@
 """Construction, validation and file format of conditional tables."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,91 @@ def test_arrays_are_read_only():
         table.weight_vector[0] = 0.9
     with pytest.raises(ValueError):
         table.prob_matrix[0, 0] = 0.9
+
+
+def _from_arrays(contexts):
+    """The same table through ``from_arrays``; rectangular rows go in as one matrix."""
+    rows = [c.outcome_probs for c in contexts]
+    if len({len(row) for row in rows}) == 1:
+        rows = np.array(rows)
+    return ConditionalTable.from_arrays(
+        [c.k for c in contexts],
+        [c.theta for c in contexts],
+        np.array([c.weight for c in contexts]),
+        rows,
+    )
+
+
+_INVALID = {
+    "empty": [],
+    "alphabet mismatch": [Context("k", "0", 0.5, (1.0, 0.0)), Context("k", "1", 0.5, (0.5, 0.25, 0.25))],
+    "negative weight": [Context("k", "0", -0.25, (1.0, 0.0)), Context("k", "1", 1.25, (0.5, 0.5))],
+    "weight sum": [Context("k", "0", 0.6, (1.0, 0.0)), Context("k", "1", 0.6, (0.5, 0.5))],
+    "row sum": [Context("k", "0", 0.5, (0.5, 0.5)), Context("k", "1", 0.5, (0.7, 0.2))],
+    "entry above one": [Context("k", "0", 0.5, (0.5, 0.5)), Context("k", "1", 0.5, (1.3, -0.3))],
+    "nan weight": [Context("k", "0", math.nan, (1.0, 0.0)), Context("k", "1", 1.0, (0.5, 0.5))],
+    "nan entry": [Context("k", "0", 1.0, (math.nan, 1.0))],
+}
+
+_MESSAGES = {
+    "empty": "at least one context",
+    "alphabet mismatch": r"alphabet size: \[2, 3\]",
+    "negative weight": r"^contexts\[0\]\.weight = .* is negative$",
+    "weight sum": "weights sum",
+    "row sum": r"^contexts\[1\]\.p_x sums to ",
+    "entry above one": r"^contexts\[1\]\.p_x\[0\] = .* is not a probability$",
+    "nan weight": r"^contexts\[0\]\.weight = .* is not finite$",
+    "nan entry": r"^contexts\[0\]\.p_x\[0\] = .* is not a probability$",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID))
+def test_both_constructors_reject_with_the_same_message(case):
+    with pytest.raises(ValueError, match=_MESSAGES[case]) as via_contexts:
+        ConditionalTable(_INVALID[case])
+    with pytest.raises(ValueError) as via_arrays:
+        _from_arrays(_INVALID[case])
+    assert str(via_arrays.value) == str(via_contexts.value)
+
+
+@pytest.mark.parametrize(
+    "contexts",
+    [
+        [Context("k", "0", 0.5 + 5e-11, (1.0, 1e-10)), Context("k", "1", 0.5, (0.5, 0.5))],
+        [Context("k", "0", 1.0, (1.0, 1e-16))],
+        [Context("a", "01", 0.25, (0.1, 0.2, 0.7)), Context("b", "10", 0.75, (1.0 + 1e-13, 0.0, 0.0))],
+    ],
+    ids=["drift renormalised", "tiny value snapped", "entry clipped to one"],
+)
+def test_both_constructors_build_the_same_table(contexts):
+    expected = ConditionalTable(contexts)
+    table = _from_arrays(contexts)
+    assert np.array_equal(table.prob_matrix, expected.prob_matrix)
+    assert np.array_equal(table.weight_vector, expected.weight_vector)
+    assert table.contexts == expected.contexts
+    assert len(table) == len(expected) and table.num_outcomes == expected.num_outcomes
+    for built in (table, expected):
+        with pytest.raises(ValueError):
+            built.weight_vector[0] = 0.9
+        with pytest.raises(ValueError):
+            built.prob_matrix[0, 0] = 0.9
+
+
+def test_from_arrays_copies_its_inputs():
+    weights = np.array([0.5, 0.5])
+    probs = np.array([[1.0, 0.0], [0.5, 0.5]])
+    table = ConditionalTable.from_arrays(["k", "k"], ["0", "1"], weights, probs)
+    weights[0] = probs[0, 0] = 7.0
+    assert table.contexts == (Context("k", "0", 0.5, (1.0, 0.0)), Context("k", "1", 0.5, (0.5, 0.5)))
+
+
+def test_from_arrays_label_and_shape_mismatch():
+    with pytest.raises(ValueError, match="labels"):
+        ConditionalTable.from_arrays(["k"], ["0", "1"], [0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="weights"):
+        ConditionalTable.from_arrays(["k", "k"], ["0", "1"], [1.0], [[1.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="matrix"):
+        ConditionalTable.from_arrays(["k"], ["0"], [1.0], np.ones((1, 2, 1)))
 
 
 def test_subtables_by_k_renormalise():

@@ -28,7 +28,7 @@ from entrobound import (
     surface_entropy,
 )
 from entrobound.simulator import DensityOperator
-from helpers import series_remainder_bound
+from helpers import reference_additivity, reference_ensemble, series_remainder_bound
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -270,6 +270,54 @@ class TestTrials:
             additivity_trial(2, 2.0, BB84, trials=0, seed=1)
         with pytest.raises(ValueError):
             ensemble_trial(2, 2.0, BB84, k_count=1, trials=5, seed=1)
+        with pytest.raises(ValueError, match="budget"):
+            additivity_trial(5, 2.0, BB84, trials=1, seed=1)
+        with pytest.raises(ValueError, match="budget"):
+            ensemble_trial(4, 2.0, SIX, k_count=2, trials=1, seed=1)
+
+    @pytest.mark.parametrize(
+        "family,n,alpha,trials,seed",
+        [
+            (BB84, 1, 2.0, 12, 1),
+            (BB84, 2, 1.5, 40, 2),
+            (BB84, 4, 1.1, 6, 3),
+            (SIX, 1, 1.9, 12, 4),
+            (SIX, 3, 1.3, 8, 5),
+        ],
+    )
+    def test_batched_additivity_matches_per_trial_loop(self, family, n, alpha, trials, seed):
+        report = additivity_trial(n, alpha, family, trials, seed)
+        passed, worst_index, worst = reference_additivity(n, alpha, family, trials, seed)
+        assert report.passed == passed
+        assert report.argmin == (float(worst_index),)
+        assert abs(report.worst_margin - worst) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family,n,alpha,k_count,trials,seed",
+        [
+            (BB84, 1, 2.0, 2, 12, 6),
+            (BB84, 2, 1.5, 3, 20, 7),
+            (BB84, 4, 1.2, 2, 4, 8),
+            (SIX, 2, 1.7, 4, 8, 9),
+            (SIX, 3, 2.0, 2, 4, 10),
+        ],
+    )
+    def test_batched_ensemble_matches_per_trial_loop(self, family, n, alpha, k_count, trials, seed):
+        report = ensemble_trial(n, alpha, family, k_count, trials, seed)
+        passed, worst_index, worst = reference_ensemble(n, alpha, family, k_count, trials, seed)
+        assert report.passed == passed
+        assert report.argmin == (float(worst_index),)
+        assert abs(report.worst_margin - worst) <= 1e-12
+
+    def test_ensemble_notes_carry_the_worst_states(self):
+        report = ensemble_trial(1, 2.0, BB84, k_count=3, trials=5, seed=3)
+        text = report.notes.split("(row-major re/im pairs): ", 1)[1]
+        states = json.loads(text)
+        assert json.dumps(states) == text
+        assert len(states) == 3
+        for pairs in states:
+            matrix = np.array([re + 1j * im for re, im in pairs]).reshape(2, 2)
+            DensityOperator(matrix)
 
 
 class TestFigureRows:
