@@ -42,15 +42,6 @@ class MeasurementFamily(enum.Enum):
         # Exact simulation is desk scale only: table size is bases**n * 2**n.
         return 4 if self is MeasurementFamily.BB84 else 3
 
-    def require_basis(self, theta: int) -> int:
-        """Return ``theta`` if it indexes a basis of this family, else raise."""
-        if not 0 <= theta < self.bases_per_qubit:
-            raise ValueError(
-                f"basis index {theta} out of range for {self.value!r} "
-                f"(expected 0..{self.bases_per_qubit - 1})"
-            )
-        return theta
-
     def basis_unitary(self, theta: int) -> np.ndarray:
         """2x2 unitary whose columns span measurement basis ``theta``.
 
@@ -58,7 +49,11 @@ class MeasurementFamily(enum.Enum):
         families; the two-basis family uses 1 for sigma_x, the three-basis
         family uses 1 for sigma_x and 2 for sigma_y.
         """
-        self.require_basis(theta)
+        if not 0 <= theta < self.bases_per_qubit:
+            raise ValueError(
+                f"basis index {theta} out of range for {self.value!r} "
+                f"(expected 0..{self.bases_per_qubit - 1})"
+            )
         if self is MeasurementFamily.BB84:
             return (_IDENTITY2 if theta == 0 else HADAMARD).copy()
         return np.linalg.matrix_power(BASIS_CYCLE, theta)

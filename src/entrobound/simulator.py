@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import MeasurementFamily
-from .tables import NORM_TOL, ConditionalTable
+from .tables import NORM_TOL, ConditionalTable, validated_arrays
 
 ATOL = 1e-12
 
@@ -94,6 +94,21 @@ class StateEnsemble:
         self.n_qubits = members[0].state.n_qubits
 
 
+def _kron_stack(factors: Iterable[np.ndarray]) -> np.ndarray:
+    """Kronecker products of every choice of one matrix per factor.
+
+    Each factor is a ``(count, rows, cols)`` stack; the result stacks the
+    products in lexicographic order of the choices, first factor most
+    significant.
+    """
+    stack = np.ones((1, 1, 1), dtype=complex)
+    for factor in factors:
+        count = len(stack) * len(factor)
+        rows, cols = stack.shape[1] * factor.shape[1], stack.shape[2] * factor.shape[2]
+        stack = np.einsum("aij,bkl->abikjl", stack, factor).reshape(count, rows, cols)
+    return stack
+
+
 @functools.lru_cache(maxsize=None)
 def _basis_unitaries(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
     """Read-only ``(bases^n, 2^n, 2^n)`` stack of n-qubit basis unitaries.
@@ -101,29 +116,27 @@ def _basis_unitaries(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
     Entry ``j`` is the Kronecker product of the single-qubit unitaries of the
     ``j``-th basis string in lexicographic order (first qubit most
     significant), so column ``x`` of it is the eigenvector for outcome
-    string ``x``. Built once per (family, n) on first use.
+    string ``x``. Built once per (family, n) on first use; only outcome
+    tables, which are capped by the qubit budget, read it.
     """
     singles = np.stack([family.basis_unitary(t) for t in range(family.bases_per_qubit)])
-    stack = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(n_qubits):
-        count, dim = len(stack) * len(singles), 2 * stack.shape[1]
-        stack = np.einsum("aij,bkl->abikjl", stack, singles).reshape(count, dim, dim)
+    stack = _kron_stack([singles] * n_qubits)
     stack.setflags(write=False)
     return stack
 
 
 def _basis_vector(family: MeasurementFamily, theta: Sequence[int], x: Sequence[int]) -> np.ndarray:
+    """Column ``x`` of the basis unitary of ``theta``, from the single-qubit columns."""
     if len(theta) != len(x):
         raise ValueError("basis and outcome strings must have equal length")
     if len(theta) == 0:
         raise ValueError("basis string must be nonempty")
-    string = column = 0
+    columns = []
     for t, b in zip(theta, x):
         if b not in (0, 1):
             raise ValueError(f"outcome bit {b!r} out of range")
-        string = string * family.bases_per_qubit + int(family.require_basis(t))
-        column = 2 * column + int(b)
-    return _basis_unitaries(family, len(theta))[string, :, column]
+        columns.append(family.basis_unitary(t)[None, :, int(b), None])
+    return _kron_stack(columns)[0, :, 0]
 
 
 def measurement_operator(
@@ -182,26 +195,29 @@ def _as_ensemble(states: DensityOperator | StateEnsemble) -> StateEnsemble:
     return StateEnsemble([EnsembleMember("0", 1.0, states)])
 
 
-# Bounds the (states, bases^n, 2^n, 2^n) intermediate of one batched product.
-_BATCH_ENTRIES = 1 << 20
-
-
-def outcome_probabilities(
-    states: Sequence[DensityOperator],
+def outcome_arrays(
+    ensembles: Sequence[DensityOperator | StateEnsemble],
     family: MeasurementFamily,
     max_qubits: int | None = None,
-) -> np.ndarray:
-    """Outcome probabilities of equal-size states in every basis string.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated weights and rows of the outcome tables of a batch of ensembles.
 
-    Returns a ``(len(states), bases^n, 2^n)`` array whose entry ``[t, j, x]``
-    is the probability of outcome string ``x`` when state ``t`` is measured
-    in the ``j``-th basis string (lexicographic order), with entries below
-    1e-15 in magnitude set to exactly 0. The diagonals of ``U^dagger rho U``
-    come from one batched product per block of states. Raises when ``n``
-    exceeds the family's qubit budget unless a larger ``max_qubits`` is
-    passed explicitly.
+    The ensembles (a bare state counts as a one-member ensemble) must share
+    their qubit count and member count ``m``. Returns read-only weights of
+    shape ``(E, m * bases^n)`` and rows of shape ``(E, m * bases^n, 2^n)``.
+    Contexts are member-major: member ``j`` owns the block of ``bases^n``
+    contexts starting at ``j * bases^n``, one per basis string in
+    lexicographic order, each with weight ``p_j / bases^n`` (the basis
+    choice is uniform and independent of the label). Every member state is
+    tabulated once: the diagonals of ``U^dagger rho U`` for all states and
+    basis strings come from one batched product, entries below 1e-15 in
+    magnitude are set to exactly 0, and each table is then validated as
+    :class:`ConditionalTable` validates it. Raises when ``n`` exceeds the
+    family's qubit budget unless a larger ``max_qubits`` is passed
+    explicitly.
     """
-    matrices = np.stack([state.matrix for state in states])
+    batch = [_as_ensemble(e) for e in ensembles]
+    matrices = np.stack([m.state.matrix for e in batch for m in e.members])
     dim = matrices.shape[-1]
     n = dim.bit_length() - 1
     budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
@@ -211,14 +227,15 @@ def outcome_probabilities(
             f"pass max_qubits to override"
         )
     unitaries = _basis_unitaries(family, n)
-    adjoints = unitaries.conj()
-    probs = np.empty((len(matrices), len(unitaries), dim))
-    step = max(1, _BATCH_ENTRIES // unitaries.size)
-    for start in range(0, len(matrices), step):
-        rotated = matrices[start : start + step, None] @ unitaries
-        probs[start : start + step] = np.einsum("bji,tbji->tbi", adjoints, rotated).real
+    probs = np.einsum("bji,tbji->tbi", unitaries.conj(), matrices[:, None] @ unitaries).real
     probs[np.abs(probs) < 1e-15] = 0.0
-    return probs
+    base_weight = 1.0 / len(unitaries)
+    weights = [[m.probability * base_weight for m in e.members] for e in batch]
+    if len({len(w) for w in weights}) != 1:
+        raise ValueError("ensembles in one batch must have the same number of members")
+    return validated_arrays(
+        np.repeat(weights, len(unitaries), axis=1), probs.reshape(len(batch), -1, dim)
+    )
 
 
 def outcome_table(
@@ -229,23 +246,22 @@ def outcome_table(
     """Exact outcome table over all basis strings, uniformly weighted.
 
     One context per (member, basis string) pair with weight
-    ``p_k / bases^n`` (basis choice is uniform and independent of the
-    member label) and outcome probabilities over all 2^n outcome strings.
-    Raises when ``n`` exceeds the family's qubit budget unless a larger
-    ``max_qubits`` is passed explicitly.
+    ``p_k / bases^n`` and outcome probabilities over all 2^n outcome
+    strings, in the order of :func:`outcome_arrays`. Raises when ``n``
+    exceeds the family's qubit budget unless a larger ``max_qubits`` is
+    passed explicitly.
     """
     ensemble = _as_ensemble(states)
-    probs = outcome_probabilities([m.state for m in ensemble.members], family, max_qubits)
+    (weights,), (probs,) = outcome_arrays([ensemble], family, max_qubits)
     thetas = [
         "".join(map(str, theta))
         for theta in itertools.product(range(family.bases_per_qubit), repeat=ensemble.n_qubits)
     ]
-    base_weight = 1.0 / len(thetas)
     return ConditionalTable.from_arrays(
         ks=[m.k for m in ensemble.members for _ in thetas],
         thetas=thetas * len(ensemble.members),
-        weights=[m.probability * base_weight for m in ensemble.members for _ in thetas],
-        probs=probs.reshape(-1, ensemble.dim),
+        weights=weights,
+        probs=probs,
     )
 
 

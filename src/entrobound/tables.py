@@ -39,80 +39,105 @@ class Context:
     outcome_probs: tuple[float, ...]
 
 
-def validate_weights(weights) -> np.ndarray:
-    """Checked, normalised copy of a context weight vector.
+def _checked_weights(weights: np.ndarray) -> np.ndarray:
+    """Checked, normalised copy of a ``(tables, contexts)`` weight stack.
 
     Raises when a weight is negative beyond rounding or not finite, or when
-    the weights sum to 1 only beyond ``NORM_TOL``; weights below
-    ``ZERO_PROB`` become exact zeros before the sum is renormalised to 1.
+    a table's weights sum to 1 only beyond ``NORM_TOL``; weights below
+    ``ZERO_PROB`` become exact zeros before each sum is renormalised to 1.
     """
-    weights = np.array(weights, dtype=float)
-    if weights.ndim != 1:
-        raise ValueError(f"context weights must form a vector, got shape {weights.shape}")
     finite = np.isfinite(weights)
     bad = ~finite | (weights < -_ENTRY_TOL)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        problem = "is negative" if finite[i] else "is not finite"
-        raise ValueError(f"contexts[{i}].weight = {weights[i]!r} {problem}")
-    weights[weights < ZERO_PROB] = 0.0
-    total = float(weights.sum())
-    if abs(total - 1.0) > NORM_TOL:
+        t, i = np.argwhere(bad)[0]
+        problem = "is negative" if finite[t, i] else "is not finite"
+        raise ValueError(f"contexts[{i}].weight = {weights[t, i]!r} {problem}")
+    cleaned = weights.copy()
+    cleaned[cleaned < ZERO_PROB] = 0.0
+    totals = cleaned.sum(axis=1)
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if np.any(off):
+        total = float(totals[np.argmax(off)])
         raise ValueError(f"context weights sum to {total!r}, expected 1 within {NORM_TOL}")
-    return weights / total
+    return cleaned / totals[:, None]
 
 
-def validate_rows(probs) -> np.ndarray:
-    """Checked, normalised copy of a (contexts x outcomes) probability matrix.
+def _checked_rows(probs: np.ndarray) -> np.ndarray:
+    """Checked, normalised copy of a ``(tables, contexts, outcomes)`` row stack.
 
-    Row ``i`` is reported as ``contexts[i].p_x``: an entry outside [0, 1]
-    beyond rounding (or not finite) raises, as does a row that sums to 1
-    only beyond ``NORM_TOL``. Entries below ``ZERO_PROB`` become exact
-    zeros, entries just above 1 are clipped, and each row is renormalised.
-    The first offending row is reported, an entry before its sum.
+    Row ``i`` of a table is reported as ``contexts[i].p_x``: an entry
+    outside [0, 1] beyond rounding (or not finite) raises, as does a row
+    that sums to 1 only beyond ``NORM_TOL``. Entries below ``ZERO_PROB``
+    become exact zeros, entries just above 1 are clipped, and each row is
+    renormalised. The first offending row is reported, an entry before its
+    sum.
     """
+    bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
+    cleaned = probs.copy()
+    cleaned[cleaned < ZERO_PROB] = 0.0
+    cleaned[cleaned > 1.0] = 1.0
+    totals = cleaned.sum(axis=2)
+    bad_row = bad_entry.any(axis=2) | (np.abs(totals - 1.0) > NORM_TOL)
+    if np.any(bad_row):
+        t, i = np.argwhere(bad_row)[0]
+        if bad_entry[t, i].any():
+            j = int(np.argmax(bad_entry[t, i]))
+            raise ValueError(f"contexts[{i}].p_x[{j}] = {probs[t, i, j]!r} is not a probability")
+        raise ValueError(
+            f"contexts[{i}].p_x sums to {float(totals[t, i])!r}, expected 1 within {NORM_TOL}"
+        )
+    return cleaned / totals[..., None]
+
+
+def validated_arrays(weights, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, normalised, read-only copies of table weights and outcome rows.
+
+    The one validation pass behind every table. ``probs`` has shape
+    ``(..., contexts, outcomes)`` and ``weights`` shape ``(..., contexts)``;
+    leading axes index a stack of same-size tables, each checked as a table
+    of its own, and messages name the offending field of that table.
+    """
+    weights = np.asarray(weights, dtype=float)
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim < 2 or weights.shape != probs.shape[:-1]:
+        raise ValueError(
+            f"weights of shape {weights.shape} do not match outcome rows of shape {probs.shape}"
+        )
+    checked_weights = _checked_weights(weights.reshape(-1, weights.shape[-1]))
+    checked_probs = _checked_rows(probs.reshape(-1, *probs.shape[-2:]))
+    checked_weights = checked_weights.reshape(weights.shape)
+    checked_probs = checked_probs.reshape(probs.shape)
+    checked_weights.setflags(write=False)
+    checked_probs.setflags(write=False)
+    return checked_weights, checked_probs
+
+
+def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Shape checks of every table constructor, then :func:`validated_arrays`."""
+    try:
+        probs = np.array(rows, dtype=float)
+    except ValueError:
+        sizes = {len(row) for row in rows}
+        if len(sizes) > 1:
+            raise ValueError(
+                f"contexts disagree on outcome alphabet size: {sorted(sizes)}"
+            ) from None
+        raise
+    if probs.ndim > 0 and len(probs) == 0:
+        raise ValueError("conditional table must contain at least one context")
     if probs.ndim != 2:
         raise ValueError(
             "outcome probabilities must form a (contexts x outcomes) matrix, "
             f"got shape {probs.shape}"
         )
-    bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
-    cleaned = probs.copy()
-    cleaned[cleaned < ZERO_PROB] = 0.0
-    cleaned[cleaned > 1.0] = 1.0
-    totals = cleaned.sum(axis=1)
-    bad_row = bad_entry.any(axis=1) | (np.abs(totals - 1.0) > NORM_TOL)
-    if np.any(bad_row):
-        i = int(np.argmax(bad_row))
-        if bad_entry[i].any():
-            j = int(np.argmax(bad_entry[i]))
-            raise ValueError(f"contexts[{i}].p_x[{j}] = {probs[i, j]!r} is not a probability")
-        raise ValueError(
-            f"contexts[{i}].p_x sums to {float(totals[i])!r}, expected 1 within {NORM_TOL}"
-        )
-    return cleaned / totals[:, None]
-
-
-def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The one validation pass behind every table constructor."""
-    if len(rows) == 0:
-        raise ValueError("conditional table must contain at least one context")
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        sizes = {rows.shape[1]}
-    else:
-        sizes = {len(row) for row in rows}
-    if len(sizes) != 1:
-        raise ValueError(f"contexts disagree on outcome alphabet size: {sorted(sizes)}")
-    if sizes == {0}:
+    if probs.shape[1] == 0:
         raise ValueError("contexts must have a nonempty outcome alphabet")
-    if len(weights) != len(rows):
-        raise ValueError(f"{len(weights)} context weights for {len(rows)} outcome rows")
-    weights = validate_weights(weights)
-    probs = validate_rows(rows)
-    weights.setflags(write=False)
-    probs.setflags(write=False)
-    return weights, probs
+    weights = np.array(weights, dtype=float)
+    if weights.ndim != 1:
+        raise ValueError(f"context weights must form a vector, got shape {weights.shape}")
+    if len(weights) != len(probs):
+        raise ValueError(f"{len(weights)} context weights for {len(probs)} outcome rows")
+    return validated_arrays(weights, probs)
 
 
 class ConditionalTable:

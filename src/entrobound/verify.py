@@ -34,11 +34,10 @@ from .simulator import (
     DensityOperator,
     EnsembleMember,
     StateEnsemble,
-    outcome_probabilities,
+    outcome_arrays,
     product_eigenstate,
     random_density,
 )
-from .tables import validate_rows, validate_weights
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -349,17 +348,6 @@ def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
     return probes
 
 
-def _validated_rows(states: list[DensityOperator], family: MeasurementFamily) -> np.ndarray:
-    """Validated ``(states, bases^n, 2^n)`` outcome rows of one batch of states."""
-    probs = outcome_probabilities(states, family)
-    return validate_rows(probs.reshape(-1, probs.shape[-1])).reshape(probs.shape)
-
-
-def _uniform_weights(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
-    strings = family.bases_per_qubit**n_qubits
-    return validate_weights([1.0 / strings] * strings)
-
-
 def additivity_trial(
     n_qubits: int,
     alpha: float,
@@ -388,8 +376,7 @@ def additivity_trial(
     probes = [
         product_eigenstate(family, theta, x) for theta, x in _eigenstate_probes(family, n_qubits)
     ]
-    rows = _validated_rows(states + probes, family)
-    margins = renyi_entropies(_uniform_weights(family, n_qubits), rows, alpha) - floor_total
+    margins = renyi_entropies(*outcome_arrays(states + probes, family), alpha) - floor_total
     worst_index = int(np.argmin(margins[:trials]))
     worst = float(margins[worst_index])
     eigen_dev = float(np.max(np.abs(margins[trials:])))
@@ -454,22 +441,17 @@ def ensemble_trial(
         ]
         ensembles.append(StateEnsemble(members))
 
-    rows = _validated_rows([m.state for e in ensembles for m in e.members], family)
-    strings, outcomes = rows.shape[1:]
-    base_weight = 1.0 / strings
-    member_entropies = renyi_entropies(
-        _uniform_weights(family, n_qubits), rows.reshape(trials, k_count, strings, outcomes), alpha
-    )
-    # Context (j, theta) of an ensemble table has weight p_j / bases^n.
-    ensemble_weights = np.stack(
-        [
-            validate_weights(np.repeat([m.probability * base_weight for m in e.members], strings))
-            for e in ensembles
-        ]
-    )
-    table_entropies = renyi_entropies(
-        ensemble_weights, rows.reshape(trials, k_count * strings, outcomes), alpha
-    )
+    weights, rows = outcome_arrays(ensembles, family)
+    table_entropies = renyi_entropies(weights, rows, alpha)
+    # Member j's own table is its block of contexts, reweighted within the
+    # block as subtables_by_k does; a block of zero weight has no table.
+    blocks = weights.reshape(trials, k_count, -1)
+    totals = blocks.sum(axis=-1, keepdims=True)
+    member_weights = np.divide(blocks, totals, out=np.zeros_like(blocks), where=totals > 0.0)
+    with np.errstate(divide="ignore"):  # log2(0) makes a zero-weight block's entropy +inf
+        member_entropies = renyi_entropies(
+            member_weights, rows.reshape(*blocks.shape, rows.shape[-1]), alpha
+        )
     floor_margins = table_entropies - floor_total
     member_margins = table_entropies - member_entropies.min(axis=1)
     worst_index = int(np.argmin(np.minimum(floor_margins, member_margins)))

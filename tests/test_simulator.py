@@ -23,7 +23,7 @@ from entrobound import (
     renyi_floor,
     renyi_power_sum,
 )
-from entrobound.simulator import _basis_unitaries
+from entrobound.simulator import _basis_unitaries, outcome_arrays
 from helpers import kron_outcome_table, nested_power_sum, trace_outcome_rows
 
 BB84 = MeasurementFamily.BB84
@@ -233,6 +233,49 @@ class TestStackedOutcomeTable:
             stack[0, 0, 0] = 0.0
         gram = np.einsum("bji,bjk->bik", stack.conj(), stack)
         assert np.max(np.abs(gram - np.eye(2**n))) <= 1e-14
+
+
+    def test_outcome_arrays_stack_tables_member_major(self):
+        ensembles = [
+            StateEnsemble(
+                EnsembleMember(str(j), p, random_density(2, 1 + j, seed=10 * t + j))
+                for j, p in enumerate((0.25, 0.75))
+            )
+            for t in range(3)
+        ]
+        weights, rows = outcome_arrays(ensembles, SIX)
+        assert weights.shape == (3, 2 * 9) and rows.shape == (3, 2 * 9, 4)
+        for ensemble, w, r in zip(ensembles, weights, rows):
+            table = outcome_table(ensemble, SIX)
+            assert np.max(np.abs(w - table.weight_vector)) <= 1e-15
+            assert np.max(np.abs(r - table.prob_matrix)) <= 1e-15
+        with pytest.raises(ValueError, match="same number of members"):
+            outcome_arrays([ensembles[0], random_density(2, 1, seed=0)], SIX)
+
+
+class TestProjectorsAboveTableBudget:
+    """Projectors and conditioning build one column, never a unitary stack."""
+
+    def test_eight_qubit_projector_matches_kronecker_product(self):
+        theta, x = (0, 1) * 4, (1, 0, 0, 1, 1, 1, 0, 0)
+        _basis_unitaries.cache_clear()
+        proj = measurement_operator(BB84, theta, x)
+        assert _basis_unitaries.cache_info().currsize == 0
+        single = np.array([1.0 + 0.0j])
+        for t, b in zip(theta, x):
+            single = np.kron(single, BB84.basis_unitary(t)[:, b])
+        assert proj.shape == (256, 256)
+        assert np.max(np.abs(proj - np.outer(single, single.conj()))) <= 1e-15
+
+    def test_conditioning_above_budget(self):
+        theta_a, x_a = (2, 1, 0, 2), (0, 1, 1, 0)
+        rho = DensityOperator(
+            np.kron(measurement_operator(SIX, theta_a, x_a), np.diag([0.25, 0.75]))
+        )
+        _basis_unitaries.cache_clear()
+        sigma = post_measurement_state(rho, SIX, theta_a, x_a)
+        assert _basis_unitaries.cache_info().currsize == 0
+        assert np.max(np.abs(sigma.matrix - np.diag([0.25, 0.75]))) <= 1e-12
 
 
 class TestPostMeasurement:

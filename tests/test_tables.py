@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entrobound import ConditionalTable, Context, load_table, table_from_json_dict, uniform_table
+from entrobound.tables import validated_arrays
 
 
 def test_empty_table_rejected():
@@ -162,6 +163,29 @@ def test_from_arrays_label_and_shape_mismatch():
         ConditionalTable.from_arrays(["k", "k"], ["0", "1"], [1.0], [[1.0, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError, match="matrix"):
         ConditionalTable.from_arrays(["k"], ["0"], [1.0], np.ones((1, 2, 1)))
+    with pytest.raises(ValueError, match=r"matrix, got shape \(2,\)"):
+        ConditionalTable.from_arrays(["k"], ["0"], [1.0], np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"matrix, got shape \(\)"):
+        ConditionalTable.from_arrays(["k"], ["0"], [1.0], 1.0)
+    with pytest.raises(ValueError, match=r"weights must form a vector, got shape \(\)"):
+        ConditionalTable.from_arrays(["k"], ["0"], 1.0, [[0.5, 0.5]])
+
+
+def test_validated_arrays_checks_each_table_of_a_stack():
+    weights = np.array([[0.5, 0.5], [0.25, 0.75]])
+    probs = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.7, 0.2]]])
+    with pytest.raises(ValueError, match=r"^contexts\[1\]\.p_x sums to "):
+        validated_arrays(weights, probs)
+    probs[1, 1] = (0.7, 0.3)
+    checked_weights, checked_probs = validated_arrays(weights, probs)
+    for t in range(2):
+        table = ConditionalTable.from_arrays(["k", "k"], ["0", "1"], weights[t], probs[t])
+        assert np.array_equal(checked_weights[t], table.weight_vector)
+        assert np.array_equal(checked_probs[t], table.prob_matrix)
+    with pytest.raises(ValueError, match="context weights sum to 1.25"):
+        validated_arrays(np.array([[0.5, 0.5], [0.5, 0.75]]), probs)
+    with pytest.raises(ValueError, match="do not match"):
+        validated_arrays(weights, probs[0])
 
 
 def test_subtables_by_k_renormalise():
