@@ -36,6 +36,7 @@ from .simulator import (
     outcome_table,
     post_measurement_state,
     product_eigenstate,
+    random_densities,
     random_density,
 )
 from .tables import ConditionalTable, Context, load_table, table_from_json_dict, uniform_table
@@ -94,6 +95,7 @@ __all__ = [
     "product_eigenstate",
     "bb84_surface",
     "renyi_to_smooth_min_entropy",
+    "random_densities",
     "random_density",
     "rate_bb84",
     "rate_six",

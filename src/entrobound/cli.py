@@ -12,8 +12,9 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 * ``feasible`` checks a rate against the binary-entropy error cost.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
-errors including malformed table files and results that are not finite
-(stdout is always valid JSON).
+errors including malformed table files, results that are not finite and
+arithmetic errors such as a division by an underflowed eps**2 (stdout is
+always valid JSON).
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def run(argv: Sequence[str]) -> int:
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except ArithmeticError as exc:  # e.g. an eps so small that eps**2 underflows to 0
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -3,10 +3,12 @@
 Everything here is dense linear algebra on 2^n dimensional matrices and is
 deliberately capped at desk scale (the outcome table over all basis strings
 grows as bases^n * 2^n). The n-qubit basis unitaries are built once per
-(family, n) as one read-only stack; outcome tables, measurement projectors
-and conditioning all read from it. States are validated on construction:
-Hermitian, positive semidefinite and unit trace, each within small
-tolerances scaled by the matrix norm.
+(family, n) as one read-only stack, which only the outcome tables read;
+measurement projectors and conditioning build their one column from the
+single-qubit columns with the same Kronecker routine. States are drawn and
+validated as stacks: Hermitian, positive semidefinite and unit trace, each
+within small tolerances scaled by the matrix norm, by one validator that
+:class:`DensityOperator` also runs.
 """
 
 from __future__ import annotations
@@ -28,33 +30,64 @@ ATOL = 1e-12
 MIN_CONDITION_PROB = 1e-14
 
 
+def validated_densities(matrices) -> np.ndarray:
+    """Checked, Hermitised, read-only copy of a stack of density matrices.
+
+    The one validation pass behind every state. ``matrices`` has shape
+    ``(..., d, d)`` with ``d`` a power of two >= 2; each matrix must be
+    finite, Hermitian and of unit trace within ``ATOL`` times its largest
+    entry magnitude (at least 1), and its Hermitian part must have no
+    eigenvalue below minus that tolerance. The first offending matrix is
+    reported, by the first check it fails, in the words of
+    :class:`DensityOperator`. Returns ``(M + M^dagger) / 2`` for every
+    matrix; the eigenvalues of the whole stack come from one ``eigvalsh``.
+    """
+    arr = np.asarray(matrices, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"density operator must be a square matrix, got shape {arr.shape}")
+    dim = arr.shape[-1]
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
+    flat = arr.reshape(-1, dim, dim)
+    finite_entries = np.isfinite(flat)
+    finite = finite_entries.all(axis=(1, 2))
+    if not finite.all():
+        # Refused below; zeros keep NaN and infinity out of the arithmetic
+        # and out of eigvalsh, which cannot take them.
+        flat = np.where(finite_entries, flat, 0.0)
+    adjoint = flat.conj().transpose(0, 2, 1)
+    hermitized = 0.5 * (flat + adjoint)
+    tolerance = ATOL * np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
+    not_hermitian = np.abs(flat - adjoint).max(axis=(1, 2)) > tolerance
+    traces = hermitized.trace(axis1=1, axis2=2).real
+    off_trace = np.abs(traces - 1.0) > tolerance
+    lowest = np.linalg.eigvalsh(hermitized)[:, 0]
+    negative = lowest < -tolerance
+    failed = ~finite | not_hermitian | off_trace | negative
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not finite[i]:
+            raise ValueError("density operator has non-finite entries")
+        if not_hermitian[i]:
+            raise ValueError("density operator is not Hermitian within tolerance")
+        if off_trace[i]:
+            raise ValueError(f"density operator has trace {float(traces[i])!r}, expected 1")
+        raise ValueError(f"density operator has negative eigenvalue {float(lowest[i])!r}")
+    hermitized = hermitized.reshape(arr.shape)
+    hermitized.setflags(write=False)
+    return hermitized
+
+
 class DensityOperator:
     """Hermitian, PSD, unit-trace complex matrix on n qubits."""
 
     def __init__(self, matrix):
-        arr = np.array(matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = np.asarray(matrix, dtype=complex)
+        if arr.ndim != 2:
             raise ValueError(f"density operator must be a square matrix, got shape {arr.shape}")
-        dim = arr.shape[0]
-        n_qubits = dim.bit_length() - 1
-        if dim < 2 or 2**n_qubits != dim:
-            raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr - arr.conj().T))) > ATOL * scale:
-            raise ValueError("density operator is not Hermitian within tolerance")
-        hermitized = 0.5 * (arr + arr.conj().T)
-        trace = float(hermitized.trace().real)
-        if abs(trace - 1.0) > ATOL * scale:
-            raise ValueError(f"density operator has trace {trace!r}, expected 1")
-        eigenvalues = np.linalg.eigvalsh(hermitized)
-        if float(eigenvalues.min()) < -ATOL * scale:
-            raise ValueError(
-                f"density operator has negative eigenvalue {float(eigenvalues.min())!r}"
-            )
-        hermitized.setflags(write=False)
-        self._matrix = hermitized
-        self.dim = dim
-        self.n_qubits = n_qubits
+        self._matrix = validated_densities(arr)
+        self.dim = arr.shape[0]
+        self.n_qubits = self.dim.bit_length() - 1
 
     @property
     def matrix(self) -> np.ndarray:
@@ -63,6 +96,25 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
+
+
+def checked_probabilities(probabilities) -> np.ndarray:
+    """Normalised copy of mixing probabilities, one ensemble per last-axis row.
+
+    The checks of :class:`StateEnsemble`: a negative entry raises, as does a
+    row summing to 1 only beyond ``NORM_TOL``; each row is then divided by
+    its sum. Rows are summed left to right, as Python's ``sum`` adds the
+    members, so a stack of ensembles normalises bit for bit like each
+    ensemble on its own.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    totals = np.asarray(sum(np.moveaxis(p, -1, 0)))
+    if np.any(p < 0.0):
+        raise ValueError("ensemble probabilities must be nonnegative")
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if np.any(off):
+        raise ValueError(f"ensemble probabilities sum to {float(totals[off][0])!r}, expected 1")
+    return p / totals[..., None]
 
 
 @dataclass(frozen=True)
@@ -82,13 +134,9 @@ class StateEnsemble:
         dims = {m.state.dim for m in members}
         if len(dims) != 1:
             raise ValueError(f"ensemble members disagree on dimension: {sorted(dims)}")
-        total = sum(m.probability for m in members)
-        if any(m.probability < 0.0 for m in members):
-            raise ValueError("ensemble probabilities must be nonnegative")
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"ensemble probabilities sum to {total!r}, expected 1")
+        probabilities = checked_probabilities([m.probability for m in members])
         self.members = tuple(
-            EnsembleMember(m.k, m.probability / total, m.state) for m in members
+            EnsembleMember(m.k, p, m.state) for m, p in zip(members, probabilities.tolist())
         )
         self.dim = members[0].state.dim
         self.n_qubits = members[0].state.n_qubits
@@ -169,24 +217,45 @@ def bloch_state(x: float, y: float, z: float) -> DensityOperator:
     return DensityOperator(0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]]))
 
 
-def random_density(n_qubits: int, rank: int, seed: int) -> DensityOperator:
-    """Seeded random state ``G G^dagger / tr`` with complex Gaussian ``G``.
+def random_densities(n_qubits: int, ranks: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """Read-only ``(T, 2^n, 2^n)`` stack of seeded random states ``G G^dagger / tr``.
 
-    ``G`` is 2^n by ``rank`` with independent standard complex Gaussian
-    entries drawn by Box-Muller from a PCG64 stream, so rank-1 calls give
-    Haar-distributed pure states and identical seeds reproduce bit-identical
-    matrices.
+    State ``t`` has its own PCG64 stream seeded with ``seeds[t]``; its ``G``
+    is 2^n by ``ranks[t]`` with independent standard complex Gaussian
+    entries drawn by Box-Muller, so rank-1 states are Haar-distributed pure
+    states and identical seeds reproduce bit-identical matrices. Each ``G``
+    is zero-padded to 2^n columns so that Box-Muller, the trace
+    normalisation and the checks of :func:`validated_densities` each run
+    once over the stack. ``G G^dagger`` is one batched product per distinct
+    rank, over the unpadded columns: BLAS may round a product with extra
+    zero columns differently (it does for 2 x 2 with OpenBLAS).
     """
     dim = 2**n_qubits
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must lie in 1..{dim}, got {rank!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u1 = rng.random((dim, rank))
-    u2 = rng.random((dim, rank))
+    if len(ranks) != len(seeds):
+        raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
+    u1 = np.zeros((len(ranks), dim, dim))
+    u2 = np.zeros((len(ranks), dim, dim))
+    by_rank: dict[int, list[int]] = {}
+    for t, (rank, seed) in enumerate(zip(ranks, seeds)):
+        if not 1 <= rank <= dim:
+            raise ValueError(f"rank must lie in 1..{dim}, got {rank!r}")
+        draws = np.random.Generator(np.random.PCG64(int(seed))).random((2, dim, rank))
+        u1[t, :, :rank] = draws[0]
+        u2[t, :, :rank] = draws[1]
+        by_rank.setdefault(int(rank), []).append(t)
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     g = radius * np.exp(2.0j * math.pi * u2)
-    rho = g @ g.conj().T
-    return DensityOperator(rho / rho.trace().real)
+    rho = np.empty_like(g)
+    for rank, chosen in by_rank.items():
+        columns = g[chosen, :, :rank]
+        rho[chosen] = columns @ columns.conj().transpose(0, 2, 1)
+    traces = rho.trace(axis1=1, axis2=2).real
+    return validated_densities(rho / traces[:, None, None])
+
+
+def random_density(n_qubits: int, rank: int, seed: int) -> DensityOperator:
+    """Seeded random state: the one-state case of :func:`random_densities`."""
+    return DensityOperator(random_densities(n_qubits, [rank], [seed])[0])
 
 
 def _as_ensemble(states: DensityOperator | StateEnsemble) -> StateEnsemble:
@@ -203,22 +272,44 @@ def outcome_arrays(
     """Validated weights and rows of the outcome tables of a batch of ensembles.
 
     The ensembles (a bare state counts as a one-member ensemble) must share
-    their qubit count and member count ``m``. Returns read-only weights of
-    shape ``(E, m * bases^n)`` and rows of shape ``(E, m * bases^n, 2^n)``.
-    Contexts are member-major: member ``j`` owns the block of ``bases^n``
-    contexts starting at ``j * bases^n``, one per basis string in
-    lexicographic order, each with weight ``p_j / bases^n`` (the basis
-    choice is uniform and independent of the label). Every member state is
-    tabulated once: the diagonals of ``U^dagger rho U`` for all states and
-    basis strings come from one batched product, entries below 1e-15 in
-    magnitude are set to exactly 0, and each table is then validated as
-    :class:`ConditionalTable` validates it. Raises when ``n`` exceeds the
-    family's qubit budget unless a larger ``max_qubits`` is passed
-    explicitly.
+    their qubit count and member count; see :func:`stack_outcome_arrays`.
     """
     batch = [_as_ensemble(e) for e in ensembles]
-    matrices = np.stack([m.state.matrix for e in batch for m in e.members])
-    dim = matrices.shape[-1]
+    if len({len(e.members) for e in batch}) != 1:
+        raise ValueError("ensembles in one batch must have the same number of members")
+    return stack_outcome_arrays(
+        np.array([[m.state.matrix for m in e.members] for e in batch]),
+        np.array([[m.probability for m in e.members] for e in batch]),
+        family,
+        max_qubits,
+    )
+
+
+def stack_outcome_arrays(
+    matrices: np.ndarray,
+    probabilities: np.ndarray,
+    family: MeasurementFamily,
+    max_qubits: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated weights and rows of the outcome tables of a stack of ensembles.
+
+    ``matrices`` of shape ``(E, m, 2^n, 2^n)`` holds the member states of
+    ``E`` ensembles of ``m`` members each, as :func:`validated_densities`
+    returns them, and ``probabilities`` of shape ``(E, m)`` their mixing
+    probabilities, as :func:`checked_probabilities` returns them. Returns
+    read-only weights of shape ``(E, m * bases^n)`` and rows of shape
+    ``(E, m * bases^n, 2^n)``. Contexts are member-major: member ``j`` owns
+    the block of ``bases^n`` contexts starting at ``j * bases^n``, one per
+    basis string in lexicographic order, each with weight ``p_j / bases^n``
+    (the basis choice is uniform and independent of the label). Every member
+    state is tabulated once: the diagonals of ``U^dagger rho U`` for all
+    states and basis strings come from one batched product, entries below
+    1e-15 in magnitude are set to exactly 0, and each table is then
+    validated as :class:`ConditionalTable` validates it. Raises when ``n``
+    exceeds the family's qubit budget unless a larger ``max_qubits`` is
+    passed explicitly.
+    """
+    count, dim = len(matrices), matrices.shape[-1]
     n = dim.bit_length() - 1
     budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
     if n > budget:
@@ -227,15 +318,11 @@ def outcome_arrays(
             f"pass max_qubits to override"
         )
     unitaries = _basis_unitaries(family, n)
-    probs = np.einsum("bji,tbji->tbi", unitaries.conj(), matrices[:, None] @ unitaries).real
+    states = matrices.reshape(-1, 1, dim, dim)
+    probs = np.einsum("bji,tbji->tbi", unitaries.conj(), states @ unitaries).real
     probs[np.abs(probs) < 1e-15] = 0.0
-    base_weight = 1.0 / len(unitaries)
-    weights = [[m.probability * base_weight for m in e.members] for e in batch]
-    if len({len(w) for w in weights}) != 1:
-        raise ValueError("ensembles in one batch must have the same number of members")
-    return validated_arrays(
-        np.repeat(weights, len(unitaries), axis=1), probs.reshape(len(batch), -1, dim)
-    )
+    weights = np.repeat(probabilities * (1.0 / len(unitaries)), len(unitaries), axis=1)
+    return validated_arrays(weights, probs.reshape(count, -1, dim))
 
 
 def outcome_table(

@@ -112,8 +112,20 @@ def validated_arrays(weights, probs) -> tuple[np.ndarray, np.ndarray]:
     return checked_weights, checked_probs
 
 
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Shape checks of every table constructor, then :func:`validated_arrays`."""
+    """Shape checks of every table constructor, then :func:`validated_arrays`.
+
+    An integer too large for a float is only looked for once a conversion
+    has overflowed, and is then reported by field.
+    """
     try:
         probs = np.array(rows, dtype=float)
     except ValueError:
@@ -123,6 +135,14 @@ def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
                 f"contexts disagree on outcome alphabet size: {sorted(sizes)}"
             ) from None
         raise
+    except OverflowError:
+        i, j = next(
+            (i, j)
+            for i, row in enumerate(rows)
+            for j, p in enumerate(row)
+            if not _fits_float(p)
+        )
+        raise ValueError(f"contexts[{i}].p_x[{j}] is too large for a float") from None
     if probs.ndim > 0 and len(probs) == 0:
         raise ValueError("conditional table must contain at least one context")
     if probs.ndim != 2:
@@ -132,7 +152,11 @@ def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
         )
     if probs.shape[1] == 0:
         raise ValueError("contexts must have a nonempty outcome alphabet")
-    weights = np.array(weights, dtype=float)
+    try:
+        weights = np.array(weights, dtype=float)
+    except OverflowError:
+        i = next(i for i, weight in enumerate(weights) if not _fits_float(weight))
+        raise ValueError(f"contexts[{i}].weight is too large for a float") from None
     if weights.ndim != 1:
         raise ValueError(f"context weights must form a vector, got shape {weights.shape}")
     if len(weights) != len(probs):

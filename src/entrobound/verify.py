@@ -20,9 +20,9 @@ are index-ordered so results do not depend on execution order.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,12 +31,10 @@ from .bounds import InfeasibleRateError, min_n_for_rate, renyi_floor
 from .entropy import renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
-    DensityOperator,
-    EnsembleMember,
-    StateEnsemble,
-    outcome_arrays,
+    checked_probabilities,
     product_eigenstate,
-    random_density,
+    random_densities,
+    stack_outcome_arrays,
 )
 
 _LN2 = math.log(2.0)
@@ -46,9 +44,20 @@ _SQRT2 = math.sqrt(2.0)
 PRNG_DESCRIPTION = "numpy PCG64 via SeedSequence; complex gaussians by Box-Muller"
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one brute-force suite, serialisable to JSON."""
+    """Outcome of one brute-force suite, serialisable to JSON.
+
+    ``witness`` is the read-only ``(states, 2^n, 2^n)`` stack of the worst
+    trial's states (one for the additivity suite, every member for the
+    ensemble suite) and empty for the other suites; it takes no part in
+    ``==``.
+    """
 
     suite: str
     passed: bool
@@ -58,8 +67,12 @@ class VerificationReport:
     trials: int
     seed: int
     notes: str
+    witness: np.ndarray = field(
+        default_factory=lambda: _read_only(np.empty((0, 0, 0), dtype=complex)), compare=False
+    )
 
     def to_json_dict(self) -> dict:
+        """JSON-ready fields; each witness state is a list of row-major [re, im] pairs."""
         return {
             "suite": self.suite,
             "pass": self.passed,
@@ -69,6 +82,10 @@ class VerificationReport:
             "trials": self.trials,
             "seed": self.seed,
             "notes": self.notes,
+            "witness": [
+                np.stack([state.real, state.imag], axis=-1).reshape(-1, 2).tolist()
+                for state in self.witness
+            ],
         }
 
 
@@ -334,10 +351,6 @@ def curvature_gap_sweep(
     )
 
 
-def _state_pairs(state: DensityOperator) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in state.matrix.flatten()]
-
-
 def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
     bases = family.bases_per_qubit
     probes = [
@@ -346,6 +359,19 @@ def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
         (tuple(i % bases for i in range(n_qubits)), (1,) * n_qubits),
     ]
     return probes
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_states(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
+    """Read-only stack of the eigenstate probes of :func:`_eigenstate_probes`."""
+    return _read_only(
+        np.array(
+            [
+                product_eigenstate(family, theta, x).matrix
+                for theta, x in _eigenstate_probes(family, n_qubits)
+            ]
+        )
+    )
 
 
 def additivity_trial(
@@ -361,8 +387,9 @@ def additivity_trial(
     through full rank), computes the exact conditional Renyi entropy of their
     outcome tables and verifies it never falls below ``n`` times the one-qubit
     floor. Product eigenstates must attain the floor to within 1e-10. The
-    trial states and the eigenstate probes are tabulated in one batch and
-    their entropies reduced along the trial axis.
+    trial states are drawn as one stack, and they and the eigenstate probes
+    are tabulated in one batch and their entropies reduced along the trial
+    axis. The worst state is the report's witness.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -370,13 +397,10 @@ def additivity_trial(
     dim = 2**n_qubits
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
 
-    states = [
-        random_density(n_qubits, 1 + t % dim, int(trial_seeds[t])) for t in range(trials)
-    ]
-    probes = [
-        product_eigenstate(family, theta, x) for theta, x in _eigenstate_probes(family, n_qubits)
-    ]
-    margins = renyi_entropies(*outcome_arrays(states + probes, family), alpha) - floor_total
+    states = random_densities(n_qubits, 1 + np.arange(trials) % dim, trial_seeds)
+    matrices = np.concatenate([states, _probe_states(family, n_qubits)])[:, None]
+    weights, rows = stack_outcome_arrays(matrices, np.ones((len(matrices), 1)), family)
+    margins = renyi_entropies(weights, rows, alpha) - floor_total
     worst_index = int(np.argmin(margins[:trials]))
     worst = float(margins[worst_index])
     eigen_dev = float(np.max(np.abs(margins[trials:])))
@@ -385,8 +409,7 @@ def additivity_trial(
     notes = (
         f"family={family.value}; alpha={alpha!r}; n={n_qubits}; floor={floor_total!r}; "
         f"ranks cycled 1..{dim}; eigenstate deviation={eigen_dev!r} (needs <= 1e-10); "
-        f"{PRNG_DESCRIPTION}; worst state (row-major re/im pairs): "
-        f"{json.dumps(_state_pairs(states[worst_index]))}"
+        f"{PRNG_DESCRIPTION}"
     )
     return VerificationReport(
         suite="additivity",
@@ -397,6 +420,7 @@ def additivity_trial(
         trials=trials,
         seed=seed,
         notes=notes,
+        witness=_read_only(states[worst_index : worst_index + 1].copy()),
     )
 
 
@@ -413,9 +437,10 @@ def ensemble_trial(
     Each trial draws a labelled mixture of random states with random mixing
     probabilities. The table conditioned on both basis and label must stay
     above ``n`` times the floor (within 1e-9) and above the worst member's
-    own entropy (within 1e-10). Every member of every trial is tabulated
-    once, in one batch; the ensemble tables and the member tables are both
-    read off those rows.
+    own entropy (within 1e-10). The members of all trials are drawn as one
+    stack and tabulated once, in one batch; the ensemble tables and the
+    member tables are both read off those rows. The members of the worst
+    ensemble are the report's witness.
     """
     if k_count < 2:
         raise ValueError(f"k_count must be >= 2, got {k_count!r}")
@@ -423,25 +448,19 @@ def ensemble_trial(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     floor_total = n_qubits * renyi_floor(alpha, family)
     dim = 2**n_qubits
-    children = np.random.SeedSequence(seed).spawn(trials)
 
-    ensembles = []
-    for child in children:
+    probabilities = np.empty((trials, k_count))
+    ranks = np.empty((trials, k_count), dtype=np.int64)
+    state_seeds = np.empty((trials, k_count), dtype=np.int64)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.Generator(np.random.PCG64(child))
-        probabilities = rng.dirichlet(np.ones(k_count))
-        ranks = rng.integers(1, dim + 1, size=k_count)
-        state_seeds = rng.integers(0, 2**63, size=k_count)
-        members = [
-            EnsembleMember(
-                k=str(j),
-                probability=float(probabilities[j]),
-                state=random_density(n_qubits, int(ranks[j]), int(state_seeds[j])),
-            )
-            for j in range(k_count)
-        ]
-        ensembles.append(StateEnsemble(members))
+        probabilities[t] = rng.dirichlet(np.ones(k_count))
+        ranks[t] = rng.integers(1, dim + 1, size=k_count)
+        state_seeds[t] = rng.integers(0, 2**63, size=k_count)
+    states = random_densities(n_qubits, ranks.ravel(), state_seeds.ravel())
+    matrices = states.reshape(trials, k_count, dim, dim)
 
-    weights, rows = outcome_arrays(ensembles, family)
+    weights, rows = stack_outcome_arrays(matrices, checked_probabilities(probabilities), family)
     table_entropies = renyi_entropies(weights, rows, alpha)
     # Member j's own table is its block of contexts, reweighted within the
     # block as subtables_by_k does; a block of zero weight has no table.
@@ -457,14 +476,12 @@ def ensemble_trial(
     worst_index = int(np.argmin(np.minimum(floor_margins, member_margins)))
     worst_floor = float(floor_margins.min())
     worst_member = float(member_margins.min())
-    worst_states = [_state_pairs(m.state) for m in ensembles[worst_index].members]
 
     passed = worst_floor >= -1e-9 and worst_member >= -1e-10
     notes = (
         f"family={family.value}; alpha={alpha!r}; n={n_qubits}; k={k_count}; "
         f"floor={floor_total!r}; worst margin above weakest member={worst_member!r} "
-        f"(needs >= -1e-10); {PRNG_DESCRIPTION}; worst ensemble states "
-        f"(row-major re/im pairs): {json.dumps(worst_states)}"
+        f"(needs >= -1e-10); {PRNG_DESCRIPTION}"
     )
     return VerificationReport(
         suite="ensemble",
@@ -475,6 +492,7 @@ def ensemble_trial(
         trials=trials,
         seed=seed,
         notes=notes,
+        witness=_read_only(matrices[worst_index].copy()),
     )
 
 

@@ -5,8 +5,10 @@ the dense rate scan never calls the golden-section optimiser, the nested
 power sum goes through conditional states instead of the full outcome table,
 the series remainder bound never sums the series it bounds, the outcome
 table oracles build one row at a time (by Kronecker products, or by traces
-against measurement projectors) instead of in one batched product, and the
-reference trials loop over per-trial tables instead of reducing a stack.
+against measurement projectors) instead of in one batched product, the
+reference drawer draws one state at a time instead of a padded stack, and
+the reference trials loop over per-trial states and tables instead of
+reducing a stack.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 from entrobound import (
     ConditionalTable,
     Context,
+    DensityOperator,
     EnsembleMember,
     MeasurementFamily,
     StateEnsemble,
@@ -24,7 +27,6 @@ from entrobound import (
     measurement_operator,
     post_measurement_state,
     product_eigenstate,
-    random_density,
     renyi_floor,
 )
 from entrobound.verify import _eigenstate_probes
@@ -83,6 +85,23 @@ def series_remainder_bound(a: float, s, max_power: int):
     m = 2 * (max_power // 2) + 2
     p_m = np.prod(1.0 - s[..., None] / np.arange(1, m + 1), axis=-1)
     return 2.0 * s * p_m * a**m / (1.0 - a * a)
+
+
+def reference_random_density(n_qubits: int, rank: int, seed: int) -> np.ndarray:
+    """One seeded random state ``G G^dagger / tr``, drawn on its own, unchecked.
+
+    ``G`` is 2^n by ``rank``, from one PCG64 stream by Box-Muller; the
+    result is Hermitised as the density validator stores it.
+    """
+    dim = 2**n_qubits
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u1 = rng.random((dim, rank))
+    u2 = rng.random((dim, rank))
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    g = radius * np.exp(2.0j * math.pi * u2)
+    rho = g @ g.conj().T
+    rho = rho / rho.trace().real
+    return 0.5 * (rho + rho.conj().T)
 
 
 def nested_power_sum(rho, family: MeasurementFamily, alpha: float) -> float:
@@ -172,7 +191,8 @@ def reference_additivity(
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     worst, worst_index = math.inf, 0
     for t in range(trials):
-        state = random_density(n_qubits, 1 + t % dim, int(trial_seeds[t]))
+        matrix = reference_random_density(n_qubits, 1 + t % dim, int(trial_seeds[t]))
+        state = DensityOperator(matrix)
         margin = cond_renyi_entropy(kron_outcome_table(state, family), alpha) - floor_total
         if margin < worst:
             worst, worst_index = margin, t
@@ -203,7 +223,9 @@ def reference_ensemble(
             EnsembleMember(
                 str(j),
                 float(probabilities[j]),
-                random_density(n_qubits, int(ranks[j]), int(state_seeds[j])),
+                DensityOperator(
+                    reference_random_density(n_qubits, int(ranks[j]), int(state_seeds[j]))
+                ),
             )
             for j in range(k_count)
         ]

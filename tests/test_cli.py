@@ -58,6 +58,13 @@ class TestRateCommand:
         assert out == ""
         assert "not finite" in err
 
+    def test_underflowing_eps_is_usage_error(self, capsys):
+        # eps^2 underflows to 0 and the bound divides by it
+        code, out, err = run_cli(capsys, "rate", "--family", "bb84", "--n", "1000", "--eps", "1e-170")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ZeroDivisionError")
+
     def test_scientific_notation_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--family", "bb84", "--n", "23600", "--eps", "1e-1")
         assert code == 0
@@ -101,6 +108,16 @@ class TestBlocklenCommand:
         assert out == ""
         assert "finite" in err
 
+    def test_underflowing_eps_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "blocklen", "--family", "bb84", "--rate", "0.4", "--eps", "1e-170",
+            "--method", "new",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ZeroDivisionError")
+
     def test_infeasible_rate(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -138,6 +155,28 @@ class TestEntropyCommand:
         code, _, err = run_cli(capsys, "entropy", "--table", str(path), "--alpha", "2.0")
         assert code == 2
         assert "contexts[0].weight" in err
+
+    @pytest.mark.parametrize(
+        "weight, p_x, field",
+        [(10**400, [0.5, 0.5], "contexts[1].weight"), (0.5, [0.5, 10**400], "contexts[1].p_x[1]")],
+        ids=["weight", "p_x"],
+    )
+    def test_integer_too_large_for_a_float_names_field(self, capsys, tmp_path, weight, p_x, field):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "contexts": [
+                        {"k": "k", "theta": "0", "weight": 0.5, "p_x": [1.0, 0.0]},
+                        {"k": "k", "theta": "1", "weight": weight, "p_x": p_x},
+                    ]
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "entropy", "--table", str(path), "--alpha", "2.0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} is too large for a float\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(

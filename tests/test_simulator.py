@@ -23,8 +23,19 @@ from entrobound import (
     renyi_floor,
     renyi_power_sum,
 )
-from entrobound.simulator import _basis_unitaries, outcome_arrays
-from helpers import kron_outcome_table, nested_power_sum, trace_outcome_rows
+from entrobound.simulator import (
+    _basis_unitaries,
+    checked_probabilities,
+    outcome_arrays,
+    random_densities,
+    validated_densities,
+)
+from helpers import (
+    kron_outcome_table,
+    nested_power_sum,
+    reference_random_density,
+    trace_outcome_rows,
+)
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -62,6 +73,88 @@ class TestDensityOperator:
         rho = bloch_state(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[math.nan, 0.0], [0.0, 0.5]],
+            [[0.5, math.inf], [math.inf, 0.5]],
+            [[0.5, complex(0.0, -math.inf)], [complex(0.0, math.inf), 0.5]],
+            np.full((2, 2), math.nan),
+        ],
+        ids=["nan-diagonal", "inf-off-diagonal", "imaginary-inf", "all-nan"],
+    )
+    def test_rejects_non_finite_entries(self, matrix):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(matrix)
+        with pytest.raises(ValueError, match="non-finite"):
+            validated_densities([np.eye(2) / 2, matrix])
+
+    def test_rejects_stacks_and_non_square_shapes(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            DensityOperator(np.stack([np.eye(2) / 2] * 2))
+        with pytest.raises(ValueError, match="square matrix"):
+            validated_densities(np.ones((2, 3)) / 2)
+        with pytest.raises(ValueError, match="power of two"):
+            validated_densities(np.stack([np.eye(3) / 3] * 2))
+
+
+# 2 x 2 cases and the message each gets: valid states, states that fail one
+# check, and states that fail several, which get the message of the first
+# check in the order finite, Hermitian, trace, eigenvalues.
+_DENSITY_CASES = {
+    "valid-mixed": (np.eye(2) / 2, None),
+    "valid-pure": (np.array([[0.5, 0.5j], [-0.5j, 0.5]]), None),
+    "valid-within-tolerance": (np.array([[1.0 + 1e-13, 0.0], [0.0, -1e-13]]), None),
+    "non-hermitian": (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+    "wrong-trace": (np.array([[0.5, 0.0], [0.0, 0.7]]), "has trace 1.2,"),
+    "negative-eigenvalue": (np.array([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue -0.5"),
+    "nan": (np.array([[math.nan, 0.0], [0.0, 0.5]]), "non-finite"),
+    "nan-off-diagonal": (np.array([[1.0, math.nan], [math.nan, 0.0]]), "non-finite"),
+    "non-hermitian-wrong-trace": (np.array([[0.5, 0.5], [0.0, 0.7]]), "not Hermitian"),
+    "wrong-trace-negative": (np.array([[1.5, 0.0], [0.0, -0.7]]), "has trace 0.8"),
+}
+
+
+def _first_message(matrices):
+    for matrix in matrices:
+        try:
+            DensityOperator(matrix)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+class TestValidatedDensities:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(_DENSITY_CASES)), min_size=1, max_size=6))
+    def test_stack_matches_one_by_one(self, names):
+        matrices = np.stack([_DENSITY_CASES[name][0] for name in names]).astype(complex)
+        expected = _first_message(matrices)
+        if expected is None:
+            stack = validated_densities(matrices)
+            for matrix, checked in zip(matrices, stack):
+                assert np.array_equal(checked, DensityOperator(matrix).matrix)
+        else:
+            with pytest.raises(ValueError) as info:
+                validated_densities(matrices)
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize("name", sorted(_DENSITY_CASES))
+    def test_each_case_gets_its_message(self, name):
+        matrix, expected = _DENSITY_CASES[name]
+        message = _first_message([matrix])
+        assert message == expected if expected is None else expected in message
+
+    def test_keeps_leading_axes_and_returns_a_read_only_copy(self):
+        valid = [_DENSITY_CASES["valid-mixed"][0], _DENSITY_CASES["valid-pure"][0]]
+        matrices = np.stack(valid * 3)
+        matrices = matrices.reshape(3, 2, 2, 2).astype(complex)
+        stack = validated_densities(matrices)
+        assert stack.shape == (3, 2, 2, 2)
+        assert not stack.flags.writeable
+        matrices[0, 0, 0, 0] = 7.0
+        assert stack[0, 0, 0, 0] == 0.5
 
 
 class TestMeasurementOperators:
@@ -337,6 +430,41 @@ class TestRandomDensity:
             random_density(1, 3, seed=0)
         with pytest.raises(ValueError, match="rank"):
             random_density(2, 0, seed=0)
+        with pytest.raises(ValueError, match="rank"):
+            random_densities(2, [1, 5], [0, 1])
+        with pytest.raises(ValueError, match="2 ranks for 1 seeds"):
+            random_densities(2, [1, 2], [0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(1, 2**n), st.integers(0, 2**64 - 1)),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_stack_matches_per_state_drawer_bit_for_bit(self, case):
+        n, draws = case
+        ranks, seeds = zip(*draws)
+        stack = random_densities(n, ranks, seeds)
+        assert stack.shape == (len(draws), 2**n, 2**n)
+        assert not stack.flags.writeable
+        for matrix, rank, seed in zip(stack, ranks, seeds):
+            assert np.array_equal(matrix, reference_random_density(n, rank, seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_rank_in_one_stack_matches_per_state_drawer(self, n):
+        ranks = list(range(1, 2**n + 1)) * 2
+        seeds = [1000 * n + i for i in range(len(ranks))]
+        stack = random_densities(n, ranks, seeds)
+        for matrix, rank, seed in zip(stack, ranks, seeds):
+            assert np.array_equal(matrix, reference_random_density(n, rank, seed))
+            assert np.array_equal(random_density(n, rank, seed).matrix, matrix)
 
     def test_two_qubit_pure_states_are_entangled_on_average(self):
         # reduced single-qubit states of random pure two-qubit states are mixed
@@ -363,6 +491,21 @@ class TestBlochState:
     def test_rejects_vectors_outside_ball(self):
         with pytest.raises(ValueError, match="Bloch"):
             bloch_state(1.0, 0.0, 0.1)
+
+
+def test_stacked_probabilities_normalise_like_each_ensemble():
+    rng = np.random.default_rng(3)
+    for k in (2, 3, 9, 12):
+        rows = rng.dirichlet(np.ones(k), size=5) * (1.0 + 1e-10)
+        checked = checked_probabilities(rows)
+        for row, got in zip(rows.tolist(), checked.tolist()):
+            assert got == [p / sum(row) for p in row]
+            members = [EnsembleMember(str(j), p, bloch_state(0, 0, 1)) for j, p in enumerate(row)]
+            assert [m.probability for m in StateEnsemble(members).members] == got
+    with pytest.raises(ValueError, match="^ensemble probabilities sum to 1.2, expected 1$"):
+        checked_probabilities([[0.5, 0.5], [0.6, 0.6]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        checked_probabilities([[0.5, 0.5], [1.5, -0.5]])
 
 
 def test_ensemble_validation():

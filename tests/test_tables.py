@@ -242,6 +242,34 @@ def test_malformed_documents_name_the_field(doc, field):
         table_from_json_dict(doc)
 
 
+HUGE = 10**400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize(
+    "weight, p_x, field",
+    [
+        (HUGE, [0.5, 0.5], r"^contexts\[1\]\.weight is too large"),
+        (-HUGE, [0.5, 0.5], r"^contexts\[1\]\.weight is too large"),
+        (0.5, [0.5, HUGE], r"^contexts\[1\]\.p_x\[1\] is too large"),
+        (HUGE, [HUGE, 0.5], r"^contexts\[1\]\.p_x\[0\] is too large"),
+    ],
+    ids=["weight", "negative-weight", "p_x", "p_x-before-weight"],
+)
+def test_integers_too_large_for_a_float_name_the_field(weight, p_x, field):
+    doc = {
+        "contexts": [
+            {"k": "a", "theta": "0", "weight": 0.5, "p_x": [1.0, 0.0]},
+            {"k": "a", "theta": "1", "weight": weight, "p_x": p_x},
+        ]
+    }
+    with pytest.raises(ValueError, match=field):
+        table_from_json_dict(json.loads(json.dumps(doc)))
+    with pytest.raises(ValueError, match=field):
+        ConditionalTable(
+            Context(c["k"], c["theta"], c["weight"], tuple(c["p_x"])) for c in doc["contexts"]
+        )
+
+
 def test_load_table(tmp_path):
     path = tmp_path / "table.json"
     doc = {

@@ -1,5 +1,6 @@
 """Verification suites: surfaces, grid searches, sign checks and trials."""
 
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from entrobound import (
     curvature_gap_sweep,
     six_state_surface,
     outcome_table,
+    random_density,
     bb84_surface,
     renyi_floor,
     endpoint_curvature,
@@ -27,7 +29,8 @@ from entrobound import (
     stationary_signs,
     surface_entropy,
 )
-from entrobound.simulator import DensityOperator
+from entrobound.simulator import DensityOperator, product_eigenstate
+from entrobound.verify import _eigenstate_probes, _probe_states
 from helpers import reference_additivity, reference_ensemble, series_remainder_bound
 
 BB84 = MeasurementFamily.BB84
@@ -309,15 +312,47 @@ class TestTrials:
         assert report.argmin == (float(worst_index),)
         assert abs(report.worst_margin - worst) <= 1e-12
 
-    def test_ensemble_notes_carry_the_worst_states(self):
-        report = ensemble_trial(1, 2.0, BB84, k_count=3, trials=5, seed=3)
-        text = report.notes.split("(row-major re/im pairs): ", 1)[1]
-        states = json.loads(text)
-        assert json.dumps(states) == text
-        assert len(states) == 3
-        for pairs in states:
-            matrix = np.array([re + 1j * im for re, im in pairs]).reshape(2, 2)
-            DensityOperator(matrix)
+    @pytest.mark.parametrize(
+        "run,count",
+        [
+            (lambda: ensemble_trial(1, 2.0, BB84, k_count=3, trials=5, seed=3), 3),
+            (lambda: additivity_trial(2, 1.5, SIX, trials=7, seed=4), 1),
+        ],
+        ids=["ensemble", "additivity"],
+    )
+    def test_witness_round_trips_through_json(self, run, count):
+        report = run()
+        assert report.witness.shape[0] == count
+        assert not report.witness.flags.writeable
+        assert "re/im" not in report.notes
+        states = json.loads(json.dumps(report.to_json_dict()))["witness"]
+        assert len(states) == count
+        for pairs, expected in zip(states, report.witness):
+            dim = expected.shape[0]
+            matrix = np.array([re + 1j * im for re, im in pairs]).reshape(dim, dim)
+            assert np.array_equal(DensityOperator(matrix).matrix, expected)
+
+    def test_witness_is_the_worst_trial(self):
+        report = additivity_trial(2, 2.0, BB84, trials=9, seed=21)
+        worst = int(report.argmin[0])
+        trial_seeds = np.random.SeedSequence(21).generate_state(9, dtype=np.uint64)
+        state = random_density(2, 1 + worst % 4, int(trial_seeds[worst]))
+        assert np.array_equal(report.witness, state.matrix[None])
+
+    @pytest.mark.parametrize("family,n", [(BB84, 1), (BB84, 4), (SIX, 3)])
+    def test_eigenstate_probes_are_one_cached_read_only_stack(self, family, n):
+        stack = _probe_states(family, n)
+        assert _probe_states(family, n) is stack
+        assert not stack.flags.writeable
+        expected = [product_eigenstate(family, t, x).matrix for t, x in _eigenstate_probes(family, n)]
+        assert np.array_equal(stack, expected)
+
+    def test_witness_is_left_out_of_equality(self):
+        report = stationary_signs()
+        assert report.witness.shape == (0, 0, 0)
+        assert report.to_json_dict()["witness"] == []
+        other = dataclasses.replace(report, witness=np.eye(2, dtype=complex)[None] / 2)
+        assert other == report
 
 
 class TestFigureRows:
@@ -364,6 +399,7 @@ def test_report_json_schema():
         "trials",
         "seed",
         "notes",
+        "witness",
     ]
     json.dumps(doc)  # must be serialisable as-is
     assert doc["pass"] is True
