@@ -52,6 +52,7 @@ from .verify import (
     curvature_gap_sweep,
     six_state_surface,
     bb84_surface,
+    bloch_power_sum,
     endpoint_curvature,
     midpoint_curvature,
     stationary_signs,
@@ -73,6 +74,7 @@ __all__ = [
     "VerificationReport",
     "additivity_trial",
     "binary_entropy",
+    "bloch_power_sum",
     "bloch_state",
     "cond_min_entropy",
     "cond_renyi_entropy",

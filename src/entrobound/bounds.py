@@ -11,6 +11,10 @@ two-basis (BB84) measurements, plus the analogous new route for three-basis
   state-independent per-qubit Renyi floor minus a smoothing correction
   ``log2(2/eps^2) / (s n)``.
 
+Both families share one floor in the number of bases B,
+``-log2((1 + (B-1) 2^-s) / B) / s``, evaluated with ``log1p``/``expm1`` so
+that it keeps its relative accuracy as ``s -> 0``, where it meets ``(B-1)/B``.
+
 Note the legacy error formula mixes logarithm bases on purpose: the outer
 exponential is natural while the inner log is base 2. The choice reproduces
 the reference block lengths (n ~ 2.4e8 at delta = 0.0106, eps = 0.1).
@@ -31,6 +35,7 @@ from .families import MeasurementFamily
 # for finite n.
 _S_GRID = np.logspace(-6.0, 0.0, 256)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 
 
 class InfeasibleRateError(ValueError):
@@ -72,28 +77,24 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
-def _floor_bb84(s: float) -> float:
-    return (1.0 + s - math.log2(1.0 + 2.0**s)) / s
-
-
-def _floor_six(s: float) -> float:
-    return -math.log2((1.0 + 2.0 ** (1.0 - s)) / 3.0) / s
+def _floor(s, ceiling: float, xp=math):
+    """Floor at ``s`` of the family with ceiling ``(B-1)/B``; ``xp`` is math or numpy."""
+    x = s * _LN2
+    return -xp.log1p(ceiling * xp.expm1(-x)) / x
 
 
 def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
     """State-independent minimum of the conditional Renyi entropy per qubit.
 
-    For the two-basis family this is ``(alpha - log2(1 + 2^(alpha-1))) / (alpha - 1)``,
-    for the three-basis family ``(log2 3 - log2(1 + 2^(2-alpha))) / (alpha - 1)``.
-    Both are attained by basis eigenstates and decrease in alpha. Shares its
-    evaluation with the rate objectives so fixed-s rates decompose exactly
-    into floor minus correction term.
+    With B bases per qubit this is ``-log2((1 + (B-1) 2^(1-alpha)) / B) / (alpha - 1)``,
+    attained by basis eigenstates and decreasing in alpha from the ceiling
+    ``(B-1)/B``. Shares its evaluation with the rate objectives so fixed-s
+    rates decompose exactly into floor minus correction term.
     """
     alpha = float(alpha)
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"Renyi order alpha must lie in (1, 2], got {alpha!r}")
-    s = alpha - 1.0
-    return _floor_bb84(s) if family is MeasurementFamily.BB84 else _floor_six(s)
+    return _floor(alpha - 1.0, family.rate_ceiling)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -114,20 +115,14 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
     return x, f(x)
 
 
-def _maximize_rate(n: int, eps_term: float, family: MeasurementFamily) -> RateResult:
+def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
     # Coarse scan guards against multi-modality, golden section refines.
     s = _S_GRID
-    if family is MeasurementFamily.BB84:
-        floors = (1.0 + s - np.log2(1.0 + 2.0**s)) / s
-        scalar_floor = _floor_bb84
-    else:
-        floors = -np.log2((1.0 + 2.0 ** (1.0 - s)) / 3.0) / s
-        scalar_floor = _floor_six
-    values = floors - eps_term / (s * n)
+    values = _floor(s, ceiling, np) - eps_term / (s * n)
     i = int(np.argmax(values))
 
     def objective(x: float) -> float:
-        return scalar_floor(x) - eps_term / (x * n)
+        return _floor(x, ceiling) - eps_term / (x * n)
 
     lo = float(s[max(i - 1, 0)])
     hi = float(s[min(i + 1, len(s) - 1)])
@@ -141,13 +136,13 @@ def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
     n = _require_block_length(n)
     epsilon = _require_epsilon(epsilon)
     eps_term = math.log2(2.0 / epsilon**2)
+    ceiling = family.rate_ceiling
     if s is not None:
         s = float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"Renyi parameter s must lie in (0, 1], got {s!r}")
-        floor = _floor_bb84(s) if family is MeasurementFamily.BB84 else _floor_six(s)
-        return RateResult(rate=floor - eps_term / (s * n), s_opt=s)
-    return _maximize_rate(n, eps_term, family)
+        return RateResult(rate=_floor(s, ceiling) - eps_term / (s * n), s_opt=s)
+    return _maximize_rate(n, eps_term, ceiling)
 
 
 def rate_bb84(n, epsilon: float, s: float | None = None) -> RateResult:

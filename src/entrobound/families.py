@@ -34,8 +34,9 @@ class MeasurementFamily(enum.Enum):
 
     @property
     def rate_ceiling(self) -> float:
-        """Asymptotic bits-per-qubit ceiling of the certified rate."""
-        return 0.5 if self is MeasurementFamily.BB84 else 2.0 / 3.0
+        """Asymptotic bits-per-qubit ceiling of the certified rate, ``(B-1)/B``."""
+        b = self.bases_per_qubit
+        return (b - 1) / b
 
     @property
     def default_qubit_budget(self) -> int:

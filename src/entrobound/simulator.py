@@ -101,14 +101,16 @@ class DensityOperator:
 def checked_probabilities(probabilities) -> np.ndarray:
     """Normalised copy of mixing probabilities, one ensemble per last-axis row.
 
-    The checks of :class:`StateEnsemble`: a negative entry raises, as does a
-    row summing to 1 only beyond ``NORM_TOL``; each row is then divided by
-    its sum. Rows are summed left to right, as Python's ``sum`` adds the
-    members, so a stack of ensembles normalises bit for bit like each
-    ensemble on its own.
+    The checks of :class:`StateEnsemble`: an entry that is NaN, infinite or
+    negative raises, as does a row summing to 1 only beyond ``NORM_TOL``;
+    each row is then divided by its sum. Rows are summed left to right, as
+    Python's ``sum`` adds the members, so a stack of ensembles normalises bit
+    for bit like each ensemble on its own.
     """
     p = np.asarray(probabilities, dtype=float)
     totals = np.asarray(sum(np.moveaxis(p, -1, 0)))
+    if not np.all(np.isfinite(p)):
+        raise ValueError("ensemble probabilities must be finite")
     if np.any(p < 0.0):
         raise ValueError("ensemble probabilities must be nonnegative")
     off = np.abs(totals - 1.0) > NORM_TOL

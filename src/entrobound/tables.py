@@ -51,7 +51,7 @@ def _checked_weights(weights: np.ndarray) -> np.ndarray:
     if np.any(bad):
         t, i = np.argwhere(bad)[0]
         problem = "is negative" if finite[t, i] else "is not finite"
-        raise ValueError(f"contexts[{i}].weight = {weights[t, i]!r} {problem}")
+        raise ValueError(f"contexts[{i}].weight = {float(weights[t, i])!r} {problem}")
     cleaned = weights.copy()
     cleaned[cleaned < ZERO_PROB] = 0.0
     totals = cleaned.sum(axis=1)
@@ -82,7 +82,8 @@ def _checked_rows(probs: np.ndarray) -> np.ndarray:
         t, i = np.argwhere(bad_row)[0]
         if bad_entry[t, i].any():
             j = int(np.argmax(bad_entry[t, i]))
-            raise ValueError(f"contexts[{i}].p_x[{j}] = {probs[t, i, j]!r} is not a probability")
+            entry = float(probs[t, i, j])
+            raise ValueError(f"contexts[{i}].p_x[{j}] = {entry!r} is not a probability")
         raise ValueError(
             f"contexts[{i}].p_x sums to {float(totals[t, i])!r}, expected 1 within {NORM_TOL}"
         )

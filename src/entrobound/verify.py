@@ -5,7 +5,10 @@ fact the closed-form bounds rely on:
 
 * ``grid_search_min`` minimises the single-qubit conditional Renyi entropy
   over the full Bloch quadrant/octant and compares with the closed-form
-  floor, without trusting the analytic reduction to the sphere surface;
+  floor, without trusting the analytic reduction to the sphere surface.
+  Both families share one power sum, ``bloch_power_sum``, over the Bloch
+  components along their B measured axes, and one grid: the radius times
+  the direction of B - 1 angles;
 * ``stationary_signs`` checks the signs of the two second-derivative
   functions that make the basis eigenstates the only maximisers;
 * ``curvature_gap_sweep`` checks nonnegativity of the auxiliary function
@@ -89,34 +92,40 @@ class VerificationReport:
         }
 
 
-def bb84_surface(s, r, phi):
-    """Two-basis power sum as a function of Bloch radius and angle.
+def bloch_power_sum(s, components):
+    """Order-(1+s) power sum ``sum_i [(1+x_i)^e + (1-x_i)^e] / (B 2^e)``, ``e = 1+s``.
 
-    Equals the order-(1+s) power sum of the outcome table of the qubit
-    state with Bloch vector (r sin phi, 0, r cos phi). Accepts scalars or
-    broadcastable arrays.
+    ``x_i`` is the Bloch component along measured axis i of B. The first
+    component carries the full broadcast shape: the sum is accumulated in
+    place, because a named running sum keeps numpy from reusing temporaries.
     """
-    rc = r * np.cos(phi)
-    rs = r * np.sin(phi)
     e = 1.0 + s
-    return ((1 + rc) ** e + (1 - rc) ** e + (1 + rs) ** e + (1 - rs) ** e) / 2.0 ** (2.0 + s)
+    first, *rest = components
+    total = (1 + first) ** e + (1 - first) ** e
+    for x in rest:
+        total += (1 + x) ** e
+        total += (1 - x) ** e
+    return total / (len(components) * 2.0**e)
+
+
+def _bloch_components(r, angles):
+    """``r`` times the unit vector of ``angles``, one component per Bloch axis."""
+    # (r sin phi, r cos phi); a further angle theta gives (r sin phi sin theta, ..., r cos theta)
+    components = [r]
+    for angle in angles:
+        sin = np.sin(angle)
+        components = [x * sin for x in components] + [r * np.cos(angle)]
+    return components
+
+
+def bb84_surface(s, r, phi):
+    """Two-basis power sum at Bloch vector (r sin phi, 0, r cos phi)."""
+    return bloch_power_sum(s, _bloch_components(r, (phi,)))
 
 
 def six_state_surface(s, r, phi, theta):
     """Three-basis power sum over the Bloch octant in spherical coordinates."""
-    x0 = r * np.sin(phi) * np.sin(theta)
-    x1 = r * np.cos(phi) * np.sin(theta)
-    x2 = r * np.cos(theta)
-    e = 1.0 + s
-    total = (
-        (1 + x0) ** e
-        + (1 - x0) ** e
-        + (1 + x1) ** e
-        + (1 - x1) ** e
-        + (1 + x2) ** e
-        + (1 - x2) ** e
-    )
-    return total / (3.0 * 2.0 ** (1.0 + s))
+    return bloch_power_sum(s, _bloch_components(r, (phi, theta)))
 
 
 def surface_entropy(power_sum, s):
@@ -127,34 +136,37 @@ def surface_entropy(power_sum, s):
 _SIX_STATE_AXIS_CAP = 100  # 100^3 grid points keep the octant search desk scale
 
 
+def _near_eigenstate(point, step_r: float, step_ang: float) -> bool:
+    """Whether grid point ``(r, *angles)`` lies within one step of a basis eigenstate."""
+    # r within a step of 1, and every Bloch component but one within sin(step) of zero
+    tiny = 1e-12
+    components = sorted(abs(float(x)) for x in _bloch_components(point[0], point[1:]))
+    return point[0] >= 1.0 - step_r - tiny and components[-2] <= math.sin(step_ang) + tiny
+
+
 def grid_search_min(
     family: MeasurementFamily, alpha: float, resolution: int = 200
 ) -> VerificationReport:
     """Grid-minimise the single-qubit Renyi entropy and compare to the floor.
 
-    Searches the full (r, angle) rectangle rather than only the sphere
-    surface, exploiting the reflection symmetry of the power sums to restrict
-    to the first quadrant (octant for three bases). Passes when the grid
-    minimum matches the closed-form floor within a curvature-aware tolerance,
-    never undershoots it beyond 1e-9, and the argmin sits within one grid
-    step of a basis eigenstate direction.
+    Searches the full box of the radius and one angle per further Bloch axis
+    rather than only the sphere surface, exploiting the reflection symmetry
+    of the power sum to restrict to the first quadrant (octant for three
+    bases). Passes when the grid minimum matches the closed-form floor within
+    a curvature-aware tolerance, never undershoots it beyond 1e-9, and the
+    argmin sits within one grid step of a basis eigenstate.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
-    if family is MeasurementFamily.BB84:
-        res_eff = resolution
-        r = np.linspace(0.0, 1.0, res_eff)
-        ang = np.linspace(0.0, math.pi / 2.0, res_eff)
-        entropy = surface_entropy(bb84_surface(s, r[:, None], ang[None, :]), s)
-    else:
-        res_eff = min(resolution, _SIX_STATE_AXIS_CAP)
-        r = np.linspace(0.0, 1.0, res_eff)
-        ang = np.linspace(0.0, math.pi / 2.0, res_eff)
-        entropy = surface_entropy(
-            six_state_surface(s, r[:, None, None], ang[None, :, None], ang[None, None, :]), s
-        )
+    six_state = family is MeasurementFamily.SIX_STATE
+    res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
+    r = np.linspace(0.0, 1.0, res_eff)
+    ang = np.linspace(0.0, math.pi / 2.0, res_eff)
+    axes = [r] + [ang] * (family.bases_per_qubit - 1)
+    radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
+    entropy = surface_entropy(bloch_power_sum(s, _bloch_components(radius, angles)), s)
 
     grid_min = float(entropy.min())
     # At alpha = 2 the power sum depends on the radius alone, so the whole
@@ -162,12 +174,8 @@ def grid_search_min(
     # smallest flat index, which is deterministic and independent of
     # execution order.
     flat_index = int(np.argmax(entropy <= grid_min + 1e-12))
-    if family is MeasurementFamily.BB84:
-        i_r, i_phi = np.unravel_index(flat_index, entropy.shape)
-        argmin = (float(r[i_r]), float(ang[i_phi]))
-    else:
-        i_r, i_phi, i_theta = np.unravel_index(flat_index, entropy.shape)
-        argmin = (float(r[i_r]), float(ang[i_phi]), float(ang[i_theta]))
+    index = np.unravel_index(flat_index, entropy.shape)
+    argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     margin = grid_min - floor
     step_r = 1.0 / (res_eff - 1)
     step_ang = (math.pi / 2.0) / (res_eff - 1)
@@ -175,19 +183,7 @@ def grid_search_min(
     # near the eigenstates, so the grid can miss the true minimum by at most
     # about step^2 / (s ln 2) across all axes.
     tolerance = max(1e-3, max(step_r, step_ang) ** 2 / (s * _LN2))
-
-    tiny = 1e-12
-    near_pole = argmin[0] >= 1.0 - step_r - tiny
-    if family is MeasurementFamily.BB84:
-        phi = argmin[1]
-        near_axis = min(phi, math.pi / 2.0 - phi) <= step_ang + tiny
-    else:
-        phi, theta = argmin[1], argmin[2]
-        near_axis = theta <= step_ang + tiny or (
-            math.pi / 2.0 - theta <= step_ang + tiny
-            and min(phi, math.pi / 2.0 - phi) <= step_ang + tiny
-        )
-    argmin_ok = near_pole and near_axis
+    argmin_ok = _near_eigenstate(argmin, step_r, step_ang)
 
     passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok
     notes = (

@@ -1,8 +1,9 @@
 """Shared test utilities: table generators and independent oracles.
 
 The oracles here deliberately avoid the code paths they are used to check:
-the dense rate scan never calls the golden-section optimiser, the nested
-power sum goes through conditional states instead of the full outcome table,
+the dense rate scan never calls the golden-section optimiser, the decimal
+floor evaluates the textbook formula at 50 digits instead of the
+cancellation-free float form, the nested power sum goes through conditional states instead of the full outcome table,
 the series remainder bound never sums the series it bounds, the outcome
 table oracles build one row at a time (by Kronecker products, or by traces
 against measurement projectors) instead of in one batched product, the
@@ -13,6 +14,7 @@ reducing a stack.
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -71,6 +73,20 @@ def rate_scan(n: int, epsilon: float, family: MeasurementFamily, step: float = 1
     else:
         floors = -np.log2((1.0 + 2.0 ** (1.0 - s)) / 3.0) / s
     return float(np.max(floors - eps_term / (s * n)))
+
+
+def decimal_floor(s: float, bases: int) -> Decimal:
+    """Per-qubit Renyi floor ``-log2((1 + (B-1) 2^-s) / B) / s`` in 50-digit decimal.
+
+    Evaluates the textbook form directly: at 50 digits its cancellation for
+    s down to 2^-52 still leaves over 30 correct digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = Decimal(s)
+        ln2 = Decimal(2).ln()
+        power_sum = (1 + (bases - 1) * (-s * ln2).exp()) / bases
+        return -power_sum.ln() / (ln2 * s)
 
 
 def series_remainder_bound(a: float, s, max_power: int):

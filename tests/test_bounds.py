@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import (
     InfeasibleRateError,
@@ -17,7 +19,7 @@ from entrobound import (
     rate_six,
     renyi_floor,
 )
-from helpers import rate_scan
+from helpers import decimal_floor, rate_scan
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -188,6 +190,16 @@ class TestRenyiFloor:
     def test_domain(self, alpha):
         with pytest.raises(ValueError):
             renyi_floor(alpha, BB84)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-52.0, max_value=0.0), st.sampled_from([BB84, SIX]))
+    def test_matches_decimal_oracle_down_to_tiny_s(self, log2_s, family):
+        # log-uniform s in [2^-52, 1]; the naive form loses about 1e-16/s
+        alpha = 1.0 + 2.0**log2_s
+        expected = decimal_floor(alpha - 1.0, family.bases_per_qubit)
+        floor = renyi_floor(alpha, family)
+        assert abs(floor - float(expected)) <= 1e-15 * float(expected)
+        assert floor <= family.rate_ceiling
 
 
 class TestChainStep:

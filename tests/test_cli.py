@@ -65,6 +65,18 @@ class TestRateCommand:
         assert out == ""
         assert err.startswith("error: ZeroDivisionError")
 
+    @pytest.mark.parametrize(
+        "family, s, ceiling",
+        [("bb84", "2.220446049250313e-16", 0.5), ("six", "1e-12", 2.0 / 3.0)],
+    )
+    def test_tiny_fixed_s_stays_below_the_ceiling(self, capsys, family, s, ceiling):
+        code, out, _ = run_cli(
+            capsys, "rate", "--family", family, "--n", "1000000000000000000", "--eps", "0.5",
+            "--s", s,
+        )
+        assert code == 0
+        assert json.loads(out)["rate"] < ceiling
+
     def test_scientific_notation_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--family", "bb84", "--n", "23600", "--eps", "1e-1")
         assert code == 0
@@ -177,6 +189,23 @@ class TestEntropyCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {field} is too large for a float\n"
+
+    def test_invalid_value_is_printed_as_a_python_float(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "contexts": [
+                        {"k": "k", "theta": "0", "weight": 1.5, "p_x": [1.0, 0.0]},
+                        {"k": "k", "theta": "1", "weight": -0.5, "p_x": [0.5, 0.5]},
+                    ]
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "entropy", "--table", str(path), "--alpha", "2.0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: contexts[1].weight = -0.5 is negative\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -508,6 +508,18 @@ def test_stacked_probabilities_normalise_like_each_ensemble():
         checked_probabilities([[0.5, 0.5], [1.5, -0.5]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_mixing_probability_rejected(bad):
+    members = [
+        EnsembleMember("a", bad, bloch_state(0, 0, 1)),
+        EnsembleMember("b", 1.0, bloch_state(0, 0, -1)),
+    ]
+    with pytest.raises(ValueError, match="^ensemble probabilities must be finite$"):
+        StateEnsemble(members)
+    with pytest.raises(ValueError, match="^ensemble probabilities must be finite$"):
+        checked_probabilities([[0.5, 0.5], [bad, 1.0]])
+
+
 def test_ensemble_validation():
     member = EnsembleMember("a", 0.6, bloch_state(0, 0, 1))
     with pytest.raises(ValueError, match="sum"):

@@ -23,6 +23,7 @@ from entrobound import (
     outcome_table,
     random_density,
     bb84_surface,
+    bloch_power_sum,
     renyi_floor,
     endpoint_curvature,
     midpoint_curvature,
@@ -30,7 +31,7 @@ from entrobound import (
     surface_entropy,
 )
 from entrobound.simulator import DensityOperator, product_eigenstate
-from entrobound.verify import _eigenstate_probes, _probe_states
+from entrobound.verify import _eigenstate_probes, _near_eigenstate, _probe_states
 from helpers import reference_additivity, reference_ensemble, series_remainder_bound
 
 BB84 = MeasurementFamily.BB84
@@ -97,6 +98,10 @@ class TestSurfaces:
             assert abs(h - renyi_floor(1.0 + s, BB84)) <= 1e-12
             h6 = float(surface_entropy(six_state_surface(s, 1.0, 0.0, 0.0), s))
             assert abs(h6 - renyi_floor(1.0 + s, SIX)) <= 1e-12
+            for family in (BB84, SIX):
+                axis = (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
+                h_axis = float(surface_entropy(bloch_power_sum(s, axis), s))
+                assert abs(h_axis - renyi_floor(1.0 + s, family)) <= 1e-14
 
 
 class TestGridSearch:
@@ -122,6 +127,21 @@ class TestGridSearch:
         r, phi = report.argmin
         assert r == pytest.approx(1.0, abs=1 / 79 + 1e-12)
         assert min(phi, math.pi / 2 - phi) <= math.pi / 2 / 79 + 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 4, math.pi / 2])
+    def test_six_state_pole_is_an_eigenstate_for_any_phi(self, phi):
+        step = math.pi / 2 / 99
+        assert _near_eigenstate((1.0, phi, 0.0), 1 / 99, step)
+        assert _near_eigenstate((1.0 - 1 / 99, phi, step), 1 / 99, step)
+
+    @pytest.mark.parametrize(
+        "point",
+        [(1.0, math.pi / 4), (1.0, 2 * math.pi / 2 / 99), (1.0, math.pi / 4, math.pi / 4),
+         (1.0, 0.0, math.pi / 2 - 2 * math.pi / 2 / 99), (1.0 - 2 / 99, 0.0)],
+        ids=["bb84 diagonal", "bb84 two steps", "six diagonal", "six two steps", "inside"],
+    )
+    def test_off_axis_argmin_is_rejected(self, point):
+        assert not _near_eigenstate(point, 1 / 99, math.pi / 2 / 99)
 
     def test_reports_are_deterministic(self):
         a = grid_search_min(SIX, 1.8, resolution=50)
