@@ -5,108 +5,50 @@ and three-basis (six-state) measurement protocols, exact conditional
 entropies of finite probability tables, a desk-scale density-operator
 simulator producing those tables, and brute-force verification suites for
 the tight relations the bounds rest on.
+
+Exports load their module on first access (PEP 562), so importing the
+package, or only the bound layer, does not import numpy.
 """
 
-from .bounds import (
-    InfeasibleRateError,
-    RateResult,
-    legacy_epsilon,
-    legacy_min_n,
-    min_n_for_rate,
-    plain_minentropy_rate_bb84,
-    renyi_to_smooth_min_entropy,
-    rate_bb84,
-    rate_six,
-    renyi_floor,
-)
-from .entropy import (
-    binary_entropy,
-    cond_min_entropy,
-    cond_renyi_entropy,
-    cond_shannon_entropy,
-    renyi_power_sum,
-)
-from .families import MeasurementFamily
-from .simulator import (
-    DensityOperator,
-    EnsembleMember,
-    StateEnsemble,
-    bloch_state,
-    measurement_operator,
-    outcome_table,
-    post_measurement_state,
-    product_eigenstate,
-    random_densities,
-    random_density,
-)
-from .tables import ConditionalTable, Context, load_table, table_from_json_dict, uniform_table
-from .verify import (
-    FigureRow,
-    VerificationReport,
-    additivity_trial,
-    ensemble_trial,
-    figure_rows,
-    grid_search_min,
-    curvature_gap,
-    curvature_gap_series,
-    curvature_gap_sweep,
-    six_state_surface,
-    bb84_surface,
-    bloch_power_sum,
-    endpoint_curvature,
-    midpoint_curvature,
-    stationary_signs,
-    surface_entropy,
-)
+import importlib
+
+# Module of each export, loaded on first access.
+_EXPORTS = {
+    "bounds": (
+        "FigureRow", "InfeasibleRateError", "RateResult", "binary_entropy", "figure_rows",
+        "legacy_epsilon", "legacy_min_n", "min_n_for_rate", "plain_minentropy_rate_bb84",
+        "rate_bb84", "rate_six", "renyi_floor", "renyi_to_smooth_min_entropy",
+    ),
+    "entropy": ("cond_min_entropy", "cond_renyi_entropy", "cond_shannon_entropy", "renyi_power_sum"),
+    "families": ("MeasurementFamily",),
+    "simulator": (
+        "DensityOperator", "EnsembleMember", "StateEnsemble", "bloch_state",
+        "measurement_operator", "outcome_table", "post_measurement_state", "product_eigenstate",
+        "random_densities", "random_density",
+    ),
+    "tables": ("ConditionalTable", "Context", "load_table", "table_from_json_dict", "uniform_table"),
+    "verify": (
+        "VerificationReport", "additivity_trial", "bb84_surface", "bloch_power_sum",
+        "curvature_gap", "curvature_gap_series", "curvature_gap_sweep", "endpoint_curvature",
+        "ensemble_trial", "grid_search_min", "midpoint_curvature", "six_state_surface",
+        "stationary_signs", "surface_entropy",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionalTable",
-    "Context",
-    "DensityOperator",
-    "EnsembleMember",
-    "FigureRow",
-    "InfeasibleRateError",
-    "MeasurementFamily",
-    "RateResult",
-    "StateEnsemble",
-    "VerificationReport",
-    "additivity_trial",
-    "binary_entropy",
-    "bloch_power_sum",
-    "bloch_state",
-    "cond_min_entropy",
-    "cond_renyi_entropy",
-    "cond_shannon_entropy",
-    "ensemble_trial",
-    "figure_rows",
-    "grid_search_min",
-    "legacy_epsilon",
-    "legacy_min_n",
-    "curvature_gap",
-    "curvature_gap_series",
-    "curvature_gap_sweep",
-    "load_table",
-    "six_state_surface",
-    "measurement_operator",
-    "min_n_for_rate",
-    "outcome_table",
-    "plain_minentropy_rate_bb84",
-    "post_measurement_state",
-    "product_eigenstate",
-    "bb84_surface",
-    "renyi_to_smooth_min_entropy",
-    "random_densities",
-    "random_density",
-    "rate_bb84",
-    "rate_six",
-    "renyi_floor",
-    "renyi_power_sum",
-    "endpoint_curvature",
-    "midpoint_curvature",
-    "stationary_signs",
-    "surface_entropy",
-    "table_from_json_dict",
-    "uniform_table",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:  # submodule names too: ``from entrobound import cli`` then imports it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,12 @@ Both families share one floor in the number of bases B,
 ``-log2((1 + (B-1) 2^-s) / B) / s``, evaluated with ``log1p``/``expm1`` so
 that it keeps its relative accuracy as ``s -> 0``, where it meets ``(B-1)/B``.
 
+The maximum over s is one golden-section search over ``log s`` on
+``[2^-40, 1]``, plus the endpoint ``s = 1``. It is exact up to rounding: as
+``s floor(s)`` is concave, ``floor(s) - c/(s n)`` is a concave function over a
+linear one, so it is quasi-concave in s and in ``log s``. The module is plain
+``math``, so the scalar commands built on it never load numpy.
+
 Note the legacy error formula mixes logarithm bases on purpose: the outer
 exponential is natural while the inner log is base 2. The choice reproduces
 the reference block lengths (n ~ 2.4e8 at delta = 0.0106, eps = 0.1).
@@ -23,27 +29,26 @@ the reference block lengths (n ~ 2.4e8 at delta = 0.0106, eps = 0.1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+import operator
+from typing import NamedTuple, Sequence
 
 from .families import MeasurementFamily
 
-# Coarse scan grid for the inner maximisation over s. Log-spaced so the
-# small-s region (optimal for large n) is well resolved; the s -> 0 endpoint
-# itself is excluded because its diverging correction term is never optimal
-# for finite n.
-_S_GRID = np.logspace(-6.0, 0.0, 256)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LN2 = math.log(2.0)
+# Golden-section bracket and tolerance for log s. For n <= 2^62 and any eps
+# the optimum lies above 1.5e-9, well inside the bracket, and the floor keeps
+# 4e-16 relative accuracy down to 2^-52. A step of 1e-9 in log s moves the
+# objective by far less than one ulp at the optimum.
+_LOG_S_MIN = -40.0 * _LN2
+_LOG_S_TOL = 1e-9
 
 
 class InfeasibleRateError(ValueError):
     """Requested rate is at or above the asymptotic ceiling of the bound."""
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     """A certified rate in bits per qubit and the ``s`` that attained it."""
 
     rate: float
@@ -51,13 +56,13 @@ class RateResult:
 
 
 def _require_block_length(n) -> int:
-    if isinstance(n, (bool, np.bool_)):
-        raise ValueError(f"block length must be an integer, got {n!r}")
-    if isinstance(n, float):
-        if not n.is_integer():
-            raise ValueError(f"block length must be an integer, got {n!r}")
-        n = int(n)
-    n = int(n)
+    # operator.index refuses other floats and (numpy 2) numpy bools, not bools.
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = int(n) if isinstance(n, float) and n.is_integer() else operator.index(n)
+    except TypeError:
+        raise ValueError(f"block length must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n!r}")
     return n
@@ -77,10 +82,10 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
-def _floor(s, ceiling: float, xp=math):
-    """Floor at ``s`` of the family with ceiling ``(B-1)/B``; ``xp`` is math or numpy."""
+def _floor(s: float, ceiling: float) -> float:
+    """Floor at ``s`` of the family with ceiling ``(B-1)/B``."""
     x = s * _LN2
-    return -xp.log1p(ceiling * xp.expm1(-x)) / x
+    return -math.log1p(ceiling * math.expm1(-x)) / x
 
 
 def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
@@ -97,39 +102,33 @@ def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
     return _floor(alpha - 1.0, family.rate_ceiling)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximisation of a smooth unimodal function on [lo, hi]."""
+def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
+    """Golden-section search over ``log s``, then the endpoint ``s = 1``.
+
+    Candidates are ``(rate, s)`` pairs, so a tie goes to the larger ``s`` and
+    a clamped optimum reports ``s_opt == 1.0``. Each rate is evaluated as the
+    fixed-``s`` path evaluates it, so ``rate(n, eps, s=s_opt)`` reproduces it.
+    """
+
+    def point(u: float) -> tuple[float, float]:
+        s = math.exp(u)
+        return _floor(s, ceiling) - eps_term / (s * n), s
+
+    lo, hi = _LOG_S_MIN, 0.0
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    fc, fd = point(c), point(d)
+    while hi - lo > _LOG_S_TOL:
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
+            fd = point(d)
         else:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
-    # Coarse scan guards against multi-modality, golden section refines.
-    s = _S_GRID
-    values = _floor(s, ceiling, np) - eps_term / (s * n)
-    i = int(np.argmax(values))
-
-    def objective(x: float) -> float:
-        return _floor(x, ceiling) - eps_term / (x * n)
-
-    lo = float(s[max(i - 1, 0)])
-    hi = float(s[min(i + 1, len(s) - 1)])
-    x_ref, f_ref = _golden_max(objective, lo, hi)
-    candidates = [(f_ref, x_ref), (float(values[i]), float(s[i]))]
-    best_val, best_s = max(candidates)
-    return RateResult(rate=best_val, s_opt=min(best_s, 1.0))
+            fc = point(c)
+    rate, s_opt = max(fc, fd, point(0.0))
+    return RateResult(rate=rate, s_opt=s_opt)
 
 
 def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
@@ -182,6 +181,18 @@ def legacy_min_n(delta: float, epsilon: float) -> int:
     while n > 1 and legacy_epsilon(n - 1, delta) <= epsilon:
         n -= 1
     return n
+
+
+def binary_entropy(p: float) -> float:
+    """Shannon entropy in bits of a coin with probability ``p``.
+
+    The error-correction cost per bit that a certified rate must exceed.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def renyi_to_smooth_min_entropy(h_alpha: float, alpha: float, epsilon: float) -> float:
@@ -264,3 +275,45 @@ def min_n_for_rate(
         else:
             lo = mid
     return hi
+
+
+class FigureRow(NamedTuple):
+    rate: float
+    epsilon: float
+    n_legacy: int | None
+    n_new: int | None
+
+
+def figure_rows(
+    rates: Sequence[float],
+    eps_grid: Sequence[float],
+    family: MeasurementFamily = MeasurementFamily.BB84,
+) -> list[FigureRow]:
+    """Minimal block lengths for both bound routes on a (rate, epsilon) grid.
+
+    Rows are sorted by (rate, epsilon). Rates must lie in (0, 1/2) since the
+    legacy column only exists for the two-basis family; a rate that turns out
+    infeasible for a column is marked with ``None`` there.
+    """
+    if family is not MeasurementFamily.BB84:
+        raise ValueError("block-length tables with a legacy column require the bb84 family")
+    for rate in rates:
+        if not 0.0 < rate < 0.5:
+            raise ValueError(f"rates must lie in (0, 1/2), got {rate!r}")
+    for eps in eps_grid:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"epsilon values must lie in (0, 1), got {eps!r}")
+
+    rows = []
+    for rate in sorted(float(r) for r in rates):
+        for eps in sorted(float(e) for e in eps_grid):
+            try:
+                n_new = min_n_for_rate(rate, eps, family, "new")
+            except InfeasibleRateError:
+                n_new = None
+            try:
+                n_legacy = min_n_for_rate(rate, eps, family, "legacy")
+            except InfeasibleRateError:
+                n_legacy = None
+            rows.append(FigureRow(rate=rate, epsilon=eps, n_legacy=n_legacy, n_new=n_new))
+    return rows

@@ -72,12 +72,3 @@ def cond_shannon_entropy(table: ConditionalTable) -> float:
     mask = probs > 0.0
     terms[mask] = -probs[mask] * np.log2(probs[mask])
     return float(np.dot(table.weight_vector, terms.sum(axis=1)))
-
-
-def binary_entropy(p: float) -> float:
-    """Shannon entropy in bits of a coin with probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)

@@ -4,22 +4,42 @@ Two families are supported: the two-basis family (computational and
 Hadamard-rotated bases) and the three-basis family (eigenbases of all
 three Pauli operators, reached by repeatedly applying a basis-cycling
 unitary to the computational basis).
+
+The unitaries ``HADAMARD`` and ``BASIS_CYCLE`` are numpy arrays built on
+first use, so the bound layer can use the families without loading numpy.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
 
-# Cycles the Pauli eigenbases: sigma_z -> sigma_x -> sigma_y -> sigma_z.
-# Not Hermitian, so measurement projectors must conjugate with its adjoint.
-BASIS_CYCLE = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2)
+@functools.cache
+def _unitaries() -> dict[str, np.ndarray | tuple[np.ndarray, ...]]:
+    import numpy as np
 
-_IDENTITY2 = np.eye(2, dtype=complex)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
+    # Cycles the Pauli eigenbases: sigma_z -> sigma_x -> sigma_y -> sigma_z.
+    # Not Hermitian, so measurement projectors must conjugate with its adjoint.
+    cycle = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2)
+    identity = np.eye(2, dtype=complex)
+    # Per family, the unitary of each basis index.
+    return {"HADAMARD": hadamard, "BASIS_CYCLE": cycle,
+            "bb84": (identity, hadamard), "six": (identity, cycle, cycle @ cycle)}
+
+
+def __getattr__(name: str):
+    # Refuse every other name before numpy loads: ``from .families import X``
+    # probes attributes such as ``__path__`` through this hook.
+    if name not in ("HADAMARD", "BASIS_CYCLE"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _unitaries()[name]
 
 
 class MeasurementFamily(enum.Enum):
@@ -55,6 +75,4 @@ class MeasurementFamily(enum.Enum):
                 f"basis index {theta} out of range for {self.value!r} "
                 f"(expected 0..{self.bases_per_qubit - 1})"
             )
-        if self is MeasurementFamily.BB84:
-            return (_IDENTITY2 if theta == 0 else HADAMARD).copy()
-        return np.linalg.matrix_power(BASIS_CYCLE, theta)
+        return _unitaries()[self.value][theta].copy()

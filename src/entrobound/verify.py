@@ -15,7 +15,8 @@ fact the closed-form bounds rely on:
   behind the midpoint sign;
 * ``additivity_trial`` and ``ensemble_trial`` check that entanglement and
   classical side information cannot beat ``n`` times the one-qubit floor;
-* ``figure_rows`` tabulates minimal block lengths for both bound routes.
+* ``figure_rows``, which tabulates minimal block lengths for both bound
+  routes, lives in :mod:`entrobound.bounds` and is re-exported here.
 
 Reports are deterministic given (seed, resolution, trials); grid reductions
 are index-ordered so results do not depend on execution order.
@@ -26,11 +27,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import InfeasibleRateError, min_n_for_rate, renyi_floor
+from .bounds import FigureRow, figure_rows, renyi_floor  # figure_rows is re-exported
 from .entropy import renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
@@ -490,45 +491,3 @@ def ensemble_trial(
         notes=notes,
         witness=_read_only(matrices[worst_index].copy()),
     )
-
-
-class FigureRow(NamedTuple):
-    rate: float
-    epsilon: float
-    n_legacy: int | None
-    n_new: int | None
-
-
-def figure_rows(
-    rates: Sequence[float],
-    eps_grid: Sequence[float],
-    family: MeasurementFamily = MeasurementFamily.BB84,
-) -> list[FigureRow]:
-    """Minimal block lengths for both bound routes on a (rate, epsilon) grid.
-
-    Rows are sorted by (rate, epsilon). Rates must lie in (0, 1/2) since the
-    legacy column only exists for the two-basis family; a rate that turns out
-    infeasible for a column is marked with ``None`` there.
-    """
-    if family is not MeasurementFamily.BB84:
-        raise ValueError("block-length tables with a legacy column require the bb84 family")
-    for rate in rates:
-        if not 0.0 < rate < 0.5:
-            raise ValueError(f"rates must lie in (0, 1/2), got {rate!r}")
-    for eps in eps_grid:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"epsilon values must lie in (0, 1), got {eps!r}")
-
-    rows = []
-    for rate in sorted(float(r) for r in rates):
-        for eps in sorted(float(e) for e in eps_grid):
-            try:
-                n_new = min_n_for_rate(rate, eps, family, "new")
-            except InfeasibleRateError:
-                n_new = None
-            try:
-                n_legacy = min_n_for_rate(rate, eps, family, "legacy")
-            except InfeasibleRateError:
-                n_legacy = None
-            rows.append(FigureRow(rate=rate, epsilon=eps, n_legacy=n_legacy, n_new=n_new))
-    return rows

@@ -1,7 +1,7 @@
 """Shared test utilities: table generators and independent oracles.
 
 The oracles here deliberately avoid the code paths they are used to check:
-the dense rate scan never calls the golden-section optimiser, the decimal
+the dense rate scans never call the golden-section optimiser, the decimal
 floor evaluates the textbook formula at 50 digits instead of the
 cancellation-free float form, the nested power sum goes through conditional states instead of the full outcome table,
 the series remainder bound never sums the series it bounds, the outcome
@@ -73,6 +73,19 @@ def rate_scan(n: int, epsilon: float, family: MeasurementFamily, step: float = 1
     else:
         floors = -np.log2((1.0 + 2.0 ** (1.0 - s)) / 3.0) / s
     return float(np.max(floors - eps_term / (s * n)))
+
+
+def rate_log_scan(n: int, epsilon: float, family: MeasurementFamily) -> float:
+    """Dense scan of the certified rate at 2^14 + 1 log-spaced s in [2^-40, 1], no refinement.
+
+    Reaches the small ``s`` that large blocks need, where the linear scan of
+    :func:`rate_scan` cannot go, with a cancellation-free floor in numpy.
+    """
+    s = np.exp2(np.linspace(-40.0, 0.0, 2**14 + 1))
+    x = s * math.log(2.0)
+    ceiling = (family.bases_per_qubit - 1) / family.bases_per_qubit
+    floors = -np.log1p(ceiling * np.expm1(-x)) / x
+    return float(np.max(floors - math.log2(2.0 / epsilon**2) / (s * float(n))))
 
 
 def decimal_floor(s: float, bases: int) -> Decimal:

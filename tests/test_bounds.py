@@ -19,7 +19,7 @@ from entrobound import (
     rate_six,
     renyi_floor,
 )
-from helpers import decimal_floor, rate_scan
+from helpers import decimal_floor, rate_log_scan, rate_scan
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -152,6 +152,33 @@ class TestNewRates:
             assert abs(at_s_opt - result.rate) <= 1e-10
             assert 0.0 < result.s_opt <= 1.0
 
+    def test_huge_blocks_optimise_below_old_s_floor(self):
+        # the optimum s sits near 6e-9 here, far below a scan that stops at 1e-6
+        for fn in (rate_bb84, rate_six):
+            result = fn(10**18, 0.5)
+            assert result.s_opt < 1e-8
+            assert result.rate >= fn(10**18, 0.5, s=1e-6).rate + 5e-8
+        assert rate_bb84(10**18, 0.5).rate == pytest.approx(0.49999999898, abs=1e-11)
+
+    def test_clamped_optimum_reports_s_one(self):
+        for fn, n, eps in ((rate_bb84, 10, 0.1), (rate_six, 124, 6e-16), (rate_bb84, 1, 1e-30)):
+            assert fn(n, eps).s_opt == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([rate_bb84, rate_six]),
+        st.integers(min_value=1, max_value=2**62),
+        st.floats(min_value=-30.0, max_value=math.log10(0.9)),
+    )
+    def test_maximiser_against_log_scan(self, fn, n, log10_eps):
+        eps = 10.0**log10_eps
+        family = BB84 if fn is rate_bb84 else SIX
+        result = fn(n, eps)
+        assert result.rate >= rate_log_scan(n, eps, family) - 1e-15
+        assert result.rate == fn(n, eps, s=result.s_opt).rate
+        assert 0.0 < result.s_opt <= 1.0
+        assert fn(2 * n, eps).rate >= result.rate
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_epsilon_domain(self, eps):
         with pytest.raises(ValueError):
@@ -279,6 +306,20 @@ class TestMinBlockLength:
             min_n_for_rate(0.45, 0.1, BB84, "fast")
         with pytest.raises(ValueError):
             min_n_for_rate(-0.1, 0.1, BB84, "new")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([BB84, SIX]),
+        st.floats(min_value=0.01, max_value=0.999),
+        st.floats(min_value=-30.0, max_value=math.log10(0.9)),
+    )
+    def test_round_trip(self, family, fraction, log10_eps):
+        eps = 10.0**log10_eps
+        target = fraction * family.rate_ceiling
+        fn = rate_bb84 if family is BB84 else rate_six
+        n = min_n_for_rate(target, eps, family, "new")
+        assert fn(n, eps).rate >= target
+        assert n == 1 or fn(n - 1, eps).rate < target
 
     def test_six_ceiling_allows_rates_above_half(self):
         n = min_n_for_rate(0.55, 0.2, SIX, "new")

@@ -1,12 +1,16 @@
-"""Black-box command line checks: outputs, exit codes, determinism."""
+"""Black-box command line checks: outputs, exit codes, determinism, lazy imports."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import entrobound
 import entrobound.cli as cli
-from entrobound import VerificationReport, binary_entropy, legacy_min_n
+from entrobound import VerificationReport, binary_entropy, bounds, families, legacy_min_n, verify
 
 
 def run_cli(capsys, *argv):
@@ -337,3 +341,77 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+# Runs a command as ``python -m entrobound.cli`` does, then prints its exit
+# code and the modules it loaded as the last stdout line.
+_RUN_AND_LIST_MODULES = """
+import json, runpy, sys
+sys.argv = ["entrobound", *sys.argv[1:]]
+try:
+    runpy.run_module("entrobound.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def run_fresh(*argv):
+    """Run one command in a fresh interpreter: (exit code, stdout lines, modules)."""
+    src = os.path.dirname(os.path.dirname(entrobound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    *lines, last = proc.stdout.splitlines()
+    report = json.loads(last)
+    return report["code"], lines, set(report["modules"])
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rate", "--family", "bb84", "--n", "23600", "--eps", "0.1"),
+            ("blocklen", "--family", "six", "--rate", "0.66", "--eps", "1e-10", "--method", "new"),
+            ("blocklen", "--family", "bb84", "--rate", "0.4894", "--eps", "0.1", "--method", "legacy"),
+            ("legacy-eps", "--n", "1000", "--delta", "0.1"),
+            ("feasible", "--rate", "0.4", "--perr", "0.01"),
+        ],
+        ids=["rate", "blocklen-new", "blocklen-legacy", "legacy-eps", "feasible"],
+    )
+    def test_scalar_commands_never_import_numpy(self, capsys, argv):
+        code, lines, modules = run_fresh(*argv)
+        assert code == 0
+        assert "numpy" not in modules
+        # the same line as a run in this process, where numpy is loaded
+        assert lines == run_cli(capsys, *argv)[1].splitlines()
+
+    def test_figure_loads_no_simulator_layer(self, tmp_path):
+        code, _, modules = run_fresh(
+            "figure", "--rates", "0.45", "--eps-min", "1e-6", "--eps-max", "0.2",
+            "--points", "3", "--out", str(tmp_path / "rows.csv"),
+        )
+        assert code == 0
+        for name in ("verify", "simulator", "tables", "entropy"):
+            assert f"entrobound.{name}" not in modules
+
+    def test_every_export_resolves_and_is_listed(self):
+        listed = dir(entrobound)
+        for name in entrobound.__all__:
+            assert getattr(entrobound, name) is not None
+            assert name in listed
+        with pytest.raises(AttributeError):
+            entrobound.no_such_name
+
+    def test_lazy_module_attributes(self):
+        assert verify.figure_rows is bounds.figure_rows
+        assert verify.FigureRow is bounds.FigureRow
+        assert cli.verify is verify
+        assert families.HADAMARD.shape == families.BASIS_CYCLE.shape == (2, 2)
+        for name in ("IDENTITY", "__path__"):
+            with pytest.raises(AttributeError):
+                getattr(families, name)
+        for module in (bounds, families, cli):
+            assert not hasattr(module, "np") and not hasattr(module, "numpy")
