@@ -300,6 +300,8 @@ def load_table(path: str) -> ConditionalTable:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"table file {path!r} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ValueError(f"table file {path!r} is nested too deeply to parse") from None
     return table_from_json_dict(doc)
 
 

@@ -8,7 +8,10 @@ fact the closed-form bounds rely on:
   floor, without trusting the analytic reduction to the sphere surface.
   Both families share one power sum, ``bloch_power_sum``, over the Bloch
   components along their B measured axes, and one grid: the radius times
-  the direction of B - 1 angles;
+  the direction of B - 1 angles. The grid is streamed in chunks of radius
+  rows, so memory is O(resolution) for BB84 and one radius slab for
+  six-state, and orders so close to 1 that rounding would decide the
+  verdict are refused;
 * ``stationary_signs`` checks the signs of the two second-derivative
   functions that make the basis eigenstates the only maximisers;
 * ``curvature_gap_sweep`` checks nonnegativity of the auxiliary function
@@ -134,7 +137,13 @@ def surface_entropy(power_sum, s):
     return -np.log2(power_sum) / s
 
 
-_SIX_STATE_AXIS_CAP = 100  # 100^3 grid points keep the octant search desk scale
+# 100^3 grid points keep the octant search's time desk scale; its memory is
+# one radius slab whatever the cap, since the search streams radius chunks.
+_SIX_STATE_AXIS_CAP = 100
+# Grid points per radius chunk: the search's working set is a few arrays of
+# this many doubles, plus one minimum per radius row.
+_CHUNK_POINTS = 2**16
+_UNDERSHOOT_TOL = 1e-9  # how far the grid minimum may fall below the floor and pass
 
 
 def _near_eigenstate(point, step_r: float, step_ang: float) -> bool:
@@ -156,26 +165,70 @@ def grid_search_min(
     bases). Passes when the grid minimum matches the closed-form floor within
     a curvature-aware tolerance, never undershoots it beyond 1e-9, and the
     argmin sits within one grid step of a basis eigenstate.
+
+    The grid is evaluated in chunks of radius rows, about ``_CHUNK_POINTS``
+    points each, keeping only each row's minimum; the row holding the argmin
+    is then evaluated again. Memory is O(resolution) for BB84 and one radius
+    slab of the octant for six-state, and the report is the one a whole-grid
+    evaluation gives: each grid value comes from the same elementwise
+    operations on the same operands, the least row minimum is the grid
+    minimum, and the first point in row-major order within 1e-12 of it lies
+    in the first row whose minimum is within 1e-12 of it.
+
+    Near alpha = 1 the entropy ``-log2(P)/s`` amplifies the rounding of the
+    power sum ``P`` by ``1/(s ln 2)``. With unit roundoff u = 2^-53 and
+    numpy's pow, sin, cos and log2 within one ulp (2u), for B bases:
+
+    * each Bloch component is off by at most 3(B-1)u, which moves ``P`` by at
+      most 6(B-1)u relative, as ``|dP/dx_i| <= e/(2B)`` and ``P >= 2^-s >= 1/2``;
+    * each power ``(1 +- x)^e`` carries 4u: e u from rounding ``1 +- x``, 2u
+      from pow;
+    * the sum of the 2B powers adds (2B - 1)u, the divisor ``B 2^e`` 4u and
+      log2 2u.
+
+    So the computed entropy is off by at most ``(8B + 3)u / (s ln 2)``. The
+    verdict means something only while that fits inside the 1e-9 by which
+    the grid minimum may undershoot the floor, so ``s = alpha - 1`` below
+    ``(8B + 3)u / (1e-9 ln 2)``, 3.0e-6 for BB84 and 4.3e-6 for six-state,
+    raises ``ValueError``.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
+    bases = family.bases_per_qubit
+    min_s = (8 * bases + 3) * 2.0**-53 / (_UNDERSHOOT_TOL * _LN2)  # see the docstring
+    if s < min_s:
+        raise ValueError(
+            f"alpha - 1 = {s!r} is below {min_s:.1e}: the rounding of the {family.value} "
+            f"grid entropies would exceed the {_UNDERSHOOT_TOL} pass tolerance"
+        )
     six_state = family is MeasurementFamily.SIX_STATE
     res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
     r = np.linspace(0.0, 1.0, res_eff)
     ang = np.linspace(0.0, math.pi / 2.0, res_eff)
-    axes = [r] + [ang] * (family.bases_per_qubit - 1)
+    axes = [r] + [ang] * (bases - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-    entropy = surface_entropy(bloch_power_sum(s, _bloch_components(radius, angles)), s)
 
-    grid_min = float(entropy.min())
+    def entropy_rows(start: int, stop: int) -> np.ndarray:
+        """``(rows, points per row)`` entropies of radius rows ``start:stop``."""
+        power_sum = bloch_power_sum(s, _bloch_components(radius[start:stop], angles))
+        return surface_entropy(power_sum, s).reshape(stop - start, -1)
+
+    height = max(1, _CHUNK_POINTS // res_eff ** len(angles))
+    row_min = np.empty(res_eff)
+    for start in range(0, res_eff, height):
+        stop = min(start + height, res_eff)
+        row_min[start:stop] = entropy_rows(start, stop).min(axis=1)
+
+    grid_min = float(row_min.min())
     # At alpha = 2 the power sum depends on the radius alone, so the whole
     # r = 1 arc ties for the minimum up to rounding; break ties toward the
     # smallest flat index, which is deterministic and independent of
     # execution order.
-    flat_index = int(np.argmax(entropy <= grid_min + 1e-12))
-    index = np.unravel_index(flat_index, entropy.shape)
+    row = int(np.argmax(row_min <= grid_min + 1e-12))
+    column = int(np.argmax(entropy_rows(row, row + 1)[0] <= grid_min + 1e-12))
+    index = (row, *np.unravel_index(column, (res_eff,) * len(angles)))
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     margin = grid_min - floor
     step_r = 1.0 / (res_eff - 1)
@@ -186,7 +239,7 @@ def grid_search_min(
     tolerance = max(1e-3, max(step_r, step_ang) ** 2 / (s * _LN2))
     argmin_ok = _near_eigenstate(argmin, step_r, step_ang)
 
-    passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok
+    passed = (margin >= -_UNDERSHOOT_TOL) and (abs(margin) <= tolerance) and argmin_ok
     notes = (
         f"family={family.value}; alpha={alpha!r}; closed-form floor={floor!r}; "
         f"grid min={grid_min!r}; tolerance={tolerance!r} (curvature-aware); "

@@ -179,6 +179,18 @@ class TestNewRates:
         assert 0.0 < result.s_opt <= 1.0
         assert fn(2 * n, eps).rate >= result.rate
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([rate_bb84, rate_six]),
+        st.integers(min_value=1, max_value=2**62),
+        st.floats(min_value=-30.0, max_value=math.log10(0.9)),
+        st.floats(min_value=-30.0, max_value=math.log10(0.9)),
+    )
+    def test_monotone_in_eps(self, fn, n, log10_a, log10_b):
+        smaller, larger = (fn(n, 10.0**x).rate for x in sorted((log10_a, log10_b)))
+        # the golden-section search may break exact monotonicity by a few 1e-16 relative
+        assert smaller <= larger + 1e-15 * max(abs(smaller), abs(larger))
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_epsilon_domain(self, eps):
         with pytest.raises(ValueError):

@@ -211,6 +211,14 @@ class TestEntropyCommand:
         assert out == ""
         assert err == "error: contexts[1].weight = -0.5 is negative\n"
 
+    def test_deeply_nested_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "entropy", "--table", str(path), "--alpha", "1.5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: table file {str(path)!r} is nested too deeply to parse\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "entropy", "--table", str(tmp_path / "nope.json"), "--alpha", "2.0"
@@ -254,6 +262,28 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "stationary")
         assert code == 1
         assert json.loads(out)[0]["pass"] is False
+
+    @pytest.mark.parametrize(
+        "family,alpha", [("six", "1.0000000001"), ("bb84", "1.00000000000001")]
+    )
+    def test_alpha_too_close_to_one_is_a_usage_error(self, capsys, family, alpha):
+        # Both printed a wrong verdict: the rounding of -log2(P)/s grows like 1/s.
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "single-qubit", "--family", family,
+            "--alpha", alpha, "--resolution", "50",
+        )
+        assert code == 2
+        assert out == ""
+        assert "alpha - 1" in err and "pass tolerance" in err
+
+    @pytest.mark.parametrize("family", ["six", "bb84"])
+    def test_alpha_near_one_still_verifies(self, capsys, family):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "single-qubit", "--family", family,
+            "--alpha", "1.0001", "--resolution", "50",
+        )
+        assert code == 0
+        assert json.loads(out)[0]["pass"] is True
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "additivity", "--seed", "3", "--trials", "20")

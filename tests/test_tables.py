@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import ConditionalTable, Context, load_table, table_from_json_dict, uniform_table
 from entrobound.tables import validated_arrays
@@ -289,6 +291,44 @@ def test_load_table_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         load_table(str(path))
+
+
+_JSON_NUMBERS = st.integers() | st.floats()  # json.loads reads NaN and Infinity too
+_JSON = st.recursive(
+    st.none() | st.booleans() | _JSON_NUMBERS | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _near_tables(draw):
+    """A valid table document, often with one field of one context replaced."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    outcomes = draw(st.integers(min_value=1, max_value=3))
+    contexts = [
+        {"k": "k", "theta": str(i), "weight": 1 / size, "p_x": [1 / outcomes] * outcomes}
+        for i in range(size)
+    ]
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(["k", "theta", "weight", "p_x"]))
+        value = draw(_JSON_NUMBERS | st.lists(_JSON_NUMBERS, max_size=4) | _JSON)
+        contexts[draw(st.integers(min_value=0, max_value=size - 1))][field] = value
+    return {"contexts": contexts}
+
+
+_DOCUMENTS = _JSON | st.fixed_dictionaries({"contexts": _JSON}) | _near_tables()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_arbitrary_documents_give_a_table_or_a_value_error(doc):
+    try:
+        table = table_from_json_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(table, ConditionalTable)
 
 
 def test_uniform_table():

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import (
     MeasurementFamily,
@@ -31,8 +35,14 @@ from entrobound import (
     surface_entropy,
 )
 from entrobound.simulator import DensityOperator, product_eigenstate
+from entrobound import verify
 from entrobound.verify import _eigenstate_probes, _near_eigenstate, _probe_states
-from helpers import reference_additivity, reference_ensemble, series_remainder_bound
+from helpers import (
+    reference_additivity,
+    reference_ensemble,
+    series_remainder_bound,
+    whole_grid_search_min,
+)
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -155,6 +165,58 @@ class TestGridSearch:
     def test_six_state_resolution_capped(self):
         report = grid_search_min(SIX, 2.0, resolution=500)
         assert report.resolution == 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from([BB84, SIX]),
+        st.just(2.0) | st.floats(min_value=-4.0, max_value=0.0).map(lambda x: 1.0 + 10.0**x),
+        st.sampled_from([None, 1, 997, 4099]),
+    )
+    def test_streamed_search_matches_whole_grid(self, data, family, alpha, chunk_points):
+        # Small chunks cut BB84 grids into many chunks too, and their heights
+        # rarely divide the row count; None keeps the module's chunk size.
+        top = 400 if family is BB84 else 100
+        resolution = data.draw(st.integers(min_value=50, max_value=top), label="resolution")
+        with mock.patch.object(verify, "_CHUNK_POINTS", chunk_points or verify._CHUNK_POINTS):
+            report = grid_search_min(family, alpha, resolution)
+        expected = whole_grid_search_min(family, alpha, resolution)
+        assert report == expected  # every field but the (empty) witness
+        assert repr(report.worst_margin) == repr(expected.worst_margin)
+
+    @pytest.mark.parametrize(
+        "family,alpha,resolution",
+        [(BB84, 2.0, 1500), (BB84, 1.3, 1500), (SIX, 2.0, 100), (SIX, 1.0001, 100)],
+    )
+    def test_command_line_grids_match_whole_grid(self, family, alpha, resolution):
+        assert grid_search_min(family, alpha, resolution) == whole_grid_search_min(
+            family, alpha, resolution
+        )
+
+    def test_memory_does_not_grow_with_resolution(self):
+        grid_search_min(BB84, 1.5, resolution=50)  # first-use caches stay out of the peaks
+        peaks = []
+        for resolution in (1500, 3000):
+            tracemalloc.start()
+            try:
+                grid_search_min(BB84, 1.5, resolution)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a whole 3000^2 grid is 69 MiB per array
+        assert peaks[1] < 8 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+    @pytest.mark.parametrize("family,bound", [(BB84, 3.04e-6), (SIX, 4.33e-6)])
+    def test_alpha_too_close_to_one_is_refused(self, family, bound):
+        # Rounding of the power sum, (8B + 3) u / (s ln 2), would exceed the
+        # 1e-9 pass tolerance below the bound.
+        for s in (1e-14, 1e-9, 0.99 * bound):
+            with pytest.raises(ValueError, match="alpha - 1"):
+                grid_search_min(family, 1.0 + s, resolution=50)
+        report = grid_search_min(family, 1.0 + 1.01 * bound, resolution=50)
+        assert report.passed
+        assert abs(report.worst_margin) <= 1e-9
 
 
 class TestStationarySigns:
