@@ -82,6 +82,13 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
+def _require_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError(f"Renyi order alpha must lie in (1, 2], got {alpha!r}")
+    return alpha
+
+
 def _floor(s: float, ceiling: float) -> float:
     """Floor at ``s`` of the family with ceiling ``(B-1)/B``."""
     x = s * _LN2
@@ -96,9 +103,7 @@ def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
     ``(B-1)/B``. Shares its evaluation with the rate objectives so fixed-s
     rates decompose exactly into floor minus correction term.
     """
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"Renyi order alpha must lie in (1, 2], got {alpha!r}")
+    alpha = _require_alpha(alpha)
     return _floor(alpha - 1.0, family.rate_ceiling)
 
 
@@ -200,9 +205,7 @@ def renyi_to_smooth_min_entropy(h_alpha: float, alpha: float, epsilon: float) ->
 
     Returns ``h_alpha - log2(2/eps^2) / (alpha - 1)``; may be negative.
     """
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"Renyi order alpha must lie in (1, 2], got {alpha!r}")
+    alpha = _require_alpha(alpha)
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"smoothing error epsilon must lie in (0, 1], got {epsilon!r}")

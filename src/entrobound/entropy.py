@@ -14,14 +14,8 @@ import math
 
 import numpy as np
 
+from .bounds import _require_alpha
 from .tables import ConditionalTable
-
-
-def _require_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"Renyi order alpha must lie in (1, 2], got {alpha!r}")
-    return alpha
 
 
 def cond_min_entropy(table: ConditionalTable) -> float:

@@ -2,10 +2,10 @@
 
 Everything here is dense linear algebra on 2^n dimensional matrices and is
 deliberately capped at desk scale (the outcome table over all basis strings
-grows as bases^n * 2^n). The n-qubit basis unitaries are built once per
-(family, n) as one read-only stack, which only the outcome tables read;
-measurement projectors and conditioning build their one column from the
-single-qubit columns with the same Kronecker routine. States are drawn and
+grows as bases^n * 2^n). No n-qubit basis unitary is ever built: outcome
+tables measure every state one qubit at a time, with one fixed single-qubit
+matrix per family, and measurement projectors and conditioning build their
+one column as a Kronecker product of single-qubit columns. States are drawn and
 validated as stacks: Hermitian, positive semidefinite and unit trace, each
 within small tolerances scaled by the matrix norm, by one validator that
 :class:`DensityOperator` also runs.
@@ -144,35 +144,18 @@ class StateEnsemble:
         self.n_qubits = members[0].state.n_qubits
 
 
-def _kron_stack(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker products of every choice of one matrix per factor.
+@functools.cache
+def _outcome_step(family: MeasurementFamily) -> np.ndarray:
+    """Read-only ``(4, 2 * bases)`` matrix that measures one qubit, per family.
 
-    Each factor is a ``(count, rows, cols)`` stack; the result stacks the
-    products in lexicographic order of the choices, first factor most
-    significant.
-    """
-    stack = np.ones((1, 1, 1), dtype=complex)
-    for factor in factors:
-        count = len(stack) * len(factor)
-        rows, cols = stack.shape[1] * factor.shape[1], stack.shape[2] * factor.shape[2]
-        stack = np.einsum("aij,bkl->abikjl", stack, factor).reshape(count, rows, cols)
-    return stack
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_unitaries(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
-    """Read-only ``(bases^n, 2^n, 2^n)`` stack of n-qubit basis unitaries.
-
-    Entry ``j`` is the Kronecker product of the single-qubit unitaries of the
-    ``j``-th basis string in lexicographic order (first qubit most
-    significant), so column ``x`` of it is the eigenvector for outcome
-    string ``x``. Built once per (family, n) on first use; only outcome
-    tables, which are capped by the qubit budget, read it.
+    Column ``(t, x)`` is ``vec(conj(u_t[:, x]) u_t[:, x]^T)``: contracted with
+    a qubit's row and column index ``(i, j)``, row ``2 i + j``, it gives the
+    weight of outcome ``x`` in basis ``t``, the other qubits left open.
     """
     singles = np.stack([family.basis_unitary(t) for t in range(family.bases_per_qubit)])
-    stack = _kron_stack([singles] * n_qubits)
-    stack.setflags(write=False)
-    return stack
+    step = np.einsum("tix,tjx->ijtx", singles.conj(), singles).reshape(4, -1)
+    step.setflags(write=False)
+    return step
 
 
 def _basis_vector(family: MeasurementFamily, theta: Sequence[int], x: Sequence[int]) -> np.ndarray:
@@ -185,8 +168,8 @@ def _basis_vector(family: MeasurementFamily, theta: Sequence[int], x: Sequence[i
     for t, b in zip(theta, x):
         if b not in (0, 1):
             raise ValueError(f"outcome bit {b!r} out of range")
-        columns.append(family.basis_unitary(t)[None, :, int(b), None])
-    return _kron_stack(columns)[0, :, 0]
+        columns.append(family.basis_unitary(t)[:, int(b)])
+    return functools.reduce(np.kron, columns)
 
 
 def measurement_operator(
@@ -304,9 +287,9 @@ def stack_outcome_arrays(
     the block of ``bases^n`` contexts starting at ``j * bases^n``, one per
     basis string in lexicographic order, each with weight ``p_j / bases^n``
     (the basis choice is uniform and independent of the label). Every member
-    state is tabulated once: the diagonals of ``U^dagger rho U`` for all
-    states and basis strings come from one batched product, entries below
-    1e-15 in magnitude are set to exactly 0, and each table is then
+    state is measured once, one qubit at a time by :func:`_outcome_step`, in
+    working arrays with no more entries per state than its table; entries
+    below 1e-15 in magnitude are set to exactly 0, and each table is then
     validated as :class:`ConditionalTable` validates it. Raises when ``n``
     exceeds the family's qubit budget unless a larger ``max_qubits`` is
     passed explicitly.
@@ -319,12 +302,22 @@ def stack_outcome_arrays(
             f"{n} qubits exceeds the {family.value!r} table budget of {budget}; "
             f"pass max_qubits to override"
         )
-    unitaries = _basis_unitaries(family, n)
-    states = matrices.reshape(-1, 1, dim, dim)
-    probs = np.einsum("bji,tbji->tbi", unitaries.conj(), states @ unitaries).real
+    step = _outcome_step(family)
+    # Axes: state, open row and column index, then the (t, x) pairs of the
+    # qubits measured so far, first qubit most significant.
+    work = matrices.reshape(-1, dim, dim, 1)
+    states, rest = len(work), dim
+    for _ in range(n):
+        rest //= 2
+        pairs = work.reshape(states, 2, rest, 2, rest, -1).transpose(0, 2, 4, 5, 1, 3)
+        work = (pairs.reshape(-1, 4) @ step).reshape(states, rest, rest, -1)
+    # (t_1, x_1, ..., t_n, x_n) -> (t_1 ... t_n, x_1 ... x_n): basis-string-major.
+    bases = family.bases_per_qubit
+    order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    probs = work.reshape(states, *(bases, 2) * n).transpose(order).real.reshape(count, -1, dim)
     probs[np.abs(probs) < 1e-15] = 0.0
-    weights = np.repeat(probabilities * (1.0 / len(unitaries)), len(unitaries), axis=1)
-    return validated_arrays(weights, probs.reshape(count, -1, dim))
+    weights = np.repeat(probabilities * (1.0 / bases**n), bases**n, axis=1)
+    return validated_arrays(weights, probs)
 
 
 def outcome_table(
@@ -336,9 +329,10 @@ def outcome_table(
 
     One context per (member, basis string) pair with weight
     ``p_k / bases^n`` and outcome probabilities over all 2^n outcome
-    strings, in the order of :func:`outcome_arrays`. Raises when ``n``
-    exceeds the family's qubit budget unless a larger ``max_qubits`` is
-    passed explicitly.
+    strings, in the order of :func:`outcome_arrays`, computed qubit by qubit
+    as :func:`stack_outcome_arrays` computes them. Raises when ``n`` exceeds
+    the family's qubit budget unless a larger ``max_qubits`` is passed
+    explicitly.
     """
     ensemble = _as_ensemble(states)
     (weights,), (probs,) = outcome_arrays([ensemble], family, max_qubits)

@@ -306,6 +306,16 @@ def stationary_signs(s_grid: Sequence[float] | None = None) -> VerificationRepor
     )
 
 
+def _require_gap_domain(a: float, s: float) -> tuple[float, float]:
+    a = float(a)
+    s = float(s)
+    if not 0.0 <= a < 1.0:
+        raise ValueError(f"a must lie in [0, 1), got {a!r}")
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must lie in (0, 1], got {s!r}")
+    return a, s
+
+
 def curvature_gap(a: float, s: float) -> float:
     """Auxiliary function whose nonnegativity pins down the midpoint sign.
 
@@ -314,12 +324,7 @@ def curvature_gap(a: float, s: float) -> float:
     continuity as 0. At ``a = 1/sqrt(2)`` this is the midpoint curvature up
     to a positive prefactor.
     """
-    a = float(a)
-    s = float(s)
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a must lie in [0, 1), got {a!r}")
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s!r}")
+    a, s = _require_gap_domain(a, s)
     if a == 0.0:
         return 0.0
     return s * ((1.0 + a) ** (s - 1.0) + (1.0 - a) ** (s - 1.0)) - (
@@ -347,12 +352,7 @@ def curvature_gap_series(a: float, s: float, max_power: int = 20) -> float:
     falling factorial and ``(n+1)!`` would each overflow from
     ``max_power = 170`` on.
     """
-    a = float(a)
-    s = float(s)
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a must lie in [0, 1), got {a!r}")
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s!r}")
+    a, s = _require_gap_domain(a, s)
     if a == 0.0:
         return 0.0
     a2 = a * a

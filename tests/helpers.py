@@ -5,10 +5,10 @@ the dense rate scans never call the golden-section optimiser, the decimal
 floor evaluates the textbook formula at 50 digits instead of the
 cancellation-free float form, the nested power sum goes through conditional states instead of the full outcome table,
 the series remainder bound never sums the series it bounds, the outcome
-table oracles build one row at a time (by Kronecker products, or by traces
-against measurement projectors) instead of in one batched product, the
-reference drawer draws one state at a time instead of a padded stack, and
-the reference trials loop over per-trial states and tables instead of
+table oracles build one row at a time (by n-qubit Kronecker unitaries, or by
+traces against measurement projectors) instead of measuring every state qubit
+by qubit, the reference drawer draws one state at a time instead of a padded
+stack, the reference trials loop over per-trial states and tables instead of
 reducing a stack, and the whole-grid search evaluates every Bloch grid point
 in one array instead of streaming radius chunks.
 """

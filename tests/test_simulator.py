@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from entrobound import (
     renyi_power_sum,
 )
 from entrobound.simulator import (
-    _basis_unitaries,
     checked_probabilities,
     outcome_arrays,
     random_densities,
@@ -306,10 +306,11 @@ class TestStackedOutcomeTable:
 
     @pytest.mark.parametrize("family", [BB84, SIX])
     def test_matches_kronecker_oracle(self, family):
-        for n in range(1, family.default_qubit_budget + 1):
+        # Two sizes above the budget, reached through max_qubits.
+        for n in range(1, family.default_qubit_budget + 3):
             for seed in range(3):
                 state = random_density(n, 1 + seed % 2**n, seed=500 + seed)
-                table = outcome_table(state, family)
+                table = outcome_table(state, family, max_qubits=n)
                 oracle = kron_outcome_table(state, family)
                 assert [(c.k, c.theta) for c in table.contexts] == [
                     (c.k, c.theta) for c in oracle.contexts
@@ -317,16 +318,22 @@ class TestStackedOutcomeTable:
                 assert np.max(np.abs(table.prob_matrix - oracle.prob_matrix)) <= 1e-12
                 assert np.max(np.abs(table.weight_vector - oracle.weight_vector)) <= 1e-15
 
-    @pytest.mark.parametrize("family,n", [(BB84, 1), (BB84, 4), (SIX, 1), (SIX, 3)])
-    def test_unitary_stack_cached_read_only_and_unitary(self, family, n):
-        stack = _basis_unitaries(family, n)
-        assert _basis_unitaries(family, n) is stack
-        assert stack.shape == (family.bases_per_qubit**n, 2**n, 2**n)
-        with pytest.raises(ValueError):
-            stack[0, 0, 0] = 0.0
-        gram = np.einsum("bji,bjk->bik", stack.conj(), stack)
-        assert np.max(np.abs(gram - np.eye(2**n))) <= 1e-14
+    @pytest.mark.parametrize("family,theta", [(BB84, 0), (BB84, 1), (SIX, 0), (SIX, 1), (SIX, 2)])
+    def test_basis_unitaries_are_unitary(self, family, theta):
+        u = family.basis_unitary(theta)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-14
 
+    def test_memory_above_budget_stays_near_table_size(self):
+        # The table holds 2^14 entries (128 KiB); a stack of the 2^7
+        # seven-qubit basis unitaries alone would take 32 MiB.
+        state = random_density(7, 1, seed=7)
+        tracemalloc.start()
+        try:
+            outcome_arrays([state], BB84, max_qubits=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_outcome_arrays_stack_tables_member_major(self):
         ensembles = [
@@ -347,13 +354,11 @@ class TestStackedOutcomeTable:
 
 
 class TestProjectorsAboveTableBudget:
-    """Projectors and conditioning build one column, never a unitary stack."""
+    """Projectors and conditioning above the table budget build one column."""
 
     def test_eight_qubit_projector_matches_kronecker_product(self):
         theta, x = (0, 1) * 4, (1, 0, 0, 1, 1, 1, 0, 0)
-        _basis_unitaries.cache_clear()
         proj = measurement_operator(BB84, theta, x)
-        assert _basis_unitaries.cache_info().currsize == 0
         single = np.array([1.0 + 0.0j])
         for t, b in zip(theta, x):
             single = np.kron(single, BB84.basis_unitary(t)[:, b])
@@ -365,9 +370,7 @@ class TestProjectorsAboveTableBudget:
         rho = DensityOperator(
             np.kron(measurement_operator(SIX, theta_a, x_a), np.diag([0.25, 0.75]))
         )
-        _basis_unitaries.cache_clear()
         sigma = post_measurement_state(rho, SIX, theta_a, x_a)
-        assert _basis_unitaries.cache_info().currsize == 0
         assert np.max(np.abs(sigma.matrix - np.diag([0.25, 0.75]))) <= 1e-12
 
 
