@@ -206,9 +206,7 @@ def renyi_to_smooth_min_entropy(h_alpha: float, alpha: float, epsilon: float) ->
     Returns ``h_alpha - log2(2/eps^2) / (alpha - 1)``; may be negative.
     """
     alpha = _require_alpha(alpha)
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"smoothing error epsilon must lie in (0, 1], got {epsilon!r}")
+    epsilon = _require_epsilon(epsilon)
     return float(h_alpha) - math.log2(2.0 / epsilon**2) / (alpha - 1.0)
 
 

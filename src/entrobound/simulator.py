@@ -249,6 +249,16 @@ def _as_ensemble(states: DensityOperator | StateEnsemble) -> StateEnsemble:
     return StateEnsemble([EnsembleMember("0", 1.0, states)])
 
 
+def _require_qubit_budget(family: MeasurementFamily, n_qubits: int, max_qubits: int | None):
+    """Refuse tables above the family's qubit budget, or above ``max_qubits`` if passed."""
+    budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
+    if n_qubits > budget:
+        raise ValueError(
+            f"{n_qubits} qubits exceeds the {family.value!r} table budget of {budget}; "
+            f"pass max_qubits to override"
+        )
+
+
 def outcome_arrays(
     ensembles: Sequence[DensityOperator | StateEnsemble],
     family: MeasurementFamily,
@@ -262,12 +272,41 @@ def outcome_arrays(
     batch = [_as_ensemble(e) for e in ensembles]
     if len({len(e.members) for e in batch}) != 1:
         raise ValueError("ensembles in one batch must have the same number of members")
-    return stack_outcome_arrays(
-        np.array([[m.state.matrix for m in e.members] for e in batch]),
-        np.array([[m.probability for m in e.members] for e in batch]),
-        family,
-        max_qubits,
-    )
+    matrices = np.array([[m.state.matrix for m in e.members] for e in batch])
+    probabilities = np.array([[m.probability for m in e.members] for e in batch])
+    return stack_outcome_arrays(matrices, probabilities, family, max_qubits)
+
+
+def _outcome_rows(
+    matrices: np.ndarray,
+    probabilities: np.ndarray,
+    family: MeasurementFamily,
+    max_qubits: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and rows of :func:`stack_outcome_arrays` before validation.
+
+    Working arrays hold no more entries per state than its table; entries
+    below 1e-15 in magnitude are set to exactly 0.
+    """
+    count, dim = len(matrices), matrices.shape[-1]
+    n = dim.bit_length() - 1
+    _require_qubit_budget(family, n, max_qubits)
+    step = _outcome_step(family)
+    # Axes: state, open row and column index, then the (t, x) pairs of the
+    # qubits measured so far, first qubit most significant.
+    work = matrices.reshape(-1, dim, dim, 1)
+    states, rest = len(work), dim
+    for _ in range(n):
+        rest //= 2
+        pairs = work.reshape(states, 2, rest, 2, rest, -1).transpose(0, 2, 4, 5, 1, 3)
+        work = (pairs.reshape(-1, 4) @ step).reshape(states, rest, rest, -1)
+    # (t_1, x_1, ..., t_n, x_n) -> (t_1 ... t_n, x_1 ... x_n): basis-string-major.
+    bases = family.bases_per_qubit
+    order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    probs = work.reshape(states, *(bases, 2) * n).transpose(order).real.reshape(count, -1, dim)
+    probs[np.abs(probs) < 1e-15] = 0.0
+    weights = np.repeat(probabilities * (1.0 / bases**n), bases**n, axis=1)
+    return weights, probs
 
 
 def stack_outcome_arrays(
@@ -286,38 +325,13 @@ def stack_outcome_arrays(
     ``(E, m * bases^n, 2^n)``. Contexts are member-major: member ``j`` owns
     the block of ``bases^n`` contexts starting at ``j * bases^n``, one per
     basis string in lexicographic order, each with weight ``p_j / bases^n``
-    (the basis choice is uniform and independent of the label). Every member
-    state is measured once, one qubit at a time by :func:`_outcome_step`, in
-    working arrays with no more entries per state than its table; entries
-    below 1e-15 in magnitude are set to exactly 0, and each table is then
-    validated as :class:`ConditionalTable` validates it. Raises when ``n``
-    exceeds the family's qubit budget unless a larger ``max_qubits`` is
-    passed explicitly.
+    (the basis choice is uniform and independent of the label). Every state
+    is measured once, one qubit at a time by :func:`_outcome_step`, and each
+    table is validated once, by the validator of :class:`ConditionalTable`.
+    Raises when ``n`` exceeds the family's qubit budget unless a larger
+    ``max_qubits`` is passed explicitly.
     """
-    count, dim = len(matrices), matrices.shape[-1]
-    n = dim.bit_length() - 1
-    budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
-    if n > budget:
-        raise ValueError(
-            f"{n} qubits exceeds the {family.value!r} table budget of {budget}; "
-            f"pass max_qubits to override"
-        )
-    step = _outcome_step(family)
-    # Axes: state, open row and column index, then the (t, x) pairs of the
-    # qubits measured so far, first qubit most significant.
-    work = matrices.reshape(-1, dim, dim, 1)
-    states, rest = len(work), dim
-    for _ in range(n):
-        rest //= 2
-        pairs = work.reshape(states, 2, rest, 2, rest, -1).transpose(0, 2, 4, 5, 1, 3)
-        work = (pairs.reshape(-1, 4) @ step).reshape(states, rest, rest, -1)
-    # (t_1, x_1, ..., t_n, x_n) -> (t_1 ... t_n, x_1 ... x_n): basis-string-major.
-    bases = family.bases_per_qubit
-    order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
-    probs = work.reshape(states, *(bases, 2) * n).transpose(order).real.reshape(count, -1, dim)
-    probs[np.abs(probs) < 1e-15] = 0.0
-    weights = np.repeat(probabilities * (1.0 / bases**n), bases**n, axis=1)
-    return validated_arrays(weights, probs)
+    return validated_arrays(*_outcome_rows(matrices, probabilities, family, max_qubits))
 
 
 def outcome_table(
@@ -327,25 +341,19 @@ def outcome_table(
 ) -> ConditionalTable:
     """Exact outcome table over all basis strings, uniformly weighted.
 
-    One context per (member, basis string) pair with weight
-    ``p_k / bases^n`` and outcome probabilities over all 2^n outcome
-    strings, in the order of :func:`outcome_arrays`, computed qubit by qubit
-    as :func:`stack_outcome_arrays` computes them. Raises when ``n`` exceeds
-    the family's qubit budget unless a larger ``max_qubits`` is passed
-    explicitly.
+    The contexts and budget of :func:`stack_outcome_arrays`, labelled by
+    member ``k`` and basis string. The rows go unvalidated to
+    :meth:`ConditionalTable.from_arrays`, which validates them once, so the
+    table's arrays equal ``outcome_arrays([states], family)`` bit for bit.
     """
     ensemble = _as_ensemble(states)
-    (weights,), (probs,) = outcome_arrays([ensemble], family, max_qubits)
-    thetas = [
-        "".join(map(str, theta))
-        for theta in itertools.product(range(family.bases_per_qubit), repeat=ensemble.n_qubits)
-    ]
-    return ConditionalTable.from_arrays(
-        ks=[m.k for m in ensemble.members for _ in thetas],
-        thetas=thetas * len(ensemble.members),
-        weights=weights,
-        probs=probs,
-    )
+    matrices = np.array([[m.state.matrix for m in ensemble.members]])
+    probabilities = np.array([[m.probability for m in ensemble.members]])
+    (weights,), (probs,) = _outcome_rows(matrices, probabilities, family, max_qubits)
+    strings = itertools.product(range(family.bases_per_qubit), repeat=ensemble.n_qubits)
+    thetas = ["".join(map(str, theta)) for theta in strings]
+    ks = [m.k for m in ensemble.members for _ in thetas]
+    return ConditionalTable.from_arrays(ks, thetas * len(ensemble.members), weights, probs)
 
 
 def post_measurement_state(

@@ -121,57 +121,15 @@ def _fits_float(value) -> bool:
     return True
 
 
-def _validated(weights, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Shape checks of every table constructor, then :func:`validated_arrays`.
-
-    An integer too large for a float is only looked for once a conversion
-    has overflowed, and is then reported by field.
-    """
-    try:
-        probs = np.array(rows, dtype=float)
-    except ValueError:
-        sizes = {len(row) for row in rows}
-        if len(sizes) > 1:
-            raise ValueError(
-                f"contexts disagree on outcome alphabet size: {sorted(sizes)}"
-            ) from None
-        raise
-    except OverflowError:
-        i, j = next(
-            (i, j)
-            for i, row in enumerate(rows)
-            for j, p in enumerate(row)
-            if not _fits_float(p)
-        )
-        raise ValueError(f"contexts[{i}].p_x[{j}] is too large for a float") from None
-    if probs.ndim > 0 and len(probs) == 0:
-        raise ValueError("conditional table must contain at least one context")
-    if probs.ndim != 2:
-        raise ValueError(
-            "outcome probabilities must form a (contexts x outcomes) matrix, "
-            f"got shape {probs.shape}"
-        )
-    if probs.shape[1] == 0:
-        raise ValueError("contexts must have a nonempty outcome alphabet")
-    try:
-        weights = np.array(weights, dtype=float)
-    except OverflowError:
-        i = next(i for i, weight in enumerate(weights) if not _fits_float(weight))
-        raise ValueError(f"contexts[{i}].weight is too large for a float") from None
-    if weights.ndim != 1:
-        raise ValueError(f"context weights must form a vector, got shape {weights.shape}")
-    if len(weights) != len(probs):
-        raise ValueError(f"{len(weights)} context weights for {len(probs)} outcome rows")
-    return validated_arrays(weights, probs)
-
-
 class ConditionalTable:
     """Validated, immutable collection of outcome distributions per context.
 
-    All contexts must share one outcome alphabet size. Weights and rows are
-    renormalised when they drift from 1 by no more than ``NORM_TOL`` and
-    rejected beyond that. Build one from ``Context`` records or, without
-    per-row objects, with :meth:`from_arrays`; both validate the same way.
+    A table is its labels plus the read-only arrays that one pass of
+    :func:`validated_arrays` returned: all contexts share one outcome
+    alphabet size, and weights and rows are renormalised when they drift
+    from 1 by no more than ``NORM_TOL`` and rejected beyond that. Build one
+    with :meth:`from_arrays` or from ``Context`` records; ``contexts`` is a
+    view, built only when read.
     """
 
     def __init__(self, contexts: Iterable[Context]):
@@ -187,17 +145,56 @@ class ConditionalTable:
     def from_arrays(cls, ks, thetas, weights, probs) -> "ConditionalTable":
         """Table from parallel label sequences, a weight vector and a row matrix.
 
-        ``probs`` is (contexts x outcomes), as an array or a sequence of rows.
-        The whole matrix is validated in one vectorised pass, with the checks
-        and messages of the ``Context`` constructor; ``contexts`` is only
-        built when first read.
+        ``probs`` is (contexts x outcomes), as an array or a sequence of rows,
+        validated once, in one vectorised pass, with the checks and messages
+        of the ``Context`` constructor; no ``Context`` is built.
         """
         table = cls.__new__(cls)
         table._set(ks, thetas, weights, probs)
         return table
 
-    def _set(self, ks, thetas, weights, probs) -> None:
-        self._weights, self._probs = _validated(weights, probs)
+    def _set(self, ks, thetas, weights, rows) -> None:
+        """Shape checks of every constructor, then one pass of :func:`validated_arrays`.
+
+        An integer too large for a float is only looked for once a conversion
+        has overflowed, and is then reported by field.
+        """
+        try:
+            probs = np.array(rows, dtype=float)
+        except ValueError:
+            sizes = {len(row) for row in rows}
+            if len(sizes) > 1:
+                raise ValueError(
+                    f"contexts disagree on outcome alphabet size: {sorted(sizes)}"
+                ) from None
+            raise
+        except OverflowError:
+            i, j = next(
+                (i, j)
+                for i, row in enumerate(rows)
+                for j, p in enumerate(row)
+                if not _fits_float(p)
+            )
+            raise ValueError(f"contexts[{i}].p_x[{j}] is too large for a float") from None
+        if probs.ndim > 0 and len(probs) == 0:
+            raise ValueError("conditional table must contain at least one context")
+        if probs.ndim != 2:
+            raise ValueError(
+                "outcome probabilities must form a (contexts x outcomes) matrix, "
+                f"got shape {probs.shape}"
+            )
+        if probs.shape[1] == 0:
+            raise ValueError("contexts must have a nonempty outcome alphabet")
+        try:
+            weights = np.array(weights, dtype=float)
+        except OverflowError:
+            i = next(i for i, weight in enumerate(weights) if not _fits_float(weight))
+            raise ValueError(f"contexts[{i}].weight is too large for a float") from None
+        if weights.ndim != 1:
+            raise ValueError(f"context weights must form a vector, got shape {weights.shape}")
+        if len(weights) != len(probs):
+            raise ValueError(f"{len(weights)} context weights for {len(probs)} outcome rows")
+        self._weights, self._probs = validated_arrays(weights, probs)
         self._ks = tuple(ks)
         self._thetas = tuple(thetas)
         if not len(self._ks) == len(self._thetas) == len(self._weights):
@@ -210,12 +207,8 @@ class ConditionalTable:
     @property
     def contexts(self) -> tuple[Context, ...]:
         if self._contexts is None:
-            self._contexts = tuple(
-                Context(k, theta, weight, tuple(row))
-                for k, theta, weight, row in zip(
-                    self._ks, self._thetas, self._weights.tolist(), self._probs.tolist()
-                )
-            )
+            records = zip(self._ks, self._thetas, self._weights.tolist(), self._probs.tolist())
+            self._contexts = tuple(Context(k, t, w, tuple(p)) for k, t, w, p in records)
         return self._contexts
 
     @property
@@ -236,27 +229,24 @@ class ConditionalTable:
         return len(self._weights)
 
     def subtables_by_k(self) -> dict[str, "ConditionalTable"]:
-        """Split into per-k tables, renormalising weights within each group."""
-        groups: dict[str, list[Context]] = {}
-        for c in self.contexts:
-            groups.setdefault(c.k, []).append(c)
+        """Per-k tables, weights renormalised within each group; zero-weight groups are dropped."""
+        groups: dict[str, list[int]] = {}
+        for i, k in enumerate(self._ks):
+            groups.setdefault(k, []).append(i)
         out = {}
-        for k, members in groups.items():
-            total = sum(c.weight for c in members)
-            if total <= 0.0:
-                continue
-            out[k] = ConditionalTable(
-                Context(c.k, c.theta, c.weight / total, c.outcome_probs) for c in members
-            )
+        for k, rows in groups.items():
+            weights = self._weights[rows]
+            total = weights.sum()
+            if total > 0.0:
+                thetas = [self._thetas[i] for i in rows]
+                out[k] = ConditionalTable.from_arrays(
+                    [k] * len(rows), thetas, weights / total, self._probs[rows]
+                )
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "contexts": [
-                {"k": c.k, "theta": c.theta, "weight": c.weight, "p_x": list(c.outcome_probs)}
-                for c in self.contexts
-            ]
-        }
+        records = zip(self._ks, self._thetas, self._weights.tolist(), self._probs.tolist())
+        return {"contexts": [{"k": k, "theta": t, "weight": w, "p_x": p} for k, t, w, p in records]}
 
 
 def table_from_json_dict(doc: object) -> ConditionalTable:
@@ -307,7 +297,7 @@ def load_table(path: str) -> ConditionalTable:
 
 def uniform_table(num_bases: int, num_outcomes: int, k: str = "0") -> ConditionalTable:
     """Table with uniform outcomes in every one of ``num_bases`` contexts."""
-    row = tuple(1.0 / num_outcomes for _ in range(num_outcomes))
-    return ConditionalTable(
-        Context(k, str(theta), 1.0 / num_bases, row) for theta in range(num_bases)
-    )
+    thetas = [str(theta) for theta in range(num_bases)]
+    weights = [1.0 / num_bases for _ in thetas]
+    row = [1.0 / num_outcomes for _ in range(num_outcomes)]
+    return ConditionalTable.from_arrays([k] * num_bases, thetas, weights, [row] * num_bases)

@@ -38,6 +38,7 @@ from .bounds import FigureRow, figure_rows, renyi_floor  # figure_rows is re-exp
 from .entropy import renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
+    _require_qubit_budget,
     checked_probabilities,
     product_eigenstate,
     random_densities,
@@ -444,6 +445,7 @@ def additivity_trial(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     floor_total = n_qubits * renyi_floor(alpha, family)
+    _require_qubit_budget(family, n_qubits, None)
     dim = 2**n_qubits
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
 
@@ -497,6 +499,7 @@ def ensemble_trial(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     floor_total = n_qubits * renyi_floor(alpha, family)
+    _require_qubit_budget(family, n_qubits, None)
     dim = 2**n_qubits
 
     probabilities = np.empty((trials, k_count))

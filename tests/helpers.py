@@ -4,7 +4,9 @@ The oracles here deliberately avoid the code paths they are used to check:
 the dense rate scans never call the golden-section optimiser, the decimal
 floor evaluates the textbook formula at 50 digits instead of the
 cancellation-free float form, the nested power sum goes through conditional states instead of the full outcome table,
-the series remainder bound never sums the series it bounds, the outcome
+the series remainder bound never sums the series it bounds, the table
+record oracles split and serialise tables through per-row ``Context``
+records instead of indexing their arrays, the outcome
 table oracles build one row at a time (by n-qubit Kronecker unitaries, or by
 traces against measurement projectors) instead of measuring every state qubit
 by qubit, the reference drawer draws one state at a time instead of a padded
@@ -71,6 +73,44 @@ def random_table(rng: np.random.Generator, max_contexts: int = 6, max_outcomes: 
         row /= row.sum()
         contexts.append(Context(f"k{i % 2}", str(i), float(weights[i]), tuple(row)))
     return ConditionalTable(contexts)
+
+
+def context_subtables_by_k(table: ConditionalTable) -> dict:
+    """Per-k tables from grouped ``Context`` records, each group's weights summed in order."""
+    groups: dict[str, list[Context]] = {}
+    for c in table.contexts:
+        groups.setdefault(c.k, []).append(c)
+    out = {}
+    for k, members in groups.items():
+        total = sum(c.weight for c in members)
+        if total <= 0.0:
+            continue
+        out[k] = ConditionalTable(
+            Context(c.k, c.theta, c.weight / total, c.outcome_probs) for c in members
+        )
+    return out
+
+
+def context_json_dict(table: ConditionalTable) -> dict:
+    """The JSON document of a table, written from its ``Context`` records."""
+    return {
+        "contexts": [
+            {"k": c.k, "theta": c.theta, "weight": c.weight, "p_x": list(c.outcome_probs)}
+            for c in table.contexts
+        ]
+    }
+
+
+def assert_matches_context_oracles(table: ConditionalTable) -> None:
+    """``to_json_dict`` equals the record oracle; ``subtables_by_k`` agrees with it to 1e-15."""
+    assert table.to_json_dict() == context_json_dict(table)
+    subtables, expected = table.subtables_by_k(), context_subtables_by_k(table)
+    assert list(subtables) == list(expected)
+    for k, sub in subtables.items():
+        labels = [(c.k, c.theta) for c in expected[k].contexts]
+        assert [(c.k, c.theta) for c in sub.contexts] == labels
+        assert np.max(np.abs(sub.weight_vector - expected[k].weight_vector)) <= 1e-15
+        assert np.max(np.abs(sub.prob_matrix - expected[k].prob_matrix)) <= 1e-15
 
 
 def rate_scan(n: int, epsilon: float, family: MeasurementFamily, step: float = 1e-5) -> float:

@@ -246,8 +246,10 @@ class TestChainStep:
         assert renyi_to_smooth_min_entropy(0.83008, 2.0, 0.1) == pytest.approx(-6.813776189774725, abs=1e-12)
 
     def test_unit_epsilon(self):
-        # 2/eps^2 = 2 exactly, so exactly one bit is paid
-        assert renyi_to_smooth_min_entropy(5.0, 2.0, 1.0) == 4.0
+        # eps = 1 lies outside the (0, 1) that every other function requires
+        message = r"^smoothing error epsilon must lie in \(0, 1\), got 1\.0$"
+        with pytest.raises(ValueError, match=message):
+            renyi_to_smooth_min_entropy(5.0, 2.0, 1.0)
 
     def test_coefficient_at_alpha_three_halves(self):
         h = 0.3125

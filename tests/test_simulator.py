@@ -31,6 +31,7 @@ from entrobound.simulator import (
     validated_densities,
 )
 from helpers import (
+    assert_matches_context_oracles,
     kron_outcome_table,
     nested_power_sum,
     reference_random_density,
@@ -304,6 +305,17 @@ class TestStackedOutcomeTable:
         expected_weights = np.repeat([m.probability / strings for m in members], strings)
         assert np.max(np.abs(table.weight_vector - expected_weights)) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(states_and_ensembles())
+    def test_table_is_the_validated_arrays(self, case):
+        # One validation per table: the object and array paths agree bit for bit.
+        family, states = case
+        table = outcome_table(states, family)
+        (weights,), (rows,) = outcome_arrays([states], family)
+        assert np.array_equal(table.weight_vector, weights)
+        assert np.array_equal(table.prob_matrix, rows)
+        assert_matches_context_oracles(table)
+
     @pytest.mark.parametrize("family", [BB84, SIX])
     def test_matches_kronecker_oracle(self, family):
         # Two sizes above the budget, reached through max_qubits.
@@ -347,8 +359,8 @@ class TestStackedOutcomeTable:
         assert weights.shape == (3, 2 * 9) and rows.shape == (3, 2 * 9, 4)
         for ensemble, w, r in zip(ensembles, weights, rows):
             table = outcome_table(ensemble, SIX)
-            assert np.max(np.abs(w - table.weight_vector)) <= 1e-15
-            assert np.max(np.abs(r - table.prob_matrix)) <= 1e-15
+            assert np.array_equal(w, table.weight_vector)
+            assert np.array_equal(r, table.prob_matrix)
         with pytest.raises(ValueError, match="same number of members"):
             outcome_arrays([ensembles[0], random_density(2, 1, seed=0)], SIX)
 

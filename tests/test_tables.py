@@ -8,8 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrobound import ConditionalTable, Context, load_table, table_from_json_dict, uniform_table
+from entrobound import (
+    ConditionalTable,
+    Context,
+    EnsembleMember,
+    MeasurementFamily,
+    StateEnsemble,
+    cond_min_entropy,
+    cond_renyi_entropy,
+    cond_shannon_entropy,
+    load_table,
+    outcome_table,
+    random_density,
+    table_from_json_dict,
+    uniform_table,
+)
+from entrobound import tables
 from entrobound.tables import validated_arrays
+from helpers import assert_matches_context_oracles, random_table
 
 
 def test_empty_table_rejected():
@@ -207,6 +223,23 @@ def test_subtables_by_k_renormalise():
         assert all(c.weight == pytest.approx(0.5) for c in sub.contexts)
 
 
+def test_subtables_and_json_match_the_record_oracles():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        assert_matches_context_oracles(random_table(rng, max_contexts=12))
+    # a label of zero total weight gets no subtable
+    assert_matches_context_oracles(
+        ConditionalTable(
+            [
+                Context("a", "0", 0.0, (1.0, 0.0)),
+                Context("b", "0", 0.5, (0.0, 1.0)),
+                Context("a", "1", 0.0, (0.5, 0.5)),
+                Context("b", "1", 0.5, (0.5, 0.5)),
+            ]
+        )
+    )
+
+
 def test_json_round_trip():
     table = ConditionalTable(
         [
@@ -329,9 +362,40 @@ def test_arbitrary_documents_give_a_table_or_a_value_error(doc):
     except ValueError:
         return
     assert isinstance(table, ConditionalTable)
+    assert_matches_context_oracles(table)
 
 
 def test_uniform_table():
     table = uniform_table(3, 2)
     assert len(table) == 3
     assert np.allclose(table.prob_matrix, 0.5)
+
+
+def test_package_builds_no_context_records(monkeypatch, tmp_path):
+    # Tables are their validated arrays; only the ``contexts`` view builds records.
+    def no_record(*args, **kwargs):
+        raise AssertionError("a Context record was built")
+
+    ensemble = StateEnsemble(
+        EnsembleMember(f"k{j}", 0.25, random_density(8, 1 + j, seed=j)) for j in range(4)
+    )
+    path = tmp_path / "table.json"
+    monkeypatch.setattr(tables, "Context", no_record)
+    table = outcome_table(ensemble, MeasurementFamily.BB84, max_qubits=8)
+    assert len(table) == 1024
+    path.write_text(json.dumps(table.to_json_dict()))
+    built = [
+        table,
+        load_table(str(path)),
+        ConditionalTable.from_arrays(
+            ["k"] * 1024, [str(i) for i in range(1024)], table.weight_vector, table.prob_matrix
+        ),
+        *table.subtables_by_k().values(),
+        uniform_table(1024, 2),
+    ]
+    for each in built:
+        cond_min_entropy(each)
+        cond_renyi_entropy(each, 1.5)
+        cond_shannon_entropy(each)
+    with pytest.raises(AssertionError, match="Context record"):
+        table.contexts

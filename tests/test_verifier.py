@@ -360,6 +360,17 @@ class TestTrials:
         with pytest.raises(ValueError, match="budget"):
             ensemble_trial(4, 2.0, SIX, k_count=2, trials=1, seed=1)
 
+    def test_over_budget_trials_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("states were drawn for an over-budget trial")
+
+        monkeypatch.setattr(verify, "random_densities", no_draw)
+        budget = r"^{} qubits exceeds the {!r} table budget of {}; pass max_qubits to override$"
+        with pytest.raises(ValueError, match=budget.format(7, "bb84", 4)):
+            additivity_trial(7, 2.0, BB84, trials=8, seed=1)
+        with pytest.raises(ValueError, match=budget.format(4, "six", 3)):
+            ensemble_trial(4, 2.0, SIX, k_count=2, trials=8, seed=1)
+
     @pytest.mark.parametrize(
         "family,n,alpha,trials,seed",
         [
