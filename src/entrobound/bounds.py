@@ -139,7 +139,7 @@ def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
 def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
     n = _require_block_length(n)
     epsilon = _require_epsilon(epsilon)
-    eps_term = math.log2(2.0 / epsilon**2)
+    eps_term = 1.0 - 2.0 * math.log2(epsilon)  # log2(2/eps^2), finite even where eps^2 underflows
     ceiling = family.rate_ceiling
     if s is not None:
         s = float(s)
@@ -178,14 +178,18 @@ def legacy_min_n(delta: float, epsilon: float) -> int:
     """Least block length for which the legacy error is at most ``epsilon``."""
     delta = _require_delta(delta)
     epsilon = _require_epsilon(epsilon)
-    n = math.ceil(128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * math.log(1.0 / epsilon) / delta**2)
-    n = max(n, 1)
-    # Guard against float edges of the ceiling: enforce minimality exactly.
-    while legacy_epsilon(n, delta) > epsilon:
-        n += 1
-    while n > 1 and legacy_epsilon(n - 1, delta) <= epsilon:
-        n -= 1
-    return n
+    n = math.ceil(128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * -math.log(epsilon) / delta**2)
+    # Guard against float edges of the ceiling: enforce minimality exactly, by
+    # bisection, as near eps = 5e-324 the error rounds to eps over ~1e7 n.
+    lo, hi = max(n, 1) - 1, max(n, 1)  # lo = 0 stands in for infeasible
+    while legacy_epsilon(hi, delta) > epsilon:
+        lo, hi = hi, 2 * hi
+    while lo > 0 and legacy_epsilon(lo, delta) <= epsilon:
+        lo, hi = lo // 2, lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if legacy_epsilon(mid, delta) <= epsilon else (mid, hi)
+    return hi
 
 
 def binary_entropy(p: float) -> float:
@@ -207,7 +211,7 @@ def renyi_to_smooth_min_entropy(h_alpha: float, alpha: float, epsilon: float) ->
     """
     alpha = _require_alpha(alpha)
     epsilon = _require_epsilon(epsilon)
-    return float(h_alpha) - math.log2(2.0 / epsilon**2) / (alpha - 1.0)
+    return float(h_alpha) - (1.0 - 2.0 * math.log2(epsilon)) / (alpha - 1.0)
 
 
 def plain_minentropy_rate_bb84() -> float:

@@ -11,10 +11,10 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 * ``figure`` emits a CSV of minimal block lengths over a rate/epsilon grid;
 * ``feasible`` checks a rate against the binary-entropy error cost.
 
-Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
-errors including malformed table files, results that are not finite and
-arithmetic errors such as a division by an underflowed eps**2 (stdout is
-always valid JSON).
+Exit codes: 0 on success, 1 when a verification suite fails, and 2, with
+one ``error:`` line on stderr, on usage errors including malformed table
+files, results that are not finite, arithmetic errors such as a block length
+beyond float range, and running out of memory (stdout is always valid JSON).
 
 ``rate``, ``blocklen``, ``legacy-eps`` and ``feasible`` run on the bound
 layer alone and never import numpy; the other commands import what they
@@ -214,7 +214,7 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ArithmeticError as exc:  # e.g. an eps so small that eps**2 underflows to 0
+    except (ArithmeticError, MemoryError) as exc:  # e.g. a 400-digit --n; a huge --trials
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 

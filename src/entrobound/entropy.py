@@ -5,7 +5,9 @@ to each context and an outcome distribution within it. Min-entropy averages
 the best guessing probability, the Renyi family averages alpha-th powers of
 the outcome probabilities, and the Shannon form averages per-context
 entropies. Renyi orders are restricted to (1, 2] because that is the range
-the min-entropy chaining step accepts.
+the min-entropy chaining step accepts. Every Renyi entropy in the package,
+of tables, trials and Bloch grid points, comes from one cancellation-free
+reduction here, accurate down to the Shannon limit alpha -> 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bounds import _require_alpha
+from .bounds import _LN2, _require_alpha
 from .tables import ConditionalTable
 
 
@@ -28,14 +30,21 @@ def cond_min_entropy(table: ConditionalTable) -> float:
     return -math.log2(guess)
 
 
-def _power_sums(weights: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray:
-    return ((probs**alpha).sum(axis=-1) * weights).sum(axis=-1)
+def _row_excess(probs: np.ndarray, s: float) -> np.ndarray:
+    """Per-row ``sum_x p expm1(s ln p)``: the power sum of order 1+s minus 1, uncancelled."""
+    with np.errstate(divide="ignore"):  # p = 0 gives ln p = -inf and a term of 0
+        return (probs * np.expm1(s * np.log(probs))).sum(axis=-1)
+
+
+def _excess_entropies(weights, excess: np.ndarray, s: float) -> np.ndarray:
+    """Renyi entropies ``-log1p(sum_c w_c e_c) / (s ln 2)`` of row excesses on the last axis."""
+    return -np.log1p((excess * weights).sum(axis=-1)) / (s * _LN2)
 
 
 def renyi_power_sum(table: ConditionalTable, alpha: float) -> float:
     """Weighted sum of alpha-th powers of the outcome probabilities."""
-    alpha = _require_alpha(alpha)
-    return float(_power_sums(table.weight_vector, table.prob_matrix, alpha))
+    s = _require_alpha(alpha) - 1.0
+    return 1.0 + float(np.dot(table.weight_vector, _row_excess(table.prob_matrix, s)))
 
 
 def renyi_entropies(weights: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray:
@@ -43,18 +52,18 @@ def renyi_entropies(weights: np.ndarray, probs: np.ndarray, alpha: float) -> np.
 
     ``probs`` holds validated rows with shape (..., contexts, outcomes) and
     ``weights`` broadcasts against (..., contexts); the result has the
-    leading shape. Each entry is log2 of the weighted power sum, scaled by
-    1/(1 - alpha).
+    leading shape. Each entry is ``log2`` of the weighted power sum over
+    ``1 - alpha``, computed from the row excesses of :func:`_row_excess`.
     """
-    alpha = _require_alpha(alpha)
-    return np.log2(_power_sums(weights, probs, alpha)) / (1.0 - alpha)
+    s = _require_alpha(alpha) - 1.0
+    return _excess_entropies(weights, _row_excess(probs, s), s)
 
 
 def cond_renyi_entropy(table: ConditionalTable, alpha: float) -> float:
     """Conditional Renyi entropy of order alpha in (1, 2].
 
-    Computed as log2 of the weighted power sum, scaled by 1/(1 - alpha).
-    Never smaller than :func:`cond_min_entropy` of the same table.
+    Meets :func:`cond_shannon_entropy` as alpha -> 1, and is never smaller
+    than :func:`cond_min_entropy` of the same table.
     """
     return float(renyi_entropies(table.weight_vector, table.prob_matrix, alpha))
 

@@ -8,10 +8,9 @@ fact the closed-form bounds rely on:
   floor, without trusting the analytic reduction to the sphere surface.
   Both families share one power sum, ``bloch_power_sum``, over the Bloch
   components along their B measured axes, and one grid: the radius times
-  the direction of B - 1 angles. The grid is streamed in chunks of radius
-  rows, so memory is O(resolution) for BB84 and one radius slab for
-  six-state, and orders so close to 1 that rounding would decide the
-  verdict are refused;
+  the direction of B - 1 angles. The grid is ranked by the power sum in
+  streamed chunks of radius rows, and the points that can hold the minimum
+  are reduced as tables by the Renyi reduction that every suite shares;
 * ``stationary_signs`` checks the signs of the two second-derivative
   functions that make the basis eigenstates the only maximisers;
 * ``curvature_gap_sweep`` checks nonnegativity of the auxiliary function
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import FigureRow, figure_rows, renyi_floor  # figure_rows is re-exported
-from .entropy import renyi_entropies
+from .entropy import _excess_entropies, _row_excess, renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
     _require_qubit_budget,
@@ -134,7 +133,7 @@ def six_state_surface(s, r, phi, theta):
 
 
 def surface_entropy(power_sum, s):
-    """Renyi entropy of order 1+s from a power-sum value."""
+    """Renyi entropy ``-log2(P)/s`` of order 1+s from a power-sum value, to ``1/s`` accuracy."""
     return -np.log2(power_sum) / s
 
 
@@ -142,9 +141,8 @@ def surface_entropy(power_sum, s):
 # one radius slab whatever the cap, since the search streams radius chunks.
 _SIX_STATE_AXIS_CAP = 100
 # Grid points per radius chunk: the search's working set is a few arrays of
-# this many doubles, plus one minimum per radius row.
+# this many doubles, plus two values per radius row.
 _CHUNK_POINTS = 2**16
-_UNDERSHOOT_TOL = 1e-9  # how far the grid minimum may fall below the floor and pass
 
 
 def _near_eigenstate(point, step_r: float, step_ang: float) -> bool:
@@ -167,68 +165,62 @@ def grid_search_min(
     a curvature-aware tolerance, never undershoots it beyond 1e-9, and the
     argmin sits within one grid step of a basis eigenstate.
 
-    The grid is evaluated in chunks of radius rows, about ``_CHUNK_POINTS``
-    points each, keeping only each row's minimum; the row holding the argmin
-    is then evaluated again. Memory is O(resolution) for BB84 and one radius
-    slab of the octant for six-state, and the report is the one a whole-grid
-    evaluation gives: each grid value comes from the same elementwise
-    operations on the same operands, the least row minimum is the grid
-    minimum, and the first point in row-major order within 1e-12 of it lies
-    in the first row whose minimum is within 1e-12 of it.
-
-    Near alpha = 1 the entropy ``-log2(P)/s`` amplifies the rounding of the
-    power sum ``P`` by ``1/(s ln 2)``. With unit roundoff u = 2^-53 and
-    numpy's pow, sin, cos and log2 within one ulp (2u), for B bases:
-
-    * each Bloch component is off by at most 3(B-1)u, which moves ``P`` by at
-      most 6(B-1)u relative, as ``|dP/dx_i| <= e/(2B)`` and ``P >= 2^-s >= 1/2``;
-    * each power ``(1 +- x)^e`` carries 4u: e u from rounding ``1 +- x``, 2u
-      from pow;
-    * the sum of the 2B powers adds (2B - 1)u, the divisor ``B 2^e`` 4u and
-      log2 2u.
-
-    So the computed entropy is off by at most ``(8B + 3)u / (s ln 2)``. The
-    verdict means something only while that fits inside the 1e-9 by which
-    the grid minimum may undershoot the floor, so ``s = alpha - 1`` below
-    ``(8B + 3)u / (1e-9 ln 2)``, 3.0e-6 for BB84 and 4.3e-6 for six-state,
-    raises ``ValueError``.
+    A point's entropy is that of its table, rows ``((1 + x_i)/2, (1 - x_i)/2)``
+    weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`; it falls
+    as the power sum P rises. A pass over chunks of about ``_CHUNK_POINTS``
+    points keeps each radius row's largest P. Only points at or above the cut
+    ``(1 - 2 (8B + 3)u - 2e-12 s ln 2)`` times the largest P (u = 2^-53) are
+    reduced as tables, keeping each row's least entropy, and the first row
+    within 1e-12 of the minimum is reduced again for the argmin, its first
+    point within 1e-12. Memory is O(resolution) for BB84 and one radius slab
+    for six-state, and the report is that of reducing every point: with pow,
+    sin and cos within 2u, a computed P is within (8B + 1)u of exact (6(B-1)u
+    from the components, as ``|dP/dx_i| <= e/(2B)`` and ``P >= 1/2``; 4u from
+    the powers, (2B - 1)u from their sum, 4u from the divisor), and a table
+    entropy within 1e-13 bits whatever s is (its terms ``p expm1(s ln p)``
+    share one sign, and moving an entry p by d moves it by about
+    ``(1 + |ln p|) d`` bits). So a point within 1e-12 of the minimum is
+    within 2e-12 bits, exactly, of the largest-P point, and as
+    ``P = 2^(-s H)`` its computed P reaches the cut, which keeps 2u spare for
+    its own rounding. Near alpha = 1 that is almost every point.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
     bases = family.bases_per_qubit
-    min_s = (8 * bases + 3) * 2.0**-53 / (_UNDERSHOOT_TOL * _LN2)  # see the docstring
-    if s < min_s:
-        raise ValueError(
-            f"alpha - 1 = {s!r} is below {min_s:.1e}: the rounding of the {family.value} "
-            f"grid entropies would exceed the {_UNDERSHOOT_TOL} pass tolerance"
-        )
     six_state = family is MeasurementFamily.SIX_STATE
     res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
     r = np.linspace(0.0, 1.0, res_eff)
     ang = np.linspace(0.0, math.pi / 2.0, res_eff)
     axes = [r] + [ang] * (bases - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-
-    def entropy_rows(start: int, stop: int) -> np.ndarray:
-        """``(rows, points per row)`` entropies of radius rows ``start:stop``."""
-        power_sum = bloch_power_sum(s, _bloch_components(radius[start:stop], angles))
-        return surface_entropy(power_sum, s).reshape(stop - start, -1)
-
     height = max(1, _CHUNK_POINTS // res_eff ** len(angles))
-    row_min = np.empty(res_eff)
-    for start in range(0, res_eff, height):
-        stop = min(start + height, res_eff)
-        row_min[start:stop] = entropy_rows(start, stop).min(axis=1)
+
+    def table_entropies(rows: np.ndarray) -> np.ndarray:
+        """Entropies of the points of ``rows`` that reach the cut, +inf at the others."""
+        components = _bloch_components(radius[rows], angles)
+        keep = bloch_power_sum(s, components) >= cut
+        x = np.stack(np.broadcast_arrays(*components), axis=-1)[keep]
+        entropy = np.full(keep.shape, np.inf)
+        entropy[keep] = renyi_entropies(1.0 / bases, np.stack([1.0 + x, 1.0 - x], -1) / 2.0, alpha)
+        return entropy.reshape(len(rows), -1)
+
+    row_max = np.empty(res_eff)
+    for rows in np.array_split(np.arange(res_eff), -(-res_eff // height)):
+        power_sum = bloch_power_sum(s, _bloch_components(radius[rows], angles))
+        row_max[rows] = power_sum.reshape(len(rows), -1).max(axis=1)
+    cut = float(row_max.max()) * (1.0 - 2 * (8 * bases + 3) * 2.0**-53 - 2e-12 * s * _LN2)
+    candidates = np.flatnonzero(row_max >= cut)
+    row_min = np.full(res_eff, np.inf)
+    for rows in np.array_split(candidates, -(-len(candidates) // height)):
+        row_min[rows] = table_entropies(rows).min(axis=1)
 
     grid_min = float(row_min.min())
-    # At alpha = 2 the power sum depends on the radius alone, so the whole
-    # r = 1 arc ties for the minimum up to rounding; break ties toward the
-    # smallest flat index, which is deterministic and independent of
-    # execution order.
+    # Ties (the whole r = 1 arc at alpha = 2, where P depends on the radius
+    # alone) go to the smallest flat index, whatever the execution order.
     row = int(np.argmax(row_min <= grid_min + 1e-12))
-    column = int(np.argmax(entropy_rows(row, row + 1)[0] <= grid_min + 1e-12))
+    column = int(np.argmax(table_entropies(np.array([row]))[0] <= grid_min + 1e-12))
     index = (row, *np.unravel_index(column, (res_eff,) * len(angles)))
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     margin = grid_min - floor
@@ -240,7 +232,7 @@ def grid_search_min(
     tolerance = max(1e-3, max(step_r, step_ang) ** 2 / (s * _LN2))
     argmin_ok = _near_eigenstate(argmin, step_r, step_ang)
 
-    passed = (margin >= -_UNDERSHOOT_TOL) and (abs(margin) <= tolerance) and argmin_ok
+    passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok
     notes = (
         f"family={family.value}; alpha={alpha!r}; closed-form floor={floor!r}; "
         f"grid min={grid_min!r}; tolerance={tolerance!r} (curvature-aware); "
@@ -404,25 +396,18 @@ def curvature_gap_sweep(
 
 def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
     bases = family.bases_per_qubit
-    probes = [
+    return [
         ((0,) * n_qubits, (0,) * n_qubits),
         ((bases - 1,) * n_qubits, tuple(i % 2 for i in range(n_qubits))),
         (tuple(i % bases for i in range(n_qubits)), (1,) * n_qubits),
     ]
-    return probes
 
 
 @functools.lru_cache(maxsize=None)
 def _probe_states(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
     """Read-only stack of the eigenstate probes of :func:`_eigenstate_probes`."""
-    return _read_only(
-        np.array(
-            [
-                product_eigenstate(family, theta, x).matrix
-                for theta, x in _eigenstate_probes(family, n_qubits)
-            ]
-        )
-    )
+    probes = _eigenstate_probes(family, n_qubits)
+    return _read_only(np.array([product_eigenstate(family, t, x).matrix for t, x in probes]))
 
 
 def additivity_trial(
@@ -490,9 +475,9 @@ def ensemble_trial(
     probabilities. The table conditioned on both basis and label must stay
     above ``n`` times the floor (within 1e-9) and above the worst member's
     own entropy (within 1e-10). The members of all trials are drawn as one
-    stack and tabulated once, in one batch; the ensemble tables and the
-    member tables are both read off those rows. The members of the worst
-    ensemble are the report's witness.
+    stack and tabulated once, in one batch, and each row's excess is reduced
+    once: the ensemble entropies and the member entropies are two weighted
+    sums of it. The members of the worst ensemble are the report's witness.
     """
     if k_count < 2:
         raise ValueError(f"k_count must be >= 2, got {k_count!r}")
@@ -513,19 +498,18 @@ def ensemble_trial(
     states = random_densities(n_qubits, ranks.ravel(), state_seeds.ravel())
     matrices = states.reshape(trials, k_count, dim, dim)
 
-    weights, rows = stack_outcome_arrays(matrices, checked_probabilities(probabilities), family)
-    table_entropies = renyi_entropies(weights, rows, alpha)
-    # Member j's own table is its block of contexts, reweighted within the
-    # block as subtables_by_k does; a block of zero weight has no table.
-    blocks = weights.reshape(trials, k_count, -1)
-    totals = blocks.sum(axis=-1, keepdims=True)
-    member_weights = np.divide(blocks, totals, out=np.zeros_like(blocks), where=totals > 0.0)
-    with np.errstate(divide="ignore"):  # log2(0) makes a zero-weight block's entropy +inf
-        member_entropies = renyi_entropies(
-            member_weights, rows.reshape(*blocks.shape, rows.shape[-1]), alpha
-        )
+    s = alpha - 1.0
+    probabilities = checked_probabilities(probabilities)
+    weights, rows = stack_outcome_arrays(matrices, probabilities, family)
+    excess = _row_excess(rows, s)
+    table_entropies = _excess_entropies(weights, excess, s)
+    # Member j's own table is its block, each basis string weighing 1/bases^n as
+    # in subtables_by_k; a member of zero weight has none and stays out of the min.
+    blocks = excess.reshape(trials, k_count, -1)
+    member_entropies = _excess_entropies(1.0 / blocks.shape[-1], blocks, s)
+    weakest = member_entropies.min(axis=1, where=probabilities > 0.0, initial=np.inf)
     floor_margins = table_entropies - floor_total
-    member_margins = table_entropies - member_entropies.min(axis=1)
+    member_margins = table_entropies - weakest
     worst_index = int(np.argmin(np.minimum(floor_margins, member_margins)))
     worst_floor = float(floor_margins.min())
     worst_member = float(member_margins.min())

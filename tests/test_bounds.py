@@ -63,6 +63,14 @@ class TestLegacyBound:
         stricter = legacy_min_n(0.0106, 0.01)
         assert stricter / base == pytest.approx(math.log(100) / math.log(10), rel=1e-6)
 
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 0.0106])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-310, 5e-324])
+    def test_min_n_at_subnormal_eps(self, delta, eps):
+        # log(1/eps) overflowed at 5e-324; below ~1e-320 the error rounds to
+        # eps over up to 5e7 consecutive n, which a step-by-step fix-up walks
+        n = legacy_min_n(delta, eps)
+        assert legacy_epsilon(n, delta) <= eps < legacy_epsilon(n - 1, delta)
+
     @pytest.mark.parametrize("delta", [0.0, -0.1, 0.51, 1.0])
     def test_delta_domain(self, delta):
         with pytest.raises(ValueError):
@@ -255,6 +263,11 @@ class TestChainStep:
         h = 0.3125
         assert renyi_to_smooth_min_entropy(h, 1.5, 0.1) == pytest.approx(h - 2.0 * LOG2_200, abs=1e-12)
 
+    def test_tiny_epsilon_stays_finite(self):
+        # eps^2 underflows to 0 at 1e-170 and log2(2/eps^2) divided by it
+        expected = 1.0 - (1.0 + 340.0 * math.log2(10.0))
+        assert renyi_to_smooth_min_entropy(1.0, 2.0, 1e-170) == pytest.approx(expected, rel=1e-14)
+
     def test_strictly_below_input(self):
         for eps in (0.01, 0.5, 0.99):
             assert renyi_to_smooth_min_entropy(1.0, 2.0, eps) < 1.0
@@ -294,6 +307,12 @@ class TestMinBlockLength:
         assert 1.0e3 <= scan_n <= 1.2e3
         assert min_n_for_rate(target, 0.1, BB84, "new") == scan_n
 
+    @pytest.mark.parametrize("eps, n", [(1e-160, 9250), (1e-200, 11560), (1e-300, 17335)])
+    def test_tiny_eps_matches_closed_form(self, eps, n):
+        # ceil(c / max_s s (floor(s) - r)) with c = 1 - 2 log2(eps): eps^2
+        # underflowed, so 1e-160 was reported infeasible and the others divided by 0
+        assert min_n_for_rate(0.3, eps, BB84, "new") == n
+
     def test_six_state_inversion(self):
         n = min_n_for_rate(0.6, 0.1, SIX, "new")
         assert rate_six(n, 0.1).rate >= 0.6 > rate_six(n - 1, 0.1).rate
@@ -325,7 +344,7 @@ class TestMinBlockLength:
     @given(
         st.sampled_from([BB84, SIX]),
         st.floats(min_value=0.01, max_value=0.999),
-        st.floats(min_value=-30.0, max_value=math.log10(0.9)),
+        st.floats(min_value=-320.0, max_value=math.log10(0.9)),
     )
     def test_round_trip(self, family, fraction, log10_eps):
         eps = 10.0**log10_eps

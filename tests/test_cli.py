@@ -56,18 +56,23 @@ class TestRateCommand:
         assert "epsilon" in err
 
     def test_infinite_rate_is_refused(self, capsys):
-        # eps^2 is subnormal here, so the correction term and the rate are infinite
-        code, out, err = run_cli(capsys, "rate", "--family", "bb84", "--n", "1000", "--eps", "1e-160")
+        # s * n is subnormal here, so the correction term and the rate are infinite
+        code, out, err = run_cli(
+            capsys, "rate", "--family", "bb84", "--n", "1000", "--eps", "0.5", "--s", "5e-324"
+        )
         assert code == 2
         assert out == ""
         assert "not finite" in err
 
-    def test_underflowing_eps_is_usage_error(self, capsys):
-        # eps^2 underflows to 0 and the bound divides by it
-        code, out, err = run_cli(capsys, "rate", "--family", "bb84", "--n", "1000", "--eps", "1e-170")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ZeroDivisionError")
+    @pytest.mark.parametrize("eps, n", [("1e-160", 9250), ("1e-300", 17335)])
+    def test_tiny_eps_rate_first_reaches_the_target_at_the_minimal_n(self, capsys, eps, n):
+        # eps^2 underflows: 1e-160 printed an infinite rate, 1e-300 divided by zero
+        rates = []
+        for block in (n - 1, n):
+            code, out, _ = run_cli(capsys, "rate", "--family", "bb84", "--n", str(block), "--eps", eps)
+            assert code == 0
+            rates.append(json.loads(out)["rate"])
+        assert rates[0] < 0.3 <= rates[1]
 
     @pytest.mark.parametrize(
         "family, s, ceiling",
@@ -124,15 +129,15 @@ class TestBlocklenCommand:
         assert out == ""
         assert "finite" in err
 
-    def test_underflowing_eps_is_usage_error(self, capsys):
-        code, out, err = run_cli(
+    @pytest.mark.parametrize("eps", ["1e-160", "1e-170", "1e-300"])
+    def test_tiny_eps_block_length_is_minimal(self, capsys, eps):
+        code, out, _ = run_cli(
             capsys,
-            "blocklen", "--family", "bb84", "--rate", "0.4", "--eps", "1e-170",
-            "--method", "new",
+            "blocklen", "--family", "bb84", "--rate", "0.4", "--eps", eps, "--method", "new",
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ZeroDivisionError")
+        assert code == 0
+        n = json.loads(out)["n"]
+        assert bounds.rate_bb84(n, float(eps)).rate >= 0.4 > bounds.rate_bb84(n - 1, float(eps)).rate
 
     def test_infeasible_rate(self, capsys):
         code, _, err = run_cli(
@@ -160,6 +165,19 @@ class TestEntropyCommand:
         assert doc["h_min"] == pytest.approx(math.log2(4 / 3), abs=1e-12)
         assert doc["h_alpha"] == pytest.approx(math.log2(4 / 3), abs=1e-12)
         assert doc["h_shannon"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["bb84", "six"])
+    def test_alpha_near_one_meets_shannon(self, capsys, tmp_path, family):
+        # A BB84 n = 3 table printed h_alpha 2.3e-5 below h_shannon at this order.
+        family = families.MeasurementFamily(family)
+        n = 3 if family is families.MeasurementFamily.BB84 else 2
+        table = entrobound.outcome_table(entrobound.random_density(n, 2**n, seed=4), family)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json_dict()))
+        code, out, _ = run_cli(capsys, "entropy", "--table", str(path), "--alpha", "1.000000000001")
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["h_alpha"] - doc["h_shannon"]) <= 1e-10
 
     def test_malformed_table_names_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -266,15 +284,25 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "family,alpha", [("six", "1.0000000001"), ("bb84", "1.00000000000001")]
     )
-    def test_alpha_too_close_to_one_is_a_usage_error(self, capsys, family, alpha):
-        # Both printed a wrong verdict: the rounding of -log2(P)/s grows like 1/s.
-        code, out, err = run_cli(
+    def test_alpha_close_to_one_verifies(self, capsys, family, alpha):
+        # Both were refused: the rounding of -log2(P)/s grows like 1/s.
+        code, out, _ = run_cli(
             capsys, "verify", "--suite", "single-qubit", "--family", family,
             "--alpha", alpha, "--resolution", "50",
         )
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["pass"] is True and abs(report["worst_margin"]) <= 1e-13
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12, 4, 4)")
+
+        monkeypatch.setattr(cli.verify, "additivity_trial", exhausted)
+        code, out, err = run_cli(capsys, "verify", "--suite", "additivity")
         assert code == 2
         assert out == ""
-        assert "alpha - 1" in err and "pass tolerance" in err
+        assert err == "error: MemoryError: Unable to allocate 7.28 TiB for an array with shape (10**12, 4, 4)\n"
 
     @pytest.mark.parametrize("family", ["six", "bb84"])
     def test_alpha_near_one_still_verifies(self, capsys, family):

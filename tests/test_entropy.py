@@ -19,7 +19,8 @@ from entrobound import (
     renyi_power_sum,
     uniform_table,
 )
-from helpers import deterministic_table, eigenstate_table, random_table
+from entrobound.entropy import renyi_entropies
+from helpers import decimal_renyi_entropy, deterministic_table, eigenstate_table, random_table
 
 LOG2_4_3 = math.log2(4.0 / 3.0)  # -log2(1/2 * 1 + 1/2 * 1/2), direct evaluation
 
@@ -79,7 +80,7 @@ class TestShannonEntropy:
 
 
 @st.composite
-def tables(draw):
+def tables(draw, entries=st.floats(0.001, 1.0, allow_nan=False)):
     num_outcomes = draw(st.integers(2, 4))
     num_contexts = draw(st.integers(1, 5))
     raw_weights = draw(
@@ -89,11 +90,7 @@ def tables(draw):
     )
     rows = draw(
         st.lists(
-            st.lists(
-                st.floats(0.001, 1.0, allow_nan=False),
-                min_size=num_outcomes,
-                max_size=num_outcomes,
-            ),
+            st.lists(entries, min_size=num_outcomes, max_size=num_outcomes).filter(any),
             min_size=num_contexts,
             max_size=num_contexts,
         )
@@ -108,10 +105,7 @@ def tables(draw):
     return ConditionalTable(contexts)
 
 
-# Orders below 1 + 1e-4 are excluded here: the 1/(alpha - 1) prefactor
-# amplifies float rounding of the power sum past the 1e-10 margin on
-# near-uniform tables. The seeded loop below still covers alpha = 1 + 1e-6.
-@given(tables(), st.sampled_from([1.0 + 1e-4, 1.2, 1.5, 1.8, 2.0]))
+@given(tables(), st.sampled_from([1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-4, 1.2, 1.5, 1.8, 2.0]))
 @settings(max_examples=200, deadline=None)
 def test_min_entropy_never_exceeds_renyi(table, alpha):
     assert cond_min_entropy(table) <= cond_renyi_entropy(table, alpha) + 1e-10
@@ -127,6 +121,29 @@ def test_entropies_within_range(table):
         cond_shannon_entropy(table),
     ):
         assert -1e-10 <= value <= top + 1e-10
+
+
+# Orders alpha = 1 + 10^x for x in [-15, 0], log-uniformly.
+near_one_orders = st.floats(-15.0, 0.0).map(lambda x: 1.0 + 10.0**x)
+
+
+@given(tables(st.sampled_from([0.0, 1e-300, 1e-9]) | st.floats(0.001, 1.0)), near_one_orders)
+@settings(max_examples=200, deadline=None)
+def test_renyi_entropies_match_decimal_oracle(table, alpha):
+    # The textbook -log2(P)/s form misses this by ~1e-16/s bits near alpha = 1.
+    weights, rows = table.weight_vector, table.prob_matrix
+    entropy = float(renyi_entropies(weights, rows, alpha))
+    assert abs(entropy - float(decimal_renyi_entropy(weights, rows, alpha))) <= 1e-14
+    stacked = renyi_entropies(np.stack([weights, weights[::-1]]), np.stack([rows, rows[::-1]]), alpha)
+    assert stacked.shape == (2,) and abs(stacked[1] - entropy) <= 1e-14
+
+
+@given(tables(), st.floats(-15.0, -12.0).map(lambda x: 1.0 + 10.0**x))
+@settings(max_examples=100, deadline=None)
+def test_renyi_meets_shannon_near_alpha_one(table, alpha):
+    # H_alpha <= H_1 holds exactly; 1e-14 allows for the rounding of both sides.
+    gap = cond_shannon_entropy(table) - cond_renyi_entropy(table, alpha)
+    assert -1e-14 <= gap <= 1e-10
 
 
 def test_ordering_on_thousand_random_tables():

@@ -38,6 +38,7 @@ from entrobound.simulator import DensityOperator, product_eigenstate
 from entrobound import verify
 from entrobound.verify import _eigenstate_probes, _near_eigenstate, _probe_states
 from helpers import (
+    entropy_space_grid_search_min,
     reference_additivity,
     reference_ensemble,
     series_remainder_bound,
@@ -170,7 +171,7 @@ class TestGridSearch:
     @given(
         st.data(),
         st.sampled_from([BB84, SIX]),
-        st.just(2.0) | st.floats(min_value=-4.0, max_value=0.0).map(lambda x: 1.0 + 10.0**x),
+        st.just(2.0) | st.floats(min_value=-15.0, max_value=0.0).map(lambda x: 1.0 + 10.0**x),
         st.sampled_from([None, 1, 997, 4099]),
     )
     def test_streamed_search_matches_whole_grid(self, data, family, alpha, chunk_points):
@@ -207,16 +208,33 @@ class TestGridSearch:
         assert peaks[1] < 8 * 2**20
         assert abs(peaks[1] - peaks[0]) < 2**20
 
-    @pytest.mark.parametrize("family,bound", [(BB84, 3.04e-6), (SIX, 4.33e-6)])
-    def test_alpha_too_close_to_one_is_refused(self, family, bound):
-        # Rounding of the power sum, (8B + 3) u / (s ln 2), would exceed the
-        # 1e-9 pass tolerance below the bound.
-        for s in (1e-14, 1e-9, 0.99 * bound):
-            with pytest.raises(ValueError, match="alpha - 1"):
-                grid_search_min(family, 1.0 + s, resolution=50)
-        report = grid_search_min(family, 1.0 + 1.01 * bound, resolution=50)
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("s", [1e-15, 1e-12, 1e-9, 3.0e-6, 4.3e-6])
+    def test_alpha_near_one_passes(self, family, s):
+        # Each order was refused (alpha - 1 below 3.0e-6 for BB84, 4.3e-6 for
+        # six-state) rather than verified.
+        report = grid_search_min(family, 1.0 + s, resolution=50)
         assert report.passed
-        assert abs(report.worst_margin) <= 1e-9
+        assert abs(report.worst_margin) <= 1e-13
+        assert report.argmin == (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from([BB84, SIX]),
+        st.just(2.0) | st.floats(math.log10(4.3e-6), 0.0).map(lambda x: 1.0 + 10.0**x),
+    )
+    def test_verdict_matches_entropy_space_search(self, data, family, alpha):
+        # Where the earlier -log2(P)/s search was accurate enough to give a
+        # verdict, the verdicts and argmins agree and the margins differ by no
+        # more than its rounding, (8B + 3) 2^-53 / (s ln 2).
+        top = 400 if family is BB84 else 100
+        resolution = data.draw(st.integers(min_value=50, max_value=top), label="resolution")
+        report = grid_search_min(family, alpha, resolution)
+        expected = entropy_space_grid_search_min(family, alpha, resolution)
+        assert (report.passed, report.argmin) == (expected.passed, expected.argmin)
+        rounding = (8 * family.bases_per_qubit + 3) * 2.0**-53 / ((alpha - 1.0) * math.log(2.0))
+        assert abs(report.worst_margin - expected.worst_margin) <= rounding + 1e-15
 
 
 class TestStationarySigns:
@@ -349,6 +367,31 @@ class TestTrials:
         )
         mixed = cond_renyi_entropy(outcome_table(ensemble, BB84), 2.0)
         assert mixed == pytest.approx(single, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12])
+    def test_trials_pass_near_alpha_one(self, family, s):
+        # -log2(P)/s failed every additivity case (eigenstate deviations of
+        # 1.6e-8 to 1.3e-4 against 1e-10) and the six-state ensemble at 1e-12.
+        additivity = additivity_trial(2, 1.0 + s, family, trials=50, seed=0)
+        assert additivity.passed
+        ensemble = ensemble_trial(2, 1.0 + s, family, k_count=2, trials=200, seed=0)
+        assert ensemble.passed
+
+    def test_zero_weight_member_stays_out_of_the_minimum(self, monkeypatch):
+        # Member 0 is a basis eigenstate, the least entropy any state has, but
+        # has zero weight: the ensemble is member 1 alone, the maximally mixed
+        # state, so the margin above the weakest member is 0, not 2 - 2 floor.
+        mixed = np.eye(4, dtype=complex) / 4
+        eigen = product_eigenstate(BB84, (0, 0), (0, 0)).matrix
+        monkeypatch.setattr(
+            verify, "random_densities", lambda n, ranks, seeds: np.array([eigen, mixed] * 3)
+        )
+        monkeypatch.setattr(verify, "checked_probabilities", lambda p: np.tile([0.0, 1.0], (3, 1)))
+        report = ensemble_trial(2, 1.5, BB84, k_count=2, trials=3, seed=0)
+        weakest = float(report.notes.split("weakest member=")[1].split()[0])
+        assert report.passed and abs(weakest) <= 1e-15
+        assert report.worst_margin == pytest.approx(2.0 - 2 * renyi_floor(1.5, BB84), abs=1e-12)
 
     def test_trial_validation(self):
         with pytest.raises(ValueError):
