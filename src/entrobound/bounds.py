@@ -21,6 +21,9 @@ The maximum over s is one golden-section search over ``log s`` on
 linear one, so it is quasi-concave in s and in ``log s``. The module is plain
 ``math``, so the scalar commands built on it never load numpy.
 
+Both inversions to a least block length are one exact search of a monotone
+predicate in n, ``_least_n``, from a guess (the legacy closed form, or 1).
+
 Note the legacy error formula mixes logarithm bases on purpose: the outer
 exponential is natural while the inner log is base 2. The choice reproduces
 the reference block lengths (n ~ 2.4e8 at delta = 0.0106, eps = 0.1).
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .families import MeasurementFamily
 
@@ -175,21 +178,15 @@ def legacy_epsilon(n, delta: float) -> float:
 
 
 def legacy_min_n(delta: float, epsilon: float) -> int:
-    """Least block length for which the legacy error is at most ``epsilon``."""
+    """Least block length for which the legacy error is at most ``epsilon``.
+
+    The closed form is only the guess of :func:`_least_n`, which makes the
+    answer exact: near eps = 5e-324 the error rounds to eps over ~1e7 n.
+    """
     delta = _require_delta(delta)
     epsilon = _require_epsilon(epsilon)
-    n = math.ceil(128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * -math.log(epsilon) / delta**2)
-    # Guard against float edges of the ceiling: enforce minimality exactly, by
-    # bisection, as near eps = 5e-324 the error rounds to eps over ~1e7 n.
-    lo, hi = max(n, 1) - 1, max(n, 1)  # lo = 0 stands in for infeasible
-    while legacy_epsilon(hi, delta) > epsilon:
-        lo, hi = hi, 2 * hi
-    while lo > 0 and legacy_epsilon(lo, delta) <= epsilon:
-        lo, hi = lo // 2, lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if legacy_epsilon(mid, delta) <= epsilon else (mid, hi)
-    return hi
+    guess = math.ceil(128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * -math.log(epsilon) / delta**2)
+    return _least_n(lambda n: legacy_epsilon(n, delta) <= epsilon, guess)
 
 
 def binary_entropy(p: float) -> float:
@@ -223,6 +220,27 @@ def plain_minentropy_rate_bb84() -> float:
     return -math.log2(0.5 + 0.5 / math.sqrt(2.0))
 
 
+def _least_n(reaches: Callable[[int], bool], guess: int) -> int:
+    """Least ``n >= 1`` at which the monotone predicate ``reaches`` holds.
+
+    From the guess, doubles up while ``reaches`` fails, or halves down while
+    it holds, then bisects the bracket: an exact guess costs two evaluations.
+    Any refusal, such as a largest block length, is raised by ``reaches``.
+    """
+    if reaches(guess):
+        lo, hi = guess - 1, guess  # lo = 0 stands in for "fails"
+        while lo > 0 and reaches(lo):
+            lo, hi = lo // 2, lo
+    else:
+        lo, hi = guess, 2 * guess
+        while not reaches(hi):
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
 def min_n_for_rate(
     target_rate: float,
     epsilon: float,
@@ -231,55 +249,36 @@ def min_n_for_rate(
 ) -> int:
     """Least block length whose certified rate reaches ``target_rate``.
 
-    ``method="new"`` inverts the maximised Renyi-route bound by monotone
-    binary search with a geometrically grown bracket; ``method="legacy"``
-    (two-basis only) uses the closed-form inversion at ``delta = 1/2 - rate``.
-    Raises :class:`InfeasibleRateError` when the target is at or above the
-    reachable ceiling.
+    ``method="new"`` searches the maximised Renyi-route rate from ``n = 1``
+    and refuses block lengths above 2^62; ``method="legacy"`` (two-basis only)
+    is :func:`legacy_min_n` at ``delta = 1/2 - rate``. Raises
+    :class:`InfeasibleRateError` at or above the family's ceiling.
     """
     target_rate = float(target_rate)
     if not math.isfinite(target_rate):
         raise ValueError(f"target rate must be finite, got {target_rate!r}")
     epsilon = _require_epsilon(epsilon)
-    if method == "legacy":
-        if family is not MeasurementFamily.BB84:
-            raise ValueError("the legacy bound is only available for the bb84 family")
-        if target_rate <= 0.0:
-            raise ValueError(f"target rate must be positive, got {target_rate!r}")
-        if target_rate >= 0.5:
-            raise InfeasibleRateError(
-                f"target rate {target_rate!r} is not below the legacy ceiling 0.5"
-            )
-        return legacy_min_n(0.5 - target_rate, epsilon)
-    if method != "new":
+    if method not in ("new", "legacy"):
         raise ValueError(f"method must be 'new' or 'legacy', got {method!r}")
-    ceiling = family.rate_ceiling
+    if method == "legacy" and family is not MeasurementFamily.BB84:
+        raise ValueError("the legacy bound is only available for the bb84 family")
     if target_rate <= 0.0:
         raise ValueError(f"target rate must be positive, got {target_rate!r}")
+    ceiling = family.rate_ceiling
     if target_rate >= ceiling:
         raise InfeasibleRateError(
             f"target rate {target_rate!r} is not below the asymptotic ceiling {ceiling!r}"
         )
+    if method == "legacy":
+        return legacy_min_n(ceiling - target_rate, epsilon)
+    eps_term = 1.0 - 2.0 * math.log2(epsilon)
 
-    def rate_at(n: int) -> float:
-        return _rate(n, epsilon, None, family).rate
+    def reaches(n: int) -> bool:
+        if n > 2**62:
+            raise InfeasibleRateError(f"no block length up to 2^62 certifies rate {target_rate!r}")
+        return _maximize_rate(n, eps_term, ceiling).rate >= target_rate
 
-    if rate_at(1) >= target_rate:
-        return 1
-    lo, hi = 1, 2
-    while rate_at(hi) < target_rate:
-        lo, hi = hi, hi * 2
-        if hi > 2**62:
-            raise InfeasibleRateError(
-                f"no block length up to 2^62 certifies rate {target_rate!r}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rate_at(mid) >= target_rate:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least_n(reaches, 1)
 
 
 class FigureRow(NamedTuple):

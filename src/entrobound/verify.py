@@ -140,6 +140,9 @@ def surface_entropy(power_sum, s):
 # 100^3 grid points keep the octant search's time desk scale; its memory is
 # one radius slab whatever the cap, since the search streams radius chunks.
 _SIX_STATE_AXIS_CAP = 100
+# Largest grid the search accepts, about 3 s at ~30 ns per point: BB84 up to
+# resolution 10^4; the capped six-state grid (10^6 points) always fits.
+_MAX_GRID_POINTS = 10**8
 # Grid points per radius chunk: the search's working set is a few arrays of
 # this many doubles, plus two values per radius row.
 _CHUNK_POINTS = 2**16
@@ -183,6 +186,10 @@ def grid_search_min(
     within 2e-12 bits, exactly, of the largest-P point, and as
     ``P = 2^(-s H)`` its computed P reaches the cut, which keeps 2u spare for
     its own rounding. Near alpha = 1 that is almost every point.
+
+    Raises ``ValueError`` before building any array when the grid would hold
+    more than 10^8 points (``_MAX_GRID_POINTS``, about 3 s of work): BB84
+    resolutions above 10^4.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
@@ -191,6 +198,11 @@ def grid_search_min(
     bases = family.bases_per_qubit
     six_state = family is MeasurementFamily.SIX_STATE
     res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
+    if int(res_eff) ** bases > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"resolution {resolution!r} gives a {family.value} grid of more than "
+            f"10^8 points, the limit of the single-qubit search"
+        )
     r = np.linspace(0.0, 1.0, res_eff)
     ang = np.linspace(0.0, math.pi / 2.0, res_eff)
     axes = [r] + [ang] * (bases - 1)

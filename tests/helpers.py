@@ -351,14 +351,14 @@ def reference_ensemble(
 
 
 def _bloch_grid(family: MeasurementFamily, resolution: int):
-    """Effective resolution, axes and the Bloch components of every grid point."""
+    """Effective resolution, axes, and the sparse radius and angle grids."""
     six_state = family is MeasurementFamily.SIX_STATE
     res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
     r = np.linspace(0.0, 1.0, res_eff)
     ang = np.linspace(0.0, math.pi / 2.0, res_eff)
     axes = [r] + [ang] * (family.bases_per_qubit - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return res_eff, axes, _bloch_components(radius, angles)
+    return res_eff, axes, radius, angles
 
 
 def _grid_report(family: MeasurementFamily, alpha: float, res_eff: int, axes, entropy):
@@ -397,14 +397,16 @@ def whole_grid_search_min(family: MeasurementFamily, alpha: float, resolution: i
 
     Reduces the outcome tables (rows ``((1 + x_i)/2, (1 - x_i)/2)``, weights
     ``1/B``) of all ``resolution^2`` (BB84) or ``resolution^3`` (six-state)
-    points at once, with no ranking by power sum and no cut, then takes the
-    minimum and the first flat index within 1e-12 of it.
+    points, one radius row of the grid at a time, with no ranking by power
+    sum and no cut, then takes the minimum and the first flat index within
+    1e-12 of it. Only the entropies of the whole grid are held at once.
     """
-    res_eff, axes, components = _bloch_grid(family, resolution)
-    x = np.stack(np.broadcast_arrays(*components), axis=-1)
-    tables = np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=-1)
-    del x
-    entropy = renyi_entropies(1.0 / family.bases_per_qubit, tables, alpha)
+    res_eff, axes, radius, angles = _bloch_grid(family, resolution)
+    entropy = np.empty((res_eff,) * len(axes))
+    for row in range(res_eff):
+        x = np.stack(np.broadcast_arrays(*_bloch_components(radius[row], angles)), axis=-1)
+        tables = np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=-1)
+        entropy[row] = renyi_entropies(1.0 / family.bases_per_qubit, tables, alpha)
     return _grid_report(family, alpha, res_eff, axes, entropy)
 
 
@@ -414,7 +416,7 @@ def entropy_space_grid_search_min(family: MeasurementFamily, alpha: float, resol
     Every point's entropy is ``-log2(P)/s`` of its power sum, whose rounding
     grows like ``(8B + 3) 2^-53 / (s ln 2)`` as ``s = alpha - 1`` shrinks.
     """
-    res_eff, axes, components = _bloch_grid(family, resolution)
+    res_eff, axes, radius, angles = _bloch_grid(family, resolution)
     s = alpha - 1.0
-    entropy = surface_entropy(bloch_power_sum(s, components), s)
+    entropy = surface_entropy(bloch_power_sum(s, _bloch_components(radius, angles)), s)
     return _grid_report(family, alpha, res_eff, axes, entropy)

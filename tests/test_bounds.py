@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from entrobound import (
     InfeasibleRateError,
     MeasurementFamily,
+    bounds,
     legacy_epsilon,
     legacy_min_n,
     min_n_for_rate,
@@ -340,6 +341,30 @@ class TestMinBlockLength:
         with pytest.raises(ValueError):
             min_n_for_rate(-0.1, 0.1, BB84, "new")
 
+    @pytest.mark.parametrize("method", ["new", "legacy"])
+    def test_one_target_rate_check_for_both_methods(self, method):
+        for target in (0.0, -0.1):
+            with pytest.raises(ValueError, match="positive"):
+                min_n_for_rate(target, 0.1, BB84, method)
+        for target in (0.5, 0.7):
+            with pytest.raises(InfeasibleRateError, match="ceiling 0.5"):
+                min_n_for_rate(target, 0.1, BB84, method)
+
+    @pytest.mark.parametrize("target", [0.4999999999, 0.4999999999999999])
+    def test_legacy_block_length_above_2_62_is_minimal(self, target):
+        n = min_n_for_rate(target, 0.5, BB84, "legacy")
+        assert n > 2**62
+        delta = 0.5 - target
+        assert legacy_epsilon(n, delta) <= 0.5 < legacy_epsilon(n - 1, delta)
+
+    @pytest.mark.parametrize("delta, eps", [(1e-5, 0.1), (1e-8, 0.1), (1e-6, 1e-10)])
+    def test_legacy_closed_form_off_by_rounding_is_corrected(self, delta, eps):
+        # the float closed form misses these minima by 1, 262145 and -128
+        guess = math.ceil(128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * -math.log(eps) / delta**2)
+        n = legacy_min_n(delta, eps)
+        assert n != guess
+        assert legacy_epsilon(n, delta) <= eps < legacy_epsilon(n - 1, delta)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from([BB84, SIX]),
@@ -357,3 +382,51 @@ class TestMinBlockLength:
     def test_six_ceiling_allows_rates_above_half(self):
         n = min_n_for_rate(0.55, 0.2, SIX, "new")
         assert rate_six(n, 0.2).rate >= 0.55
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts calls of the rate maximiser and of the legacy error."""
+    count = [0]
+
+    def counted(function):
+        def wrapper(*args):
+            count[0] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bounds, "_maximize_rate", counted(bounds._maximize_rate))
+    monkeypatch.setattr(bounds, "legacy_epsilon", counted(bounds.legacy_epsilon))
+    return count
+
+
+class TestInversionCost:
+    """Evaluations per inversion, so that no search step is added unnoticed."""
+
+    @pytest.mark.parametrize(
+        "target, eps, family, method, n, cost",
+        [
+            (0.4894, 0.1, BB84, "new", 23576, 30),
+            (0.66, 1e-10, SIX, "new", 468989, 38),
+            (0.3, 1e-300, BB84, "new", 17335, 30),
+            (0.4894, 0.1, BB84, "legacy", 239723609, 2),  # exact closed form
+            (0.4999999999, 0.5, BB84, "legacy", 11638982206320208349495296, 85),
+        ],
+    )
+    def test_search_costs(self, evaluations, target, eps, family, method, n, cost):
+        assert min_n_for_rate(target, eps, family, method) == n
+        assert evaluations[0] == cost
+
+    def test_refusal_above_2_62_and_its_cost(self, evaluations):
+        # the rate at 2^62 falls short of 0.4999999999 at eps = 0.5: n = 1, 2,
+        # 4, ..., 2^62 are evaluated, and 2^63 is refused before it is
+        with pytest.raises(InfeasibleRateError, match=r"2\^62"):
+            min_n_for_rate(0.4999999999, 0.5, BB84, "new")
+        assert evaluations[0] == 63
+
+    @pytest.mark.parametrize("delta, eps, cost", [(0.05, 0.1, 2), (1e-5, 0.1, 52), (1e-8, 0.1, 73)])
+    def test_legacy_costs(self, evaluations, delta, eps, cost):
+        # a guess that falls short doubles up from it and never tests it again
+        legacy_min_n(delta, eps)
+        assert evaluations[0] == cost

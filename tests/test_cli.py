@@ -139,6 +139,16 @@ class TestBlocklenCommand:
         n = json.loads(out)["n"]
         assert bounds.rate_bb84(n, float(eps)).rate >= 0.4 > bounds.rate_bb84(n - 1, float(eps)).rate
 
+    def test_block_length_above_2_62_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "blocklen", "--family", "bb84", "--rate", "0.4999999999", "--eps", "0.5",
+            "--method", "new",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "2^62" in err
+
     def test_infeasible_rate(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -303,6 +313,15 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: MemoryError: Unable to allocate 7.28 TiB for an array with shape (10**12, 4, 4)\n"
+
+    def test_oversized_grid_is_refused(self, capsys):
+        # 10^16 points, 763 MiB per radius row
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "single-qubit", "--resolution", "100000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "10^8 points" in err
 
     @pytest.mark.parametrize("family", ["six", "bb84"])
     def test_alpha_near_one_still_verifies(self, capsys, family):

@@ -208,6 +208,24 @@ class TestGridSearch:
         assert peaks[1] < 8 * 2**20
         assert abs(peaks[1] - peaks[0]) < 2**20
 
+    @pytest.mark.parametrize(
+        "resolution", [10_001, 100_000_000, 10**400], ids=["10001", "1e8", "1e400"]
+    )
+    def test_oversized_grid_is_refused_before_allocating(self, resolution):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"10\^8 points"):
+                grid_search_min(BB84, 2.0, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_grids_are_not_refused(self):
+        # six-state is capped at 100 per axis, 10^6 points, whatever is asked
+        assert grid_search_min(SIX, 2.0, resolution=10**400).resolution == 100
+        assert verify._MAX_GRID_POINTS == 10_000**2 > 3000**2
+
     @pytest.mark.parametrize("family", [BB84, SIX])
     @pytest.mark.parametrize("s", [1e-15, 1e-12, 1e-9, 3.0e-6, 4.3e-6])
     def test_alpha_near_one_passes(self, family, s):
