@@ -92,6 +92,11 @@ def _require_alpha(alpha: float) -> float:
     return alpha
 
 
+def _smoothing_term(epsilon: float) -> float:
+    """``log2(2/eps^2)`` as ``1 - 2 log2(eps)``, finite even where eps^2 underflows."""
+    return 1.0 - 2.0 * math.log2(epsilon)
+
+
 def _floor(s: float, ceiling: float) -> float:
     """Floor at ``s`` of the family with ceiling ``(B-1)/B``."""
     x = s * _LN2
@@ -142,7 +147,7 @@ def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
 def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
     n = _require_block_length(n)
     epsilon = _require_epsilon(epsilon)
-    eps_term = 1.0 - 2.0 * math.log2(epsilon)  # log2(2/eps^2), finite even where eps^2 underflows
+    eps_term = _smoothing_term(epsilon)
     ceiling = family.rate_ceiling
     if s is not None:
         s = float(s)
@@ -182,11 +187,20 @@ def legacy_min_n(delta: float, epsilon: float) -> int:
 
     The closed form is only the guess of :func:`_least_n`, which makes the
     answer exact: near eps = 5e-324 the error rounds to eps over ~1e7 n.
+    Raises ``ValueError`` when the closed form exceeds 2^1022 (at eps = 0.1,
+    a delta below about 1.5e-150), beyond which the search could not evaluate
+    the error in floats.
     """
     delta = _require_delta(delta)
     epsilon = _require_epsilon(epsilon)
-    guess = math.ceil(128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * -math.log(epsilon) / delta**2)
-    return _least_n(lambda n: legacy_epsilon(n, delta) <= epsilon, guess)
+    scale = 128.0 * (2.0 + math.log2(2.0 / delta)) ** 2 * -math.log(epsilon)
+    # The search may double the guess once, and legacy_epsilon needs n < 2^1024.
+    if math.log2(scale) - 2.0 * math.log2(delta) > 1022.0:
+        raise ValueError(
+            f"the legacy block length at delta={delta!r}, epsilon={epsilon!r} exceeds "
+            f"2^1022, the largest the float search of legacy_epsilon supports"
+        )
+    return _least_n(lambda n: legacy_epsilon(n, delta) <= epsilon, math.ceil(scale / delta**2))
 
 
 def binary_entropy(p: float) -> float:
@@ -205,10 +219,14 @@ def renyi_to_smooth_min_entropy(h_alpha: float, alpha: float, epsilon: float) ->
     """Lower bound on smooth min-entropy from a Renyi entropy of order alpha.
 
     Returns ``h_alpha - log2(2/eps^2) / (alpha - 1)``; may be negative.
+    Refuses a non-finite ``h_alpha``.
     """
+    h_alpha = float(h_alpha)
+    if not math.isfinite(h_alpha):
+        raise ValueError(f"Renyi entropy h_alpha must be finite, got {h_alpha!r}")
     alpha = _require_alpha(alpha)
     epsilon = _require_epsilon(epsilon)
-    return float(h_alpha) - (1.0 - 2.0 * math.log2(epsilon)) / (alpha - 1.0)
+    return h_alpha - _smoothing_term(epsilon) / (alpha - 1.0)
 
 
 def plain_minentropy_rate_bb84() -> float:
@@ -271,7 +289,7 @@ def min_n_for_rate(
         )
     if method == "legacy":
         return legacy_min_n(ceiling - target_rate, epsilon)
-    eps_term = 1.0 - 2.0 * math.log2(epsilon)
+    eps_term = _smoothing_term(epsilon)
 
     def reaches(n: int) -> bool:
         if n > 2**62:

@@ -285,8 +285,7 @@ def _outcome_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights and rows of :func:`stack_outcome_arrays` before validation.
 
-    Working arrays hold no more entries per state than its table; entries
-    below 1e-15 in magnitude are set to exactly 0.
+    Working arrays hold no more entries per state than its table.
     """
     count, dim = len(matrices), matrices.shape[-1]
     n = dim.bit_length() - 1
@@ -304,7 +303,6 @@ def _outcome_rows(
     bases = family.bases_per_qubit
     order = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
     probs = work.reshape(states, *(bases, 2) * n).transpose(order).real.reshape(count, -1, dim)
-    probs[np.abs(probs) < 1e-15] = 0.0
     weights = np.repeat(probabilities * (1.0 / bases**n), bases**n, axis=1)
     return weights, probs
 

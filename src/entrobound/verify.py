@@ -171,21 +171,23 @@ def grid_search_min(
     A point's entropy is that of its table, rows ``((1 + x_i)/2, (1 - x_i)/2)``
     weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`; it falls
     as the power sum P rises. A pass over chunks of about ``_CHUNK_POINTS``
-    points keeps each radius row's largest P. Only points at or above the cut
-    ``(1 - 2 (8B + 3)u - 2e-12 s ln 2)`` times the largest P (u = 2^-53) are
-    reduced as tables, keeping each row's least entropy, and the first row
-    within 1e-12 of the minimum is reduced again for the argmin, its first
-    point within 1e-12. Memory is O(resolution) for BB84 and one radius slab
-    for six-state, and the report is that of reducing every point: with pow,
-    sin and cos within 2u, a computed P is within (8B + 1)u of exact (6(B-1)u
-    from the components, as ``|dP/dx_i| <= e/(2B)`` and ``P >= 1/2``; 4u from
-    the powers, (2B - 1)u from their sum, 4u from the divisor), and a table
-    entropy within 1e-13 bits whatever s is (its terms ``p expm1(s ln p)``
-    share one sign, and moving an entry p by d moves it by about
-    ``(1 + |ln p|) d`` bits). So a point within 1e-12 of the minimum is
-    within 2e-12 bits, exactly, of the largest-P point, and as
-    ``P = 2^(-s H)`` its computed P reaches the cut, which keeps 2u spare for
-    its own rounding. Near alpha = 1 that is almost every point.
+    points keeps each radius row's largest P. Every point of the rows whose
+    largest P reaches the cut ``(1 - 2 (8B + 3)u - 2e-12 s ln 2)`` times the
+    largest of all (u = 2^-53) is reduced as a table, keeping each row's
+    least entropy, and the first row within 1e-12 of the minimum is reduced
+    again for the argmin, its first point within 1e-12. Memory is
+    O(resolution) for BB84 and one radius slab for six-state, and the report
+    is that of reducing every point: with pow, sin and cos within 2u, a
+    computed P is within (8B + 1)u of exact (6(B-1)u from the components, as
+    ``|dP/dx_i| <= e/(2B)`` and ``P >= 1/2``; 4u from the powers, (2B - 1)u
+    from their sum, 4u from the divisor), and a table entropy within 1e-13
+    bits whatever s is (its terms ``p expm1(s ln p)`` share one sign, and
+    moving an entry p by d moves it by about ``(1 + |ln p|) d`` bits). So a
+    point within 1e-12 of the minimum is within 2e-12 bits, exactly, of the
+    largest-P point, and as ``P = 2^(-s H)`` its computed P reaches the cut,
+    which keeps 2u spare for its own rounding; a point below the cut moves
+    neither the minimum nor the argmin. Near alpha = 1 the cut keeps almost
+    every row.
 
     Raises ``ValueError`` before building any array when the grid would hold
     more than 10^8 points (``_MAX_GRID_POINTS``, about 3 s of work): BB84
@@ -210,13 +212,10 @@ def grid_search_min(
     height = max(1, _CHUNK_POINTS // res_eff ** len(angles))
 
     def table_entropies(rows: np.ndarray) -> np.ndarray:
-        """Entropies of the points of ``rows`` that reach the cut, +inf at the others."""
-        components = _bloch_components(radius[rows], angles)
-        keep = bloch_power_sum(s, components) >= cut
-        x = np.stack(np.broadcast_arrays(*components), axis=-1)[keep]
-        entropy = np.full(keep.shape, np.inf)
-        entropy[keep] = renyi_entropies(1.0 / bases, np.stack([1.0 + x, 1.0 - x], -1) / 2.0, alpha)
-        return entropy.reshape(len(rows), -1)
+        """Table entropies of every point of the radius rows ``rows``, one row each."""
+        x = np.stack(np.broadcast_arrays(*_bloch_components(radius[rows], angles)), axis=-1)
+        probs = np.stack([1.0 + x, 1.0 - x], -1) / 2.0
+        return renyi_entropies(1.0 / bases, probs, alpha).reshape(len(rows), -1)
 
     row_max = np.empty(res_eff)
     for rows in np.array_split(np.arange(res_eff), -(-res_eff // height)):
@@ -268,13 +267,24 @@ def endpoint_curvature(s):
     return (1.0 + s) / 2.0 ** (1.0 + s) * (s - 2.0 ** (s - 1.0))
 
 
+def _gap(a, s):
+    """``s[(1+a)^(s-1) + (1-a)^(s-1)] - [(1+a)^s - (1-a)^s]/a`` on floats or arrays, for a != 0."""
+    up, down = 1.0 + a, 1.0 - a
+    return s * (up ** (s - 1.0) + down ** (s - 1.0)) - (up**s - down**s) / a
+
+
 def midpoint_curvature(s):
     """Second angular derivative of the two-basis power sum at the midpoint."""
-    a = 1.0 / _SQRT2
-    inner = s * ((1.0 - a) ** (s - 1.0) + (1.0 + a) ** (s - 1.0)) - _SQRT2 * (
-        (1.0 + a) ** s - (1.0 - a) ** s
-    )
-    return (1.0 + s) / 2.0 ** (2.0 + s) * inner
+    return (1.0 + s) / 2.0 ** (2.0 + s) * _gap(1.0 / _SQRT2, s)
+
+
+def _checked_grid(name: str, values, excluded: float) -> np.ndarray:
+    """``values`` as floats, refused unless nonempty and in [0, 1] less ``excluded`` (or NaN)."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0) & (grid != excluded)):
+        domain = "(0, 1]" if excluded == 0.0 else "[0, 1)"
+        raise ValueError(f"{name} grid must be nonempty and lie in {domain}")
+    return grid
 
 
 def stationary_signs(s_grid: Sequence[float] | None = None) -> VerificationReport:
@@ -283,17 +293,14 @@ def stationary_signs(s_grid: Sequence[float] | None = None) -> VerificationRepor
     A nonpositive endpoint curvature makes the angular endpoints local maxima
     of the power sum, and a nonnegative midpoint curvature makes the midpoint
     a local minimum, leaving the eigenstates as the only candidates for the
-    entropy minimiser.
+    entropy minimiser. Passes when both hold within 1e-12 at every grid point.
     """
-    grid = np.asarray(s_grid if s_grid is not None else np.linspace(0.001, 1.0, 1000), dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid > 1.0):
-        raise ValueError("s grid must be nonempty and lie in (0, 1]")
+    grid = _checked_grid("s", np.linspace(0.001, 1.0, 1000) if s_grid is None else s_grid, 0.0)
     at_endpoint = endpoint_curvature(grid)
     at_midpoint = midpoint_curvature(grid)
     margins = np.minimum(-at_endpoint, at_midpoint)
     i = int(np.argmin(margins))
     worst = float(margins[i])
-    passed = bool(np.all(at_endpoint <= 1e-12) and np.all(at_midpoint >= -1e-12))
     notes = (
         f"max endpoint curvature={float(at_endpoint.max())!r} (needs <= 1e-12); "
         f"min midpoint curvature={float(at_midpoint.min())!r} (needs >= -1e-12); "
@@ -301,7 +308,7 @@ def stationary_signs(s_grid: Sequence[float] | None = None) -> VerificationRepor
     )
     return VerificationReport(
         suite="stationary",
-        passed=passed,
+        passed=worst >= -1e-12,
         worst_margin=worst,
         argmin=(float(grid[i]),),
         resolution=int(grid.size),
@@ -330,11 +337,7 @@ def curvature_gap(a: float, s: float) -> float:
     to a positive prefactor.
     """
     a, s = _require_gap_domain(a, s)
-    if a == 0.0:
-        return 0.0
-    return s * ((1.0 + a) ** (s - 1.0) + (1.0 - a) ** (s - 1.0)) - (
-        (1.0 + a) ** s - (1.0 - a) ** s
-    ) / a
+    return _gap(a, s) if a else 0.0
 
 
 def curvature_gap_series(a: float, s: float, max_power: int = 20) -> float:
@@ -374,31 +377,26 @@ def curvature_gap_series(a: float, s: float, max_power: int = 20) -> float:
 def curvature_gap_sweep(
     a_grid: Sequence[float] | None = None, s_grid: Sequence[float] | None = None
 ) -> VerificationReport:
-    """Check ``curvature_gap >= 0`` on a grid of (a, s) pairs."""
-    a_values = np.asarray(
-        a_grid if a_grid is not None else np.arange(0, 100) / 100.0, dtype=float
-    )
-    s_values = np.asarray(
-        s_grid if s_grid is not None else np.arange(1, 101) / 100.0, dtype=float
-    )
-    worst = math.inf
-    worst_at = (0.0, 0.0)
-    for a in a_values:
-        for s in s_values:
-            value = curvature_gap(float(a), float(s))
-            if value < worst:
-                worst = value
-                worst_at = (float(a), float(s))
-    passed = worst >= -1e-12
+    """Check ``curvature_gap >= 0`` on a grid of (a, s) pairs, evaluated as one array.
+
+    The worst cell is the first least one in a-major order.
+    """
+    a_values = _checked_grid("a", np.arange(0, 100) / 100.0 if a_grid is None else a_grid, 1.0)
+    s_values = _checked_grid("s", np.arange(1, 101) / 100.0 if s_grid is None else s_grid, 0.0)
+    a = a_values[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 is 0 by continuity
+        gaps = np.where(a == 0.0, 0.0, _gap(a, s_values))
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    worst = float(gaps[i, j])
     notes = (
         f"grid {a_values.size}x{s_values.size} over a in [{a_values.min()}, {a_values.max()}], "
         f"s in [{s_values.min()}, {s_values.max()}]; a=0 handled by continuity as 0"
     )
     return VerificationReport(
         suite="lemma",
-        passed=passed,
-        worst_margin=float(worst),
-        argmin=worst_at,
+        passed=worst >= -1e-12,
+        worst_margin=worst,
+        argmin=(float(a_values[i]), float(s_values[j])),
         resolution=int(a_values.size * s_values.size),
         trials=0,
         seed=0,

@@ -82,6 +82,17 @@ class TestLegacyBound:
         with pytest.raises(ValueError):
             legacy_epsilon(n, 0.1)
 
+    @pytest.mark.parametrize("delta, eps", [(1e-162, 0.1), (1e-155, 1e-300), (1e-150, 0.1)])
+    def test_min_n_refuses_block_lengths_beyond_floats(self, delta, eps):
+        # delta**2 underflows at 1e-162, and the guess overflows at 1e-155
+        with pytest.raises(ValueError, match=r"exceeds 2\^1022"):
+            legacy_min_n(delta, eps)
+
+    def test_min_n_just_inside_the_float_limit(self):
+        n = legacy_min_n(2e-150, 0.1)
+        assert 2**1020 < n <= 2**1022
+        assert legacy_epsilon(n, 2e-150) <= 0.1 < legacy_epsilon(n - 1, 2e-150)
+
 
 class TestNewRates:
     def test_reference_operating_point(self):
@@ -278,6 +289,11 @@ class TestChainStep:
             renyi_to_smooth_min_entropy(1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             renyi_to_smooth_min_entropy(1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_entropy(self, h):
+        with pytest.raises(ValueError, match="^Renyi entropy h_alpha must be finite"):
+            renyi_to_smooth_min_entropy(h, 1.5, 0.1)
 
 
 def test_plain_minentropy_constant():

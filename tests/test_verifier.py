@@ -275,10 +275,9 @@ class TestStationarySigns:
             assert midpoint_curvature(s) == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            stationary_signs([0.0, 0.5])
-        with pytest.raises(ValueError):
-            stationary_signs([0.5, 1.5])
+        for grid in ([0.0, 0.5], [0.5, 1.5], [math.nan], [0.5, math.nan], []):
+            with pytest.raises(ValueError, match=r"^s grid must be nonempty and lie in \(0, 1\]$"):
+                stationary_signs(grid)
 
 
 class TestCurvatureGap:
@@ -327,6 +326,34 @@ class TestCurvatureGap:
         assert report.passed
         assert report.worst_margin >= -1e-12
         assert report.resolution == 100 * 100
+
+    @pytest.mark.parametrize(
+        "a_grid, s_grid, message",
+        [
+            ([], None, r"^a grid must be nonempty and lie in \[0, 1\)$"),
+            ([0.5, 1.0], None, r"^a grid"),
+            ([0.5, math.nan], None, r"^a grid"),
+            (None, [], r"^s grid must be nonempty and lie in \(0, 1\]$"),
+            (None, [0.0, 0.5], r"^s grid"),
+            (None, [math.nan], r"^s grid"),
+        ],
+    )
+    def test_sweep_refuses_bad_grid(self, a_grid, s_grid, message):
+        with pytest.raises(ValueError, match=message):
+            curvature_gap_sweep(a_grid, s_grid)
+
+    @pytest.mark.parametrize(
+        "a_grid, s_grid",
+        [([0.9, 0.0, 0.3], [0.7, 0.2, 0.45]), ([0.95, 0.4, 0.15, 0.6], [0.3, 0.8, 0.05])],
+    )
+    def test_sweep_matches_scalar_loop(self, a_grid, s_grid):
+        # the first least cell in a-major order; a = 0 ties at exactly 0
+        cells = [(curvature_gap(a, s), (a, s)) for a in a_grid for s in s_grid]
+        worst, worst_at = min(cells, key=lambda cell: cell[0])
+        report = curvature_gap_sweep(a_grid, s_grid)
+        assert report.argmin == worst_at
+        assert report.worst_margin == pytest.approx(worst, rel=1e-13, abs=1e-15)
+        assert report.resolution == len(a_grid) * len(s_grid)
 
     def test_domain(self):
         for func in (curvature_gap, curvature_gap_series):
