@@ -176,9 +176,16 @@ def rate_six(n, epsilon: float, s: float | None = None) -> RateResult:
 
 
 def legacy_epsilon(n, delta: float) -> float:
-    """Smoothing error of the legacy two-basis bound at rate ``1/2 - delta``."""
+    """Smoothing error of the legacy two-basis bound at rate ``1/2 - delta``.
+
+    Refuses a block length that does not fit a float (about 1.8e308).
+    """
     n = _require_block_length(n)
     delta = _require_delta(delta)
+    try:
+        n = float(n)
+    except OverflowError:
+        raise ValueError(f"block length {n!r} exceeds the largest float, about 1.8e308") from None
     return math.exp(-(delta**2) * n / (128.0 * (2.0 + math.log2(2.0 / delta)) ** 2))
 
 
@@ -302,7 +309,7 @@ def min_n_for_rate(
 class FigureRow(NamedTuple):
     rate: float
     epsilon: float
-    n_legacy: int | None
+    n_legacy: int
     n_new: int | None
 
 
@@ -314,11 +321,16 @@ def figure_rows(
     """Minimal block lengths for both bound routes on a (rate, epsilon) grid.
 
     Rows are sorted by (rate, epsilon). Rates must lie in (0, 1/2) since the
-    legacy column only exists for the two-basis family; a rate that turns out
-    infeasible for a column is marked with ``None`` there.
+    legacy column only exists for the two-basis family; there it always holds
+    a block length, and a rate infeasible for the new route is marked with
+    ``None`` in its column.
     """
     if family is not MeasurementFamily.BB84:
         raise ValueError("block-length tables with a legacy column require the bb84 family")
+    # checked after the conversion, so a rate just below 1/2 that rounds to
+    # 1/2 (a Fraction, say) is refused rather than reaching the bound routes
+    rates = sorted(float(r) for r in rates)
+    eps_grid = sorted(float(e) for e in eps_grid)
     for rate in rates:
         if not 0.0 < rate < 0.5:
             raise ValueError(f"rates must lie in (0, 1/2), got {rate!r}")
@@ -327,15 +339,12 @@ def figure_rows(
             raise ValueError(f"epsilon values must lie in (0, 1), got {eps!r}")
 
     rows = []
-    for rate in sorted(float(r) for r in rates):
-        for eps in sorted(float(e) for e in eps_grid):
+    for rate in rates:
+        for eps in eps_grid:
             try:
                 n_new = min_n_for_rate(rate, eps, family, "new")
             except InfeasibleRateError:
                 n_new = None
-            try:
-                n_legacy = min_n_for_rate(rate, eps, family, "legacy")
-            except InfeasibleRateError:
-                n_legacy = None
+            n_legacy = min_n_for_rate(rate, eps, family, "legacy")
             rows.append(FigureRow(rate=rate, epsilon=eps, n_legacy=n_legacy, n_new=n_new))
     return rows

@@ -178,9 +178,8 @@ def _cmd_figure(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("rate,epsilon,n_legacy,n_new\n")
         for row in rows:
-            n_legacy = float("inf") if row.n_legacy is None else row.n_legacy
             n_new = float("inf") if row.n_new is None else row.n_new
-            fh.write(f"{row.rate:.17g},{row.epsilon:.17g},{n_legacy:.17g},{n_new:.17g}\n")
+            fh.write(f"{row.rate:.17g},{row.epsilon:.17g},{row.n_legacy:.17g},{n_new:.17g}\n")
     _emit({"rows": len(rows), "out": args.out})
     return 0
 

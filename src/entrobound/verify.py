@@ -137,14 +137,12 @@ def surface_entropy(power_sum, s):
     return -np.log2(power_sum) / s
 
 
-# 100^3 grid points keep the octant search's time desk scale; its memory is
-# one radius slab whatever the cap, since the search streams radius chunks.
-_SIX_STATE_AXIS_CAP = 100
-# Largest grid the search accepts, about 3 s at ~30 ns per point: BB84 up to
-# resolution 10^4; the capped six-state grid (10^6 points) always fits.
+# Largest grid the search accepts, about 3 s at ~30 ns per point away from
+# alpha = 1: resolution 10^4 for BB84 and 464 for six-state (464^3 <= 10^8).
 _MAX_GRID_POINTS = 10**8
 # Grid points per radius chunk: the search's working set is a few arrays of
-# this many doubles, plus two values per radius row.
+# this many doubles, plus two values per radius row. A chunk is at least one
+# row: above resolution 256 a six-state chunk is one row of resolution^2 points.
 _CHUNK_POINTS = 2**16
 
 
@@ -176,8 +174,9 @@ def grid_search_min(
     largest of all (u = 2^-53) is reduced as a table, keeping each row's
     least entropy, and the first row within 1e-12 of the minimum is reduced
     again for the argmin, its first point within 1e-12. Memory is
-    O(resolution) for BB84 and one radius slab for six-state, and the report
-    is that of reducing every point: with pow, sin and cos within 2u, a
+    O(resolution) for BB84 and one chunk for six-state (above resolution
+    256, one radius row of resolution^2 points), and the report is that of
+    reducing every point: with pow, sin and cos within 2u, a
     computed P is within (8B + 1)u of exact (6(B-1)u from the components, as
     ``|dP/dx_i| <= e/(2B)`` and ``P >= 1/2``; 4u from the powers, (2B - 1)u
     from their sum, 4u from the divisor), and a table entropy within 1e-13
@@ -189,27 +188,27 @@ def grid_search_min(
     neither the minimum nor the argmin. Near alpha = 1 the cut keeps almost
     every row.
 
-    Raises ``ValueError`` before building any array when the grid would hold
-    more than 10^8 points (``_MAX_GRID_POINTS``, about 3 s of work): BB84
-    resolutions above 10^4.
+    Every family is searched at the resolution asked. Raises ``ValueError``
+    before building any array when the grid would hold more than 10^8 points
+    (``_MAX_GRID_POINTS``, about 3 s of work away from alpha = 1): BB84
+    resolutions above 10^4 and six-state ones above 464. The limit bounds
+    memory but not time, which grows near alpha = 1 as the cut keeps more rows.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
     bases = family.bases_per_qubit
-    six_state = family is MeasurementFamily.SIX_STATE
-    res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
-    if int(res_eff) ** bases > _MAX_GRID_POINTS:
+    if int(resolution) ** bases > _MAX_GRID_POINTS:
         raise ValueError(
             f"resolution {resolution!r} gives a {family.value} grid of more than "
             f"10^8 points, the limit of the single-qubit search"
         )
-    r = np.linspace(0.0, 1.0, res_eff)
-    ang = np.linspace(0.0, math.pi / 2.0, res_eff)
+    r = np.linspace(0.0, 1.0, resolution)
+    ang = np.linspace(0.0, math.pi / 2.0, resolution)
     axes = [r] + [ang] * (bases - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-    height = max(1, _CHUNK_POINTS // res_eff ** len(angles))
+    height = max(1, _CHUNK_POINTS // resolution ** len(angles))
 
     def table_entropies(rows: np.ndarray) -> np.ndarray:
         """Table entropies of every point of the radius rows ``rows``, one row each."""
@@ -217,13 +216,13 @@ def grid_search_min(
         probs = np.stack([1.0 + x, 1.0 - x], -1) / 2.0
         return renyi_entropies(1.0 / bases, probs, alpha).reshape(len(rows), -1)
 
-    row_max = np.empty(res_eff)
-    for rows in np.array_split(np.arange(res_eff), -(-res_eff // height)):
+    row_max = np.empty(resolution)
+    for rows in np.array_split(np.arange(resolution), -(-resolution // height)):
         power_sum = bloch_power_sum(s, _bloch_components(radius[rows], angles))
         row_max[rows] = power_sum.reshape(len(rows), -1).max(axis=1)
     cut = float(row_max.max()) * (1.0 - 2 * (8 * bases + 3) * 2.0**-53 - 2e-12 * s * _LN2)
     candidates = np.flatnonzero(row_max >= cut)
-    row_min = np.full(res_eff, np.inf)
+    row_min = np.full(resolution, np.inf)
     for rows in np.array_split(candidates, -(-len(candidates) // height)):
         row_min[rows] = table_entropies(rows).min(axis=1)
 
@@ -232,11 +231,11 @@ def grid_search_min(
     # alone) go to the smallest flat index, whatever the execution order.
     row = int(np.argmax(row_min <= grid_min + 1e-12))
     column = int(np.argmax(table_entropies(np.array([row]))[0] <= grid_min + 1e-12))
-    index = (row, *np.unravel_index(column, (res_eff,) * len(angles)))
+    index = (row, *np.unravel_index(column, (resolution,) * len(angles)))
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     margin = grid_min - floor
-    step_r = 1.0 / (res_eff - 1)
-    step_ang = (math.pi / 2.0) / (res_eff - 1)
+    step_r = 1.0 / (resolution - 1)
+    step_ang = (math.pi / 2.0) / (resolution - 1)
     # Second derivatives of the entropy surfaces are bounded by ~1/(2 s ln 2)
     # near the eigenstates, so the grid can miss the true minimum by at most
     # about step^2 / (s ln 2) across all axes.
@@ -255,7 +254,7 @@ def grid_search_min(
         passed=passed,
         worst_margin=margin,
         argmin=argmin,
-        resolution=res_eff,
+        resolution=resolution,
         trials=0,
         seed=0,
         notes=notes,

@@ -40,7 +40,6 @@ from entrobound import (
 )
 from entrobound.entropy import renyi_entropies
 from entrobound.verify import (
-    _SIX_STATE_AXIS_CAP,
     _bloch_components,
     _eigenstate_probes,
     _near_eigenstate,
@@ -351,17 +350,15 @@ def reference_ensemble(
 
 
 def _bloch_grid(family: MeasurementFamily, resolution: int):
-    """Effective resolution, axes, and the sparse radius and angle grids."""
-    six_state = family is MeasurementFamily.SIX_STATE
-    res_eff = min(resolution, _SIX_STATE_AXIS_CAP) if six_state else resolution
-    r = np.linspace(0.0, 1.0, res_eff)
-    ang = np.linspace(0.0, math.pi / 2.0, res_eff)
+    """The axes, and the sparse radius and angle grids."""
+    r = np.linspace(0.0, 1.0, resolution)
+    ang = np.linspace(0.0, math.pi / 2.0, resolution)
     axes = [r] + [ang] * (family.bases_per_qubit - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return res_eff, axes, radius, angles
+    return axes, radius, angles
 
 
-def _grid_report(family: MeasurementFamily, alpha: float, res_eff: int, axes, entropy):
+def _grid_report(family: MeasurementFamily, alpha: float, resolution: int, axes, entropy):
     """The single-qubit report of a whole grid of entropies: its minimum and first tie."""
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
@@ -370,8 +367,8 @@ def _grid_report(family: MeasurementFamily, alpha: float, res_eff: int, axes, en
     index = np.unravel_index(flat_index, entropy.shape)
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     margin = grid_min - floor
-    step_r = 1.0 / (res_eff - 1)
-    step_ang = (math.pi / 2.0) / (res_eff - 1)
+    step_r = 1.0 / (resolution - 1)
+    step_ang = (math.pi / 2.0) / (resolution - 1)
     tolerance = max(1e-3, max(step_r, step_ang) ** 2 / (s * math.log(2.0)))
     argmin_ok = _near_eigenstate(argmin, step_r, step_ang)
     notes = (
@@ -385,7 +382,7 @@ def _grid_report(family: MeasurementFamily, alpha: float, res_eff: int, axes, en
         passed=(margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok,
         worst_margin=margin,
         argmin=argmin,
-        resolution=res_eff,
+        resolution=resolution,
         trials=0,
         seed=0,
         notes=notes,
@@ -401,13 +398,13 @@ def whole_grid_search_min(family: MeasurementFamily, alpha: float, resolution: i
     sum and no cut, then takes the minimum and the first flat index within
     1e-12 of it. Only the entropies of the whole grid are held at once.
     """
-    res_eff, axes, radius, angles = _bloch_grid(family, resolution)
-    entropy = np.empty((res_eff,) * len(axes))
-    for row in range(res_eff):
+    axes, radius, angles = _bloch_grid(family, resolution)
+    entropy = np.empty((resolution,) * len(axes))
+    for row in range(resolution):
         x = np.stack(np.broadcast_arrays(*_bloch_components(radius[row], angles)), axis=-1)
         tables = np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=-1)
         entropy[row] = renyi_entropies(1.0 / family.bases_per_qubit, tables, alpha)
-    return _grid_report(family, alpha, res_eff, axes, entropy)
+    return _grid_report(family, alpha, resolution, axes, entropy)
 
 
 def entropy_space_grid_search_min(family: MeasurementFamily, alpha: float, resolution: int):
@@ -416,7 +413,7 @@ def entropy_space_grid_search_min(family: MeasurementFamily, alpha: float, resol
     Every point's entropy is ``-log2(P)/s`` of its power sum, whose rounding
     grows like ``(8B + 3) 2^-53 / (s ln 2)`` as ``s = alpha - 1`` shrinks.
     """
-    res_eff, axes, radius, angles = _bloch_grid(family, resolution)
+    axes, radius, angles = _bloch_grid(family, resolution)
     s = alpha - 1.0
     entropy = surface_entropy(bloch_power_sum(s, _bloch_components(radius, angles)), s)
-    return _grid_report(family, alpha, res_eff, axes, entropy)
+    return _grid_report(family, alpha, resolution, axes, entropy)

@@ -88,6 +88,18 @@ class TestLegacyBound:
         with pytest.raises(ValueError, match=r"exceeds 2\^1022"):
             legacy_min_n(delta, eps)
 
+    @pytest.mark.parametrize(
+        "n", [2**1024, 2**1024 - 2**970, 10**400], ids=["2^1024", "2^1024-2^970", "10^400"]
+    )
+    def test_block_length_beyond_floats_is_refused(self, n):
+        # 2^1024 - 2^970 is the least integer that rounds past the largest float
+        with pytest.raises(ValueError, match=r"^block length \d+ exceeds the largest float"):
+            legacy_epsilon(n, 0.1)
+
+    def test_largest_float_block_lengths_still_evaluate(self):
+        assert legacy_epsilon(2**1024 - 2**970 - 1, 0.1) == 0.0
+        assert legacy_epsilon(10**300, 0.1) == 0.0
+
     def test_min_n_just_inside_the_float_limit(self):
         n = legacy_min_n(2e-150, 0.1)
         assert 2**1020 < n <= 2**1022

@@ -165,6 +165,16 @@ def test_legacy_eps_command(capsys):
     assert json.loads(out)["epsilon"] == pytest.approx(0.1007, abs=5e-4)
 
 
+def test_legacy_eps_refuses_block_lengths_beyond_floats(capsys):
+    code, out, err = run_cli(capsys, "legacy-eps", "--n", str(2**1024), "--delta", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: block length {2**1024} exceeds the largest float, about 1.8e308\n"
+    code, out, _ = run_cli(capsys, "legacy-eps", "--n", str(10**300), "--delta", "0.1")
+    assert code == 0
+    assert out == '{"epsilon": 0.0}\n'
+
+
 class TestEntropyCommand:
     def test_values(self, capsys, tmp_path):
         path = write_eigenstate_table(tmp_path)
@@ -315,13 +325,15 @@ class TestVerifyCommand:
         assert err == "error: MemoryError: Unable to allocate 7.28 TiB for an array with shape (10**12, 4, 4)\n"
 
     def test_oversized_grid_is_refused(self, capsys):
-        # 10^16 points, 763 MiB per radius row
-        code, out, err = run_cli(
-            capsys, "verify", "--suite", "single-qubit", "--resolution", "100000000",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "10^8 points" in err
+        # BB84 10^8 is 10^16 points, 763 MiB per radius row; 465^3 just exceeds 10^8
+        for family, resolution in (("bb84", "100000000"), ("six", "465"), ("six", "1" + "0" * 400)):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "single-qubit", "--family", family,
+                "--resolution", resolution,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error:") and "10^8 points" in err
 
     @pytest.mark.parametrize("family", ["six", "bb84"])
     def test_alpha_near_one_still_verifies(self, capsys, family):

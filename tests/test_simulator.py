@@ -66,6 +66,15 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator([[1.5, 0.0], [0.0, -0.5]])
 
+    def test_rejects_violations_beyond_rounding(self):
+        # each one 1e-6 off, against a tolerance of 1e-12
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator([[0.5, 1e-6], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator([[0.5, 0.0], [0.0, 0.5 + 1e-6]])
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityOperator([[1.0 + 1e-6, 0.0], [0.0, -1e-6]])
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             DensityOperator(np.eye(3) / 3.0)
@@ -405,6 +414,12 @@ class TestPostMeasurement:
         with pytest.raises(ValueError, match="probability"):
             post_measurement_state(rho, BB84, (0,), (1,))
 
+    def test_rare_outcome_is_conditioned_on(self):
+        # probability 1e-6 is rare, not numerically zero (1e-14 and below)
+        rho = DensityOperator(np.kron(np.diag([1 - 1e-6, 1e-6]), [[0, 0], [0, 1]]))
+        sigma = post_measurement_state(rho, BB84, (0,), (1,))
+        assert np.allclose(sigma.matrix, [[0, 0], [0, 1]], atol=1e-12)
+
     def test_subsystem_bounds(self):
         with pytest.raises(ValueError, match="leading qubits"):
             post_measurement_state(bell_state(), BB84, (0, 0), (0, 0))
@@ -506,6 +521,8 @@ class TestBlochState:
     def test_rejects_vectors_outside_ball(self):
         with pytest.raises(ValueError, match="Bloch"):
             bloch_state(1.0, 0.0, 0.1)
+        with pytest.raises(ValueError, match="Bloch"):
+            bloch_state(0.0, 0.0, 1.0 + 1e-6)
 
 
 def test_stacked_probabilities_normalise_like_each_ensemble():

@@ -24,6 +24,7 @@ from entrobound import (
     uniform_table,
 )
 from entrobound import tables
+from entrobound.simulator import checked_probabilities
 from entrobound.tables import validated_arrays
 from helpers import assert_matches_context_oracles, random_table
 
@@ -83,6 +84,29 @@ def test_small_drift_is_renormalised():
     )
     assert table.weight_vector.sum() == pytest.approx(1.0, abs=1e-15)
     assert table.prob_matrix[0].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("drift", [1e-6, -1e-6])
+def test_drift_beyond_the_norm_tolerance_rejected(drift):
+    # 1e-6 is well past the 1e-9 tolerance, yet within one of 1e-6 or looser
+    with pytest.raises(ValueError, match="weights sum"):
+        ConditionalTable(
+            [Context("k", "0", 0.5 + drift, (1.0, 0.0)), Context("k", "1", 0.5, (0.5, 0.5))]
+        )
+    with pytest.raises(ValueError, match="p_x sums"):
+        ConditionalTable([Context("k", "0", 1.0, (0.5 + drift, 0.5))])
+    with pytest.raises(ValueError, match="probabilities sum"):
+        checked_probabilities([0.5 + drift, 0.5])
+
+
+def test_entries_beyond_rounding_rejected():
+    # sums stay 1 once the entries are snapped and clipped, so only the entry checks can refuse
+    with pytest.raises(ValueError, match=r"weight = -1e-06 is negative"):
+        ConditionalTable(
+            [Context("k", "0", -1e-6, (1.0, 0.0)), Context("k", "1", 1.0, (0.5, 0.5))]
+        )
+    with pytest.raises(ValueError, match=r"p_x\[0\] = 1.000001 is not a probability"):
+        ConditionalTable([Context("k", "0", 1.0, (1.000001, -1e-6))])
 
 
 def test_tiny_probabilities_snapped_to_zero():

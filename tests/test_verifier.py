@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -148,8 +149,10 @@ class TestGridSearch:
     @pytest.mark.parametrize(
         "point",
         [(1.0, math.pi / 4), (1.0, 2 * math.pi / 2 / 99), (1.0, math.pi / 4, math.pi / 4),
-         (1.0, 0.0, math.pi / 2 - 2 * math.pi / 2 / 99), (1.0 - 2 / 99, 0.0)],
-        ids=["bb84 diagonal", "bb84 two steps", "six diagonal", "six two steps", "inside"],
+         (1.0, 0.0, math.pi / 2 - 2 * math.pi / 2 / 99), (1.0 - 2 / 99, 0.0),
+         (1.0, (1 + 1e-6) * math.pi / 2 / 99), (1.0 - (1 + 1e-6) / 99, 0.0)],
+        ids=["bb84 diagonal", "bb84 two steps", "six diagonal", "six two steps", "inside",
+             "just past one angle step", "just past one radius step"],
     )
     def test_off_axis_argmin_is_rejected(self, point):
         assert not _near_eigenstate(point, 1 / 99, math.pi / 2 / 99)
@@ -163,9 +166,65 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="resolution"):
             grid_search_min(BB84, 2.0, resolution=10)
 
-    def test_six_state_resolution_capped(self):
-        report = grid_search_min(SIX, 2.0, resolution=500)
-        assert report.resolution == 100
+    @pytest.mark.parametrize(
+        "at,depth,passed",
+        [("eigenstate", 1e-10, True), ("eigenstate", 1e-6, False), ("diagonal", 1e-10, False)],
+    )
+    def test_verdict_on_a_planted_minimum(self, monkeypatch, at, depth, passed):
+        # A minimum planted `depth` below the floor at r = 1 and phi = 0 (an
+        # eigenstate) or phi = pi/4 (none): the grid may undershoot the floor
+        # by 1e-9, and only near an eigenstate.
+        floor = renyi_floor(2.0, BB84)
+        exact = verify.renyi_entropies
+
+        def planted(weights, probs, alpha):
+            x = 2.0 * probs[..., 0] - 1.0
+            if at == "eigenstate":
+                spot = x[..., 1] == 1.0
+            else:
+                spot = (np.abs(x[..., 0] - x[..., 1]) < 1e-9) & (x[..., 0] > 0.7)
+            return np.where(spot, floor - depth, exact(weights, probs, alpha))
+
+        monkeypatch.setattr(verify, "renyi_entropies", planted)
+        report = grid_search_min(BB84, 2.0, resolution=51)
+        phi = 0.0 if at == "eigenstate" else math.pi / 4
+        assert report.argmin == pytest.approx((1.0, phi))
+        assert report.worst_margin == pytest.approx(-depth, abs=1e-15)
+        assert f"argmin near eigenstate: {at == 'eigenstate'}" in report.notes
+        assert report.passed == passed
+
+    @pytest.mark.parametrize(
+        "excess,argmin", [(0.9e-12, (0.0, 0.0)), (1.1e-12, (1.0, 0.0))], ids=["tie", "no tie"]
+    )
+    def test_ties_within_1e_12_go_to_the_first_point(self, monkeypatch, excess, argmin):
+        # A planted surface: the eigenstate r = 1, phi = 0 at the floor, the
+        # centre r = 0 (all of row 0) `excess` above it, every other point 1
+        # bit above, with a consistent power sum P = 2^(-s H). The centre's P
+        # lies 0.6-0.8e-12 below the largest, inside the cut, so row 0 is
+        # reduced; it holds the argmin only when it ties within 1e-12.
+        floor = renyi_floor(2.0, BB84)
+
+        def entropy(x):
+            h = np.full(x.shape[:-1], floor + 1.0)
+            h[np.all(x == 0.0, axis=-1)] = floor + excess
+            h[(x[..., 0] == 0.0) & (x[..., 1] == 1.0)] = floor
+            return h
+
+        def power_sum(s, components):
+            return 2.0 ** (-s * entropy(np.stack(np.broadcast_arrays(*components), axis=-1)))
+
+        monkeypatch.setattr(verify, "bloch_power_sum", power_sum)
+        monkeypatch.setattr(
+            verify, "renyi_entropies", lambda weights, probs, alpha: entropy(2 * probs[..., 0] - 1)
+        )
+        report = grid_search_min(BB84, 2.0, resolution=51)
+        assert report.argmin == argmin
+        assert report.worst_margin == 0.0
+
+    def test_six_state_searched_at_resolution_asked(self):
+        report = grid_search_min(SIX, 2.0, resolution=101)
+        assert report.resolution == 101
+        assert report.passed and report.argmin == (1.0, 0.0, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -209,22 +268,30 @@ class TestGridSearch:
         assert abs(peaks[1] - peaks[0]) < 2**20
 
     @pytest.mark.parametrize(
-        "resolution", [10_001, 100_000_000, 10**400], ids=["10001", "1e8", "1e400"]
+        "family,resolution",
+        [(BB84, 10_001), (BB84, 100_000_000), (BB84, 10**400), (SIX, 465), (SIX, 10**400)],
+        ids=["10001", "1e8", "1e400", "six-465", "six-1e400"],
     )
-    def test_oversized_grid_is_refused_before_allocating(self, resolution):
+    def test_oversized_grid_is_refused_before_allocating(self, family, resolution):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"10\^8 points"):
-                grid_search_min(BB84, 2.0, resolution)
+                grid_search_min(family, 2.0, resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
     def test_largest_grids_are_not_refused(self):
-        # six-state is capped at 100 per axis, 10^6 points, whatever is asked
-        assert grid_search_min(SIX, 2.0, resolution=10**400).resolution == 100
-        assert verify._MAX_GRID_POINTS == 10_000**2 > 3000**2
+        # 10^4 squared and 464 cubed fit in 10^8 points; the first array built
+        # after the size check stands in for the 2-4 s search
+        class Allocated(Exception):
+            pass
+
+        for family, resolution in ((BB84, 10_000), (SIX, 464)):
+            with mock.patch.object(verify.np, "linspace", side_effect=Allocated):
+                with pytest.raises(Allocated):
+                    grid_search_min(family, 2.0, resolution)
 
     @pytest.mark.parametrize("family", [BB84, SIX])
     @pytest.mark.parametrize("s", [1e-15, 1e-12, 1e-9, 3.0e-6, 4.3e-6])
@@ -274,6 +341,14 @@ class TestStationarySigns:
             expected = (1 + s) / 2 ** (2 + s) * curvature_gap(1 / math.sqrt(2), s)
             assert midpoint_curvature(s) == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("dip,passed", [(1e-13, True), (1e-6, False)])
+    def test_verdict_at_its_tolerance(self, monkeypatch, dip, passed):
+        # a midpoint curvature `dip` below zero, against a tolerance of 1e-12
+        monkeypatch.setattr(verify, "midpoint_curvature", lambda s: np.full_like(s, -dip))
+        report = stationary_signs([0.25, 0.5])
+        assert report.worst_margin == -dip
+        assert report.passed == passed
+
     def test_rejects_bad_grid(self):
         for grid in ([0.0, 0.5], [0.5, 1.5], [math.nan], [0.5, math.nan], []):
             with pytest.raises(ValueError, match=r"^s grid must be nonempty and lie in \(0, 1\]$"):
@@ -320,6 +395,14 @@ class TestCurvatureGap:
         assert curvature_gap_series(0.5, 0.5, 60) == pytest.approx(
             curvature_gap(0.5, 0.5), abs=1e-12
         )
+
+    @pytest.mark.parametrize("dip,passed", [(1e-13, True), (1e-6, False)])
+    def test_sweep_verdict_at_its_tolerance(self, monkeypatch, dip, passed):
+        # a gap `dip` below zero everywhere, against a tolerance of 1e-12
+        monkeypatch.setattr(verify, "_gap", lambda a, s: np.full(np.broadcast(a, s).shape, -dip))
+        report = curvature_gap_sweep([0.5, 0.9], [0.5, 1.0])
+        assert report.worst_margin == -dip
+        assert report.passed == passed
 
     def test_sweep_passes(self):
         report = curvature_gap_sweep()
@@ -422,6 +505,62 @@ class TestTrials:
         assert additivity.passed
         ensemble = ensemble_trial(2, 1.0 + s, family, k_count=2, trials=200, seed=0)
         assert ensemble.passed
+
+    @pytest.mark.parametrize("part", ["trials", "probes"])
+    @pytest.mark.parametrize("lowered,passed", [(1e-11, True), (1e-6, False)])
+    def test_additivity_verdict_at_its_tolerances(self, monkeypatch, part, lowered, passed):
+        # Trial states that attain the floor, then the eigenstate probes, with
+        # the entropies of one part lowered: a trial margin may go down to
+        # -1e-9, and a probe may deviate from the floor by up to 1e-10.
+        eigen = product_eigenstate(BB84, (0, 0), (0, 0)).matrix
+        monkeypatch.setattr(
+            verify, "random_densities", lambda n, ranks, seeds: np.array([eigen] * len(ranks))
+        )
+        exact = verify.renyi_entropies
+        trials = 3
+
+        def lowered_entropies(weights, rows, alpha):
+            in_part = (np.arange(len(rows)) < trials) == (part == "trials")
+            return exact(weights, rows, alpha) - lowered * in_part
+
+        monkeypatch.setattr(verify, "renyi_entropies", lowered_entropies)
+        report = additivity_trial(2, 1.5, BB84, trials=trials, seed=0)
+        assert report.passed == passed
+        worst = -lowered if part == "trials" else 0.0
+        assert report.worst_margin == pytest.approx(worst, abs=1e-14)
+
+    @pytest.mark.parametrize("members", ["mixed", "eigenstates"])
+    @pytest.mark.parametrize("lowered,passed", [(1e-11, True), (1e-6, False)])
+    def test_ensemble_verdict_at_its_tolerances(self, monkeypatch, members, lowered, passed):
+        # Maximally mixed members, with the table entropies alone lowered,
+        # move only the margin above the weakest member (allowed down to
+        # -1e-10), as their 2 bits lie far above the floor. Members that
+        # attain the floor, with every entropy lowered, move only the margin
+        # above the floor (allowed down to -1e-9).
+        if members == "mixed":
+            state = np.eye(4, dtype=complex) / 4
+        else:
+            state = product_eigenstate(BB84, (0, 0), (0, 0)).matrix
+        monkeypatch.setattr(
+            verify, "random_densities", lambda n, ranks, seeds: np.array([state] * len(ranks))
+        )
+        exact = verify._excess_entropies
+
+        def lowered_entropies(weights, excess, s):
+            entropies = exact(weights, excess, s)
+            members_own = entropies.ndim == 2  # the tables' are (trials,), the members' (trials, k)
+            return entropies if members == "mixed" and members_own else entropies - lowered
+
+        monkeypatch.setattr(verify, "_excess_entropies", lowered_entropies)
+        report = ensemble_trial(2, 1.5, BB84, k_count=2, trials=3, seed=0)
+        weakest = float(report.notes.split("weakest member=")[1].split()[0])
+        assert report.passed == passed
+        if members == "mixed":
+            assert weakest == pytest.approx(-lowered, abs=1e-14)
+            assert report.worst_margin == pytest.approx(2.0 - 2 * renyi_floor(1.5, BB84), abs=1e-6)
+        else:
+            assert weakest == pytest.approx(0.0, abs=1e-14)
+            assert report.worst_margin == pytest.approx(-lowered, abs=1e-14)
 
     def test_zero_weight_member_stays_out_of_the_minimum(self, monkeypatch):
         # Member 0 is a basis eigenstate, the least entropy any state has, but
@@ -553,6 +692,22 @@ class TestFigureRows:
         (row,) = figure_rows([0.45], [0.1])
         assert row.n_legacy == 6_320_284
         assert 1.0e3 <= row.n_new <= 1.2e3
+
+    def test_legacy_column_at_the_largest_rate_below_half(self):
+        # delta = 2^-54 at eps = 5e-324 is the largest legacy block length a
+        # figure can ask for, far below legacy_min_n's 2^1022 refusal
+        (row,) = figure_rows([math.nextafter(0.5, 0.0)], [5e-324])
+        assert row.n_new is None
+        assert row.n_legacy == legacy_min_n(2.0**-54, 5e-324)
+        assert 1.0e41 <= row.n_legacy < 1.01e41
+        # a rate is checked as the float it is used as: a Fraction that
+        # rounds to the same float gives the same row, one that rounds to
+        # 1/2 is refused, as is an epsilon that rounds to 0
+        assert figure_rows([Fraction(math.nextafter(0.5, 0.0))], [5e-324]) == [row]
+        with pytest.raises(ValueError, match="rates must lie in"):
+            figure_rows([Fraction(10**30 - 2, 2 * 10**30)], [0.1])
+        with pytest.raises(ValueError, match="epsilon values must lie in"):
+            figure_rows([0.45], [Fraction(1, 10**400)])
 
     def test_high_epsilon_row_still_finite(self):
         (row,) = figure_rows([0.49], [0.49])
