@@ -68,6 +68,10 @@ def _require_block_length(n) -> int:
         raise ValueError(f"block length must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n!r}")
+    try:
+        float(n)  # the formulas convert n to a float
+    except OverflowError:
+        raise ValueError(f"block length {n!r} exceeds the largest float, about 1.8e308") from None
     return n
 
 
@@ -176,16 +180,9 @@ def rate_six(n, epsilon: float, s: float | None = None) -> RateResult:
 
 
 def legacy_epsilon(n, delta: float) -> float:
-    """Smoothing error of the legacy two-basis bound at rate ``1/2 - delta``.
-
-    Refuses a block length that does not fit a float (about 1.8e308).
-    """
+    """Smoothing error of the legacy two-basis bound at rate ``1/2 - delta``."""
     n = _require_block_length(n)
     delta = _require_delta(delta)
-    try:
-        n = float(n)
-    except OverflowError:
-        raise ValueError(f"block length {n!r} exceeds the largest float, about 1.8e308") from None
     return math.exp(-(delta**2) * n / (128.0 * (2.0 + math.log2(2.0 / delta)) ** 2))
 
 

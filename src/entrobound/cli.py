@@ -13,8 +13,8 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 
 Exit codes: 0 on success, 1 when a verification suite fails, and 2, with
 one ``error:`` line on stderr, on usage errors including malformed table
-files, results that are not finite, arithmetic errors such as a block length
-beyond float range, and running out of memory (stdout is always valid JSON).
+files, out-of-range block lengths and trial counts, non-finite results,
+arithmetic errors, and running out of memory (stdout is always valid JSON).
 
 ``rate``, ``blocklen``, ``legacy-eps`` and ``feasible`` run on the bound
 layer alone and never import numpy; the other commands import what they
@@ -213,7 +213,7 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ArithmeticError, MemoryError) as exc:  # e.g. a 400-digit --n; a huge --trials
+    except (ArithmeticError, MemoryError) as exc:  # e.g. a 400-digit or a 10^12 figure --points
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 

@@ -60,9 +60,8 @@ class MeasurementFamily(enum.Enum):
 
     @property
     def default_qubit_budget(self) -> int:
-        # Exact simulation is desk scale only: an outcome table holds
-        # bases**n * 2**n entries per state, and the budget bounds that size
-        # and the time to compute it (no n-qubit unitary is ever built).
+        # The largest n of the benchmark's trial mix and the test strategies, not
+        # a limit: the simulator's one size limit is ``simulator._MAX_TABLE_ENTRIES``.
         return 4 if self is MeasurementFamily.BB84 else 3
 
     def basis_unitary(self, theta: int) -> np.ndarray:

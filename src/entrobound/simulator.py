@@ -1,8 +1,8 @@
 """Exact density-operator simulation of per-qubit basis measurements.
 
-Everything here is dense linear algebra on 2^n dimensional matrices and is
-deliberately capped at desk scale (the outcome table over all basis strings
-grows as bases^n * 2^n). No n-qubit basis unitary is ever built: outcome
+Everything here is dense linear algebra on 2^n dimensional matrices, and one
+call builds at most 2^23 outcome-table entries, (2 bases)^n per state
+(``_MAX_TABLE_ENTRIES``). No n-qubit basis unitary is ever built: outcome
 tables measure every state one qubit at a time, with one fixed single-qubit
 matrix per family, and measurement projectors and conditioning build their
 one column as a Kronecker product of single-qubit columns. States are drawn and
@@ -249,20 +249,26 @@ def _as_ensemble(states: DensityOperator | StateEnsemble) -> StateEnsemble:
     return StateEnsemble([EnsembleMember("0", 1.0, states)])
 
 
-def _require_qubit_budget(family: MeasurementFamily, n_qubits: int, max_qubits: int | None):
-    """Refuse tables above the family's qubit budget, or above ``max_qubits`` if passed."""
-    budget = family.default_qubit_budget if max_qubits is None else int(max_qubits)
-    if n_qubits > budget:
+# Most outcome-table entries, (2 bases)^n per n-qubit state, that one call
+# builds. The traced peak is 37-137 B per entry (about 1.1 GiB at the limit);
+# `verify --suite ensemble --family six --trials 100000` (7.2e6 entries)
+# peaks at 417 MiB traced and takes 11 s (2-CPU host, one BLAS thread).
+_MAX_TABLE_ENTRIES = 2**23
+
+
+def _require_table_entries(family: MeasurementFamily, n_qubits: int, states: int) -> None:
+    """Refuse ``states`` tables of ``n_qubits`` qubits beyond ``_MAX_TABLE_ENTRIES`` entries."""
+    per_state = 2 * family.bases_per_qubit
+    # past 24 qubits one table alone is over the limit: no huge power is formed
+    if n_qubits > 24 or states * per_state**n_qubits > _MAX_TABLE_ENTRIES:
         raise ValueError(
-            f"{n_qubits} qubits exceeds the {family.value!r} table budget of {budget}; "
-            f"pass max_qubits to override"
+            f"{states} {family.value} outcome tables of {n_qubits} qubits hold {states} x "
+            f"{per_state}^{n_qubits} entries, more than the limit of {_MAX_TABLE_ENTRIES}"
         )
 
 
 def outcome_arrays(
-    ensembles: Sequence[DensityOperator | StateEnsemble],
-    family: MeasurementFamily,
-    max_qubits: int | None = None,
+    ensembles: Sequence[DensityOperator | StateEnsemble], family: MeasurementFamily
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated weights and rows of the outcome tables of a batch of ensembles.
 
@@ -274,14 +280,11 @@ def outcome_arrays(
         raise ValueError("ensembles in one batch must have the same number of members")
     matrices = np.array([[m.state.matrix for m in e.members] for e in batch])
     probabilities = np.array([[m.probability for m in e.members] for e in batch])
-    return stack_outcome_arrays(matrices, probabilities, family, max_qubits)
+    return stack_outcome_arrays(matrices, probabilities, family)
 
 
 def _outcome_rows(
-    matrices: np.ndarray,
-    probabilities: np.ndarray,
-    family: MeasurementFamily,
-    max_qubits: int | None,
+    matrices: np.ndarray, probabilities: np.ndarray, family: MeasurementFamily
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights and rows of :func:`stack_outcome_arrays` before validation.
 
@@ -289,12 +292,12 @@ def _outcome_rows(
     """
     count, dim = len(matrices), matrices.shape[-1]
     n = dim.bit_length() - 1
-    _require_qubit_budget(family, n, max_qubits)
-    step = _outcome_step(family)
     # Axes: state, open row and column index, then the (t, x) pairs of the
     # qubits measured so far, first qubit most significant.
     work = matrices.reshape(-1, dim, dim, 1)
     states, rest = len(work), dim
+    _require_table_entries(family, n, states)
+    step = _outcome_step(family)
     for _ in range(n):
         rest //= 2
         pairs = work.reshape(states, 2, rest, 2, rest, -1).transpose(0, 2, 4, 5, 1, 3)
@@ -308,10 +311,7 @@ def _outcome_rows(
 
 
 def stack_outcome_arrays(
-    matrices: np.ndarray,
-    probabilities: np.ndarray,
-    family: MeasurementFamily,
-    max_qubits: int | None = None,
+    matrices: np.ndarray, probabilities: np.ndarray, family: MeasurementFamily
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated weights and rows of the outcome tables of a stack of ensembles.
 
@@ -326,20 +326,18 @@ def stack_outcome_arrays(
     (the basis choice is uniform and independent of the label). Every state
     is measured once, one qubit at a time by :func:`_outcome_step`, and each
     table is validated once, by the validator of :class:`ConditionalTable`.
-    Raises when ``n`` exceeds the family's qubit budget unless a larger
-    ``max_qubits`` is passed explicitly.
+    Raises ``ValueError`` before the contraction when the ``E m`` tables
+    would hold more than ``_MAX_TABLE_ENTRIES`` entries.
     """
-    return validated_arrays(*_outcome_rows(matrices, probabilities, family, max_qubits))
+    return validated_arrays(*_outcome_rows(matrices, probabilities, family))
 
 
 def outcome_table(
-    states: DensityOperator | StateEnsemble,
-    family: MeasurementFamily,
-    max_qubits: int | None = None,
+    states: DensityOperator | StateEnsemble, family: MeasurementFamily
 ) -> ConditionalTable:
     """Exact outcome table over all basis strings, uniformly weighted.
 
-    The contexts and budget of :func:`stack_outcome_arrays`, labelled by
+    The contexts and size limit of :func:`stack_outcome_arrays`, labelled by
     member ``k`` and basis string. The rows go unvalidated to
     :meth:`ConditionalTable.from_arrays`, which validates them once, so the
     table's arrays equal ``outcome_arrays([states], family)`` bit for bit.
@@ -347,7 +345,7 @@ def outcome_table(
     ensemble = _as_ensemble(states)
     matrices = np.array([[m.state.matrix for m in ensemble.members]])
     probabilities = np.array([[m.probability for m in ensemble.members]])
-    (weights,), (probs,) = _outcome_rows(matrices, probabilities, family, max_qubits)
+    (weights,), (probs,) = _outcome_rows(matrices, probabilities, family)
     strings = itertools.product(range(family.bases_per_qubit), repeat=ensemble.n_qubits)
     thetas = ["".join(map(str, theta)) for theta in strings]
     ks = [m.k for m in ensemble.members for _ in thetas]

@@ -37,7 +37,7 @@ from .bounds import FigureRow, figure_rows, renyi_floor  # figure_rows is re-exp
 from .entropy import _excess_entropies, _row_excess, renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
-    _require_qubit_budget,
+    _require_table_entries,
     checked_probabilities,
     product_eigenstate,
     random_densities,
@@ -434,12 +434,13 @@ def additivity_trial(
     floor. Product eigenstates must attain the floor to within 1e-10. The
     trial states are drawn as one stack, and they and the eigenstate probes
     are tabulated in one batch and their entropies reduced along the trial
-    axis. The worst state is the report's witness.
+    axis. The worst state is the report's witness. ``trials + 3`` tables past
+    the simulator's entry limit (states and probes) are refused before seeding.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     floor_total = n_qubits * renyi_floor(alpha, family)
-    _require_qubit_budget(family, n_qubits, None)
+    _require_table_entries(family, n_qubits, trials + 3)
     dim = 2**n_qubits
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
 
@@ -487,13 +488,17 @@ def ensemble_trial(
     stack and tabulated once, in one batch, and each row's excess is reduced
     once: the ensemble entropies and the member entropies are two weighted
     sums of it. The members of the worst ensemble are the report's witness.
+    Raises ``ValueError`` before seeding when the ``trials * k_count`` member
+    tables exceed the simulator's entry limit. That bounds memory, not time:
+    100,000 BB84 two-qubit, two-member trials take 11 s, so the largest such
+    run accepted (262,144 trials) would take about 30 s (estimated, not run).
     """
     if k_count < 2:
         raise ValueError(f"k_count must be >= 2, got {k_count!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     floor_total = n_qubits * renyi_floor(alpha, family)
-    _require_qubit_budget(family, n_qubits, None)
+    _require_table_entries(family, n_qubits, trials * k_count)
     dim = 2**n_qubits
 
     probabilities = np.empty((trials, k_count))

@@ -6,7 +6,9 @@ A mutant is killed when tier-1 fails and survives when it passes: then no
 test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the
 verdicts of the verifier, one loosened tolerance per constant of
-``verify.py``, ``tables.py`` and ``simulator.py``, and the grid size limit.
+``verify.py``, ``tables.py`` and ``simulator.py``, the grid and table size
+limits and the trials' checks of the latter, the float-fit refusal of block
+lengths, and the smoothing term and both search brackets of ``bounds.py``.
 
 Stdlib only; pytest does not collect this file, so it is not part of tier-1.
 From the repository root::
@@ -33,6 +35,7 @@ TIMEOUT_S = 900
 VERIFY = "src/entrobound/verify.py"
 TABLES = "src/entrobound/tables.py"
 SIMULATOR = "src/entrobound/simulator.py"
+BOUNDS = "src/entrobound/bounds.py"
 
 # (file, exact old text, new text)
 MUTANTS = [
@@ -94,6 +97,21 @@ MUTANTS = [
     (SIMULATOR, "ATOL = 1e-12", "ATOL = 1e-3"),
     (SIMULATOR, "MIN_CONDITION_PROB = 1e-14", "MIN_CONDITION_PROB = 1e-3"),
     (SIMULATOR, "if norm_sq > 1.0 + 1e-12:", "if norm_sq > 1.0 + 1e-3:"),
+    # size limits
+    (SIMULATOR, "_MAX_TABLE_ENTRIES = 2**23", "_MAX_TABLE_ENTRIES = 2**24"),
+    (VERIFY, "    _require_table_entries(family, n_qubits, trials + 3)\n", ""),
+    (VERIFY, "    _require_table_entries(family, n_qubits, trials * k_count)\n", ""),
+    # bound layer
+    (
+        BOUNDS,
+        "    try:\n        float(n)  # the formulas convert n to a float\n    except OverflowError:\n"
+        "        raise ValueError(f\"block length {n!r} exceeds the largest float, "
+        "about 1.8e308\") from None\n",
+        "",
+    ),
+    (BOUNDS, "return 1.0 - 2.0 * math.log2(epsilon)", "return -2.0 * math.log2(epsilon)"),
+    (BOUNDS, "_LOG_S_MIN = -40.0 * _LN2", "_LOG_S_MIN = -20.0 * _LN2"),
+    (BOUNDS, "lo, hi = hi, 2 * hi", "lo, hi = hi, 3 * hi"),
 ]
 
 

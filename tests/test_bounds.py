@@ -91,14 +91,30 @@ class TestLegacyBound:
     @pytest.mark.parametrize(
         "n", [2**1024, 2**1024 - 2**970, 10**400], ids=["2^1024", "2^1024-2^970", "10^400"]
     )
-    def test_block_length_beyond_floats_is_refused(self, n):
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda n: legacy_epsilon(n, 0.1),
+            lambda n: rate_bb84(n, 0.1),
+            lambda n: rate_bb84(n, 0.1, s=0.5),
+            lambda n: rate_six(n, 0.1),
+            lambda n: rate_six(n, 0.1, s=0.5),
+        ],
+        ids=["legacy", "bb84", "bb84-fixed-s", "six", "six-fixed-s"],
+    )
+    def test_block_length_beyond_floats_is_refused(self, evaluate, n):
         # 2^1024 - 2^970 is the least integer that rounds past the largest float
         with pytest.raises(ValueError, match=r"^block length \d+ exceeds the largest float"):
-            legacy_epsilon(n, 0.1)
+            evaluate(n)
 
     def test_largest_float_block_lengths_still_evaluate(self):
         assert legacy_epsilon(2**1024 - 2**970 - 1, 0.1) == 0.0
         assert legacy_epsilon(10**300, 0.1) == 0.0
+        # an integer n and its float give the same rate, bit for bit
+        for n in (2**1024 - 2**970 - 1, 10**300, 2**62 + 1):
+            for rate in (rate_bb84, rate_six):
+                assert rate(n, 0.1) == rate(float(n), 0.1)
+                assert rate(n, 0.1, s=0.5) == rate(float(n), 0.1, s=0.5)
 
     def test_min_n_just_inside_the_float_limit(self):
         n = legacy_min_n(2e-150, 0.1)

@@ -1,5 +1,7 @@
 """Black-box command line checks: outputs, exit codes, determinism, lazy imports."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrobound
 import entrobound.cli as cli
@@ -165,14 +169,26 @@ def test_legacy_eps_command(capsys):
     assert json.loads(out)["epsilon"] == pytest.approx(0.1007, abs=5e-4)
 
 
-def test_legacy_eps_refuses_block_lengths_beyond_floats(capsys):
-    code, out, err = run_cli(capsys, "legacy-eps", "--n", str(2**1024), "--delta", "0.1")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: block length {2**1024} exceeds the largest float, about 1.8e308\n"
-    code, out, _ = run_cli(capsys, "legacy-eps", "--n", str(10**300), "--delta", "0.1")
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["legacy-eps", "--delta", "0.1"],
+        ["rate", "--family", "bb84", "--eps", "0.1"],
+        ["rate", "--family", "six", "--eps", "0.1", "--s", "0.5"],
+    ],
+    ids=["legacy-eps", "rate", "rate-fixed-s"],
+)
+def test_block_lengths_beyond_floats_are_refused(capsys, command):
+    for n in (2**1024, 10**400):
+        code, out, err = run_cli(capsys, *command, "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: block length {n} exceeds the largest float, about 1.8e308\n"
+    code, out, _ = run_cli(capsys, *command, "--n", str(10**300))
     assert code == 0
-    assert out == '{"epsilon": 0.0}\n'
+    assert out.count("\n") == 1 and math.isfinite(next(iter(json.loads(out).values())))
+    if command[0] == "legacy-eps":
+        assert out == '{"epsilon": 0.0}\n'
 
 
 class TestEntropyCommand:
@@ -323,6 +339,23 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: MemoryError: Unable to allocate 7.28 TiB for an array with shape (10**12, 4, 4)\n"
+
+    @pytest.mark.parametrize("suite", ["additivity", "ensemble"])
+    @pytest.mark.parametrize("family", ["bb84", "six"])
+    def test_trials_beyond_the_entry_limit_are_refused(self, capsys, monkeypatch, suite, family):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial beyond the entry limit seeded or drew states")
+
+        monkeypatch.setattr(cli.verify, "random_densities", no_draw)
+        monkeypatch.setattr(cli.verify.np.random, "SeedSequence", no_draw)
+        for trials in (10**7, 10**12, 10**400):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", suite, "--family", family, "--trials", str(trials)
+            )
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error:")
+            assert " entries, more than the limit of 8388608" in err
 
     def test_oversized_grid_is_refused(self, capsys):
         # BB84 10^8 is 10^16 points, 763 MiB per radius row; 465^3 just exceeds 10^8
@@ -504,3 +537,80 @@ class TestLazyImports:
                 getattr(families, name)
         for module in (bounds, families, cli):
             assert not hasattr(module, "np") and not hasattr(module, "numpy")
+
+
+# Option values for the contract property: in the domain three times in
+# four, else huge, tiny, zero, negative, NaN, infinite or non-numeric.
+_HUGE = "1" + "0" * 400
+_ODD = st.sampled_from(
+    ["0", "-1", "-0.25", "5e-324", "1e-300", "1", "2", "1e300", "1e400", "nan", "-inf", "inf",
+     "abc", "", "1.5", _HUGE, "-" + _HUGE]
+) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+def _option(valid, odd=_ODD | st.integers(-(10**30), 10**30).map(str)):
+    return st.sampled_from([True, True, True, False]).flatmap(lambda ok: valid if ok else odd)
+
+
+def _floats(lo, hi):
+    return _option(st.floats(lo, hi).map(repr))
+
+
+_FAMILY = _option(st.sampled_from(["bb84", "six"]), st.just("seven"))
+_N = _option(st.integers(1, 10**18).map(str))
+_EPS = _floats(5e-324, 0.99)
+# Trial counts below 10^3, or from 10^6 up (refused by the entry limit): the
+# counts between are accepted but slow.
+_TRIALS = _option(
+    st.integers(1, 20).map(str), _ODD | st.integers(-(10**30), 0).map(str)
+) | st.integers(10**6, 10**40).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["rate", "blocklen", "legacy-eps", "feasible", "verify"]))
+    if command == "rate":
+        argv = ["--family", draw(_FAMILY), "--n", draw(_N), "--eps", draw(_EPS)]
+        if draw(st.booleans()):
+            argv += ["--s", draw(_floats(1e-6, 1.0))]
+    elif command == "blocklen":
+        argv = ["--family", draw(_FAMILY), "--rate", draw(_floats(0.01, 0.66)),
+                "--eps", draw(_EPS), "--method", draw(st.sampled_from(["new", "legacy", "old"]))]
+    elif command == "legacy-eps":
+        argv = ["--n", draw(_N), "--delta", draw(_floats(1e-6, 0.5))]
+    elif command == "feasible":
+        argv = ["--rate", draw(_floats(0.0, 1.0)), "--perr", draw(_floats(0.0, 1.0))]
+    else:
+        alpha = _option(st.sampled_from(["2", "1.5", "1.3", "1.0001"]))
+        argv = ["--suite", draw(st.sampled_from(["additivity", "ensemble"])),
+                "--family", draw(_FAMILY), "--alpha", draw(alpha), "--trials", draw(_TRIALS),
+                "--seed", draw(_option(st.integers(0, 2**64).map(str)))]
+    return [command, *argv]
+
+
+def _finite_json(line):
+    def refuse(constant):
+        raise AssertionError(f"{constant} printed")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_contract(argv):
+    # In process, whatever the values: exit 0 prints one line of finite JSON,
+    # exit 1 is a failed verification report, exit 2 prints nothing on stdout
+    # and one error line or argparse's usage message on stderr; nothing raises.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1)
+        return
+    assert code in (0, 1) and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = _finite_json(out)
+    if code == 1:
+        assert argv[0] == "verify" and not all(report["pass"] for report in doc)

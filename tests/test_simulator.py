@@ -24,10 +24,12 @@ from entrobound import (
     renyi_floor,
     renyi_power_sum,
 )
+from entrobound import simulator
 from entrobound.simulator import (
     checked_probabilities,
     outcome_arrays,
     random_densities,
+    stack_outcome_arrays,
     validated_densities,
 )
 from helpers import (
@@ -244,14 +246,40 @@ class TestOutcomeTable:
         assert table.weight_vector.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(table.prob_matrix.sum(axis=1), 1.0, atol=1e-10)
 
-    def test_budget_enforced_and_overridable(self):
-        big = random_density(5, 1, seed=0)
-        with pytest.raises(ValueError, match="budget"):
-            outcome_table(big, BB84)
-        table = outcome_table(big, BB84, max_qubits=5)
-        assert len(table) == 2**5
-        with pytest.raises(ValueError, match="budget"):
-            outcome_table(random_density(4, 1, seed=0), SIX)
+    def test_tables_of_held_states_up_to_the_entry_limit(self):
+        # 4^11 and 6^8 entries fit in 2^23; 4^12 and 6^9 do not
+        assert len(outcome_table(random_density(5, 1, seed=0), BB84)) == 2**5
+        assert len(outcome_table(random_density(4, 1, seed=0), SIX)) == 3**4
+        big = random_density(9, 1, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ValueError,
+                match=r"^1 six outcome tables of 9 qubits hold 1 x 6\^9 entries, "
+                r"more than the limit of 8388608$",
+            ):
+                outcome_table(big, SIX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one copy of the held state that the table call stacks
+        assert peak < big.matrix.nbytes + 2**20
+
+    @pytest.mark.parametrize("states,accepted", [(2, True), (3, False)])
+    def test_entry_limit_is_exact(self, monkeypatch, states, accepted):
+        # Two 11-qubit BB84 tables hold exactly 2 x 4^11 = 2^23 entries. The
+        # states are zero-stride views, and the first array built after the
+        # check stands in for the contraction.
+        class Allocated(Exception):
+            pass
+
+        def allocated(family):
+            raise Allocated
+
+        monkeypatch.setattr(simulator, "_outcome_step", allocated)
+        matrices = np.broadcast_to(np.zeros((1, 1, 1, 1), dtype=complex), (states, 1, 2048, 2048))
+        with pytest.raises(Allocated if accepted else ValueError):
+            stack_outcome_arrays(matrices, np.ones((states, 1)), BB84)
 
     def test_ensemble_contexts(self):
         ensemble = StateEnsemble(
@@ -279,7 +307,7 @@ class TestOutcomeTable:
 
 @st.composite
 def states_and_ensembles(draw):
-    """A random state or labelled ensemble of 1..budget qubits, and its family."""
+    """A random state or labelled ensemble of 1..default_qubit_budget qubits, and its family."""
     family = draw(st.sampled_from([BB84, SIX]))
     n = draw(st.integers(1, family.default_qubit_budget))
     members = draw(st.integers(1, 3))
@@ -327,11 +355,11 @@ class TestStackedOutcomeTable:
 
     @pytest.mark.parametrize("family", [BB84, SIX])
     def test_matches_kronecker_oracle(self, family):
-        # Two sizes above the budget, reached through max_qubits.
+        # Two sizes above the benchmark's largest.
         for n in range(1, family.default_qubit_budget + 3):
             for seed in range(3):
                 state = random_density(n, 1 + seed % 2**n, seed=500 + seed)
-                table = outcome_table(state, family, max_qubits=n)
+                table = outcome_table(state, family)
                 oracle = kron_outcome_table(state, family)
                 assert [(c.k, c.theta) for c in table.contexts] == [
                     (c.k, c.theta) for c in oracle.contexts
@@ -344,13 +372,13 @@ class TestStackedOutcomeTable:
         u = family.basis_unitary(theta)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-14
 
-    def test_memory_above_budget_stays_near_table_size(self):
+    def test_memory_of_a_seven_qubit_table_stays_near_its_size(self):
         # The table holds 2^14 entries (128 KiB); a stack of the 2^7
         # seven-qubit basis unitaries alone would take 32 MiB.
         state = random_density(7, 1, seed=7)
         tracemalloc.start()
         try:
-            outcome_arrays([state], BB84, max_qubits=7)
+            outcome_arrays([state], BB84)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -374,8 +402,8 @@ class TestStackedOutcomeTable:
             outcome_arrays([ensembles[0], random_density(2, 1, seed=0)], SIX)
 
 
-class TestProjectorsAboveTableBudget:
-    """Projectors and conditioning above the table budget build one column."""
+class TestProjectorsOfManyQubits:
+    """Projectors and conditioning on many qubits build one column, not a table."""
 
     def test_eight_qubit_projector_matches_kronecker_product(self):
         theta, x = (0, 1) * 4, (1, 0, 0, 1, 1, 1, 0, 0)
@@ -386,7 +414,7 @@ class TestProjectorsAboveTableBudget:
         assert proj.shape == (256, 256)
         assert np.max(np.abs(proj - np.outer(single, single.conj()))) <= 1e-15
 
-    def test_conditioning_above_budget(self):
+    def test_conditioning_on_four_qubits(self):
         theta_a, x_a = (2, 1, 0, 2), (0, 1, 1, 0)
         rho = DensityOperator(
             np.kron(measurement_operator(SIX, theta_a, x_a), np.diag([0.25, 0.75]))

@@ -405,7 +405,7 @@ def test_package_builds_no_context_records(monkeypatch, tmp_path):
     )
     path = tmp_path / "table.json"
     monkeypatch.setattr(tables, "Context", no_record)
-    table = outcome_table(ensemble, MeasurementFamily.BB84, max_qubits=8)
+    table = outcome_table(ensemble, MeasurementFamily.BB84)
     assert len(table) == 1024
     path.write_text(json.dumps(table.to_json_dict()))
     built = [

@@ -194,6 +194,33 @@ class TestGridSearch:
         assert report.passed == passed
 
     @pytest.mark.parametrize(
+        "resolution,tolerance",
+        [(50, (math.pi / 2 / 49) ** 2 / math.log(2.0)), (1500, 1e-3)],
+        ids=["curvature", "fixed"],
+    )
+    @pytest.mark.parametrize("offset,passed", [(-1e-9, True), (1e-9, False)])
+    def test_verdict_on_a_minimum_planted_above_the_floor(
+        self, monkeypatch, resolution, tolerance, offset, passed
+    ):
+        # Every table entropy raised by just under or over the tolerance:
+        # the minimum stays at the eigenstate r = 1, phi = 0, so the verdict
+        # turns on the tolerance alone. At resolution 50 the curvature term
+        # step^2 / (s ln 2) = 1.48e-3 sets it, at 1500 the fixed 1e-3 does.
+        exact = verify.renyi_entropies
+        lift = tolerance + offset
+
+        def lifted(weights, probs, alpha):
+            return exact(weights, probs, alpha) + lift
+
+        monkeypatch.setattr(verify, "renyi_entropies", lifted)
+        report = grid_search_min(BB84, 2.0, resolution)
+        assert report.argmin == (1.0, 0.0)
+        assert report.worst_margin == pytest.approx(lift, abs=1e-15)
+        assert f"tolerance={tolerance!r}" in report.notes
+        assert "argmin near eigenstate: True" in report.notes
+        assert report.passed == passed
+
+    @pytest.mark.parametrize(
         "excess,argmin", [(0.9e-12, (0.0, 0.0)), (1.1e-12, (1.0, 0.0))], ids=["tie", "no tie"]
     )
     def test_ties_within_1e_12_go_to_the_first_point(self, monkeypatch, excess, argmin):
@@ -582,21 +609,70 @@ class TestTrials:
             additivity_trial(2, 2.0, BB84, trials=0, seed=1)
         with pytest.raises(ValueError):
             ensemble_trial(2, 2.0, BB84, k_count=1, trials=5, seed=1)
-        with pytest.raises(ValueError, match="budget"):
-            additivity_trial(5, 2.0, BB84, trials=1, seed=1)
-        with pytest.raises(ValueError, match="budget"):
-            ensemble_trial(4, 2.0, SIX, k_count=2, trials=1, seed=1)
 
-    def test_over_budget_trials_refused_before_drawing(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "trial,family,n,trials,states",
+        [
+            ("additivity", BB84, 2, 524_286, 524_289),  # one state past 2^23 / 4^2
+            ("additivity", SIX, 2, 233_014, 233_017),  # one state past 2^23 / 6^2
+            ("ensemble", BB84, 2, 262_145, 524_290),  # one trial past 2^23 / (2 x 4^2)
+            ("additivity", BB84, 2, 10**7, 10**7 + 3),
+            ("ensemble", SIX, 2, 10**12, 2 * 10**12),
+            ("additivity", SIX, 2, 10**400, 10**400 + 3),
+            ("additivity", BB84, 12, 1, 4),  # one 12-qubit table alone is over the limit
+            ("ensemble", SIX, 9, 1, 2),  # as is one 9-qubit six-state table
+            ("ensemble", BB84, 10**9, 1, 2),  # no power of the qubit count is formed
+        ],
+        ids=["bb84-limit", "six-limit", "ensemble-limit", "1e7", "1e12", "1e400", "bb84-12",
+             "six-9", "huge-n"],
+    )
+    def test_trials_beyond_the_entry_limit_refused_before_drawing(
+        self, monkeypatch, trial, family, n, trials, states
+    ):
         def no_draw(*args, **kwargs):
-            raise AssertionError("states were drawn for an over-budget trial")
+            raise AssertionError("a trial beyond the entry limit seeded or drew states")
 
         monkeypatch.setattr(verify, "random_densities", no_draw)
-        budget = r"^{} qubits exceeds the {!r} table budget of {}; pass max_qubits to override$"
-        with pytest.raises(ValueError, match=budget.format(7, "bb84", 4)):
-            additivity_trial(7, 2.0, BB84, trials=8, seed=1)
-        with pytest.raises(ValueError, match=budget.format(4, "six", 3)):
-            ensemble_trial(4, 2.0, SIX, k_count=2, trials=8, seed=1)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+        per_state = 2 * family.bases_per_qubit
+        message = (
+            rf"^{states} {family.value} outcome tables of {n} qubits hold {states} x "
+            rf"{per_state}\^{n} entries, more than the limit of 8388608$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                if trial == "additivity":
+                    additivity_trial(n, 2.0, family, trials, seed=1)
+                else:
+                    ensemble_trial(n, 2.0, family, 2, trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "trial,family,trials",
+        [("additivity", BB84, 524_285), ("additivity", SIX, 233_013), ("ensemble", BB84, 262_144)],
+    )
+    def test_trials_at_the_entry_limit_are_accepted(self, trial, family, trials):
+        # 524,288 BB84 and 233,016 six-state two-qubit tables fit in 2^23
+        # entries; seeding, which follows the check, stands in for the run
+        class Allocated(Exception):
+            pass
+
+        with mock.patch.object(np.random, "SeedSequence", side_effect=Allocated):
+            with pytest.raises(Allocated):
+                if trial == "additivity":
+                    additivity_trial(2, 2.0, family, trials, seed=1)
+                else:
+                    ensemble_trial(2, 2.0, family, 2, trials, seed=1)
+
+    @pytest.mark.parametrize("family,n", [(BB84, 5), (BB84, 6), (SIX, 4), (SIX, 5)])
+    @pytest.mark.parametrize("alpha", [2.0, 1.3])
+    def test_trials_pass_beyond_the_benchmark_sizes(self, family, n, alpha):
+        assert additivity_trial(n, alpha, family, trials=8, seed=n).passed
+        assert ensemble_trial(n, alpha, family, 2, trials=4, seed=n).passed
 
     @pytest.mark.parametrize(
         "family,n,alpha,trials,seed",
