@@ -13,7 +13,8 @@ two-basis (BB84) measurements, plus the analogous new route for three-basis
 
 Both families share one floor in the number of bases B,
 ``-log2((1 + (B-1) 2^-s) / B) / s``, evaluated with ``log1p``/``expm1`` so
-that it keeps its relative accuracy as ``s -> 0``, where it meets ``(B-1)/B``.
+that it keeps its relative accuracy as ``s -> 0``, where it meets ``(B-1)/B``;
+``_rate_at`` alone evaluates it, less ``c/(s n)`` (``c = 0`` for the floor).
 
 The maximum over s is one golden-section search over ``log s`` on
 ``[2^-40, 1]``, plus the endpoint ``s = 1``. It is exact up to rounding: as
@@ -101,10 +102,10 @@ def _smoothing_term(epsilon: float) -> float:
     return 1.0 - 2.0 * math.log2(epsilon)
 
 
-def _floor(s: float, ceiling: float) -> float:
-    """Floor at ``s`` of the family with ceiling ``(B-1)/B``."""
+def _rate_at(s: float, n: int, eps_term: float, ceiling: float) -> float:
+    """Floor at ``s`` of the family with ceiling ``(B-1)/B``, less ``eps_term / (s n)``."""
     x = s * _LN2
-    return -math.log1p(ceiling * math.expm1(-x)) / x
+    return -math.log1p(ceiling * math.expm1(-x)) / x - eps_term / (s * n)
 
 
 def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
@@ -112,11 +113,10 @@ def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
 
     With B bases per qubit this is ``-log2((1 + (B-1) 2^(1-alpha)) / B) / (alpha - 1)``,
     attained by basis eigenstates and decreasing in alpha from the ceiling
-    ``(B-1)/B``. Shares its evaluation with the rate objectives so fixed-s
-    rates decompose exactly into floor minus correction term.
+    ``(B-1)/B``. It is the rate objective at zero smoothing cost, so a
+    fixed-s rate is exactly this floor minus its correction term.
     """
-    alpha = _require_alpha(alpha)
-    return _floor(alpha - 1.0, family.rate_ceiling)
+    return _rate_at(_require_alpha(alpha) - 1.0, 1, 0.0, family.rate_ceiling)
 
 
 def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
@@ -129,7 +129,7 @@ def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
 
     def point(u: float) -> tuple[float, float]:
         s = math.exp(u)
-        return _floor(s, ceiling) - eps_term / (s * n), s
+        return _rate_at(s, n, eps_term, ceiling), s
 
     lo, hi = _LOG_S_MIN, 0.0
     c = hi - _GOLDEN * (hi - lo)
@@ -150,15 +150,13 @@ def _maximize_rate(n: int, eps_term: float, ceiling: float) -> RateResult:
 
 def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
     n = _require_block_length(n)
-    epsilon = _require_epsilon(epsilon)
-    eps_term = _smoothing_term(epsilon)
-    ceiling = family.rate_ceiling
+    eps_term = _smoothing_term(_require_epsilon(epsilon))
     if s is not None:
         s = float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError(f"Renyi parameter s must lie in (0, 1], got {s!r}")
-        return RateResult(rate=_floor(s, ceiling) - eps_term / (s * n), s_opt=s)
-    return _maximize_rate(n, eps_term, ceiling)
+        return RateResult(rate=_rate_at(s, n, eps_term, family.rate_ceiling), s_opt=s)
+    return _maximize_rate(n, eps_term, family.rate_ceiling)
 
 
 def rate_bb84(n, epsilon: float, s: float | None = None) -> RateResult:
@@ -303,6 +301,17 @@ def min_n_for_rate(
     return _least_n(reaches, 1)
 
 
+# Largest figure accepted, in rows: at 0.17 ms (rate 0.3, eps 0.5) to 2.6 ms
+# (rate 0.49999997, eps 1e-270) a row on a 2-CPU host, 17 s to 4.5 minutes.
+_MAX_FIGURE_ROWS = 10**5
+
+
+def _require_figure_rows(rows: int) -> None:
+    """Refuse a figure of more than ``_MAX_FIGURE_ROWS`` rows."""
+    if rows > _MAX_FIGURE_ROWS:
+        raise ValueError(f"a figure of {rows} rows is more than the limit of {_MAX_FIGURE_ROWS}")
+
+
 class FigureRow(NamedTuple):
     rate: float
     epsilon: float
@@ -310,20 +319,14 @@ class FigureRow(NamedTuple):
     n_new: int | None
 
 
-def figure_rows(
-    rates: Sequence[float],
-    eps_grid: Sequence[float],
-    family: MeasurementFamily = MeasurementFamily.BB84,
-) -> list[FigureRow]:
-    """Minimal block lengths for both bound routes on a (rate, epsilon) grid.
+def figure_rows(rates: Sequence[float], eps_grid: Sequence[float]) -> list[FigureRow]:
+    """Minimal two-basis block lengths for both bound routes on a (rate, epsilon) grid.
 
     Rows are sorted by (rate, epsilon). Rates must lie in (0, 1/2) since the
     legacy column only exists for the two-basis family; there it always holds
     a block length, and a rate infeasible for the new route is marked with
-    ``None`` in its column.
+    ``None`` in its column. Over 10^5 rows are refused before any inversion.
     """
-    if family is not MeasurementFamily.BB84:
-        raise ValueError("block-length tables with a legacy column require the bb84 family")
     # checked after the conversion, so a rate just below 1/2 that rounds to
     # 1/2 (a Fraction, say) is refused rather than reaching the bound routes
     rates = sorted(float(r) for r in rates)
@@ -334,14 +337,15 @@ def figure_rows(
     for eps in eps_grid:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"epsilon values must lie in (0, 1), got {eps!r}")
+    _require_figure_rows(len(rates) * len(eps_grid))
 
     rows = []
     for rate in rates:
         for eps in eps_grid:
             try:
-                n_new = min_n_for_rate(rate, eps, family, "new")
+                n_new = min_n_for_rate(rate, eps)
             except InfeasibleRateError:
                 n_new = None
-            n_legacy = min_n_for_rate(rate, eps, family, "legacy")
+            n_legacy = min_n_for_rate(rate, eps, method="legacy")
             rows.append(FigureRow(rate=rate, epsilon=eps, n_legacy=n_legacy, n_new=n_new))
     return rows

@@ -171,6 +171,7 @@ def _cmd_figure(args) -> int:
         raise ValueError(f"--points must be at least 2, got {args.points!r}")
     if not 0.0 < args.eps_min < args.eps_max < 1.0:
         raise ValueError("epsilon range must satisfy 0 < eps-min < eps-max < 1")
+    bounds._require_figure_rows(len(args.rates) * args.points)
     import numpy as np
 
     eps_grid = np.geomspace(args.eps_min, args.eps_max, args.points)
@@ -178,8 +179,8 @@ def _cmd_figure(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("rate,epsilon,n_legacy,n_new\n")
         for row in rows:
-            n_new = float("inf") if row.n_new is None else row.n_new
-            fh.write(f"{row.rate:.17g},{row.epsilon:.17g},{row.n_legacy:.17g},{n_new:.17g}\n")
+            n_new = "inf" if row.n_new is None else row.n_new
+            fh.write(f"{row.rate:.17g},{row.epsilon:.17g},{row.n_legacy},{n_new}\n")
     _emit({"rows": len(rows), "out": args.out})
     return 0
 
@@ -213,7 +214,7 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ArithmeticError, MemoryError) as exc:  # e.g. a 400-digit or a 10^12 figure --points
+    except (ArithmeticError, MemoryError) as exc:  # a safety net, e.g. a host out of memory
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 

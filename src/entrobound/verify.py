@@ -11,10 +11,9 @@ fact the closed-form bounds rely on:
   the direction of B - 1 angles. The grid is ranked by the power sum in
   streamed chunks of radius rows, and the points that can hold the minimum
   are reduced as tables by the Renyi reduction that every suite shares;
-* ``stationary_signs`` checks the signs of the two second-derivative
-  functions that make the basis eigenstates the only maximisers;
-* ``curvature_gap_sweep`` checks nonnegativity of the auxiliary function
-  behind the midpoint sign;
+* ``stationary_signs`` and ``curvature_gap_sweep`` check, by one verdict,
+  the signs of the second derivatives that make the basis eigenstates the
+  only maximisers and of the auxiliary function behind the midpoint sign;
 * ``additivity_trial`` and ``ensemble_trial`` check that entanglement and
   classical side information cannot beat ``n`` times the one-qubit floor;
 * ``figure_rows``, which tabulates minimal block lengths for both bound
@@ -33,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import FigureRow, figure_rows, renyi_floor  # figure_rows is re-exported
+from .bounds import _LN2, FigureRow, figure_rows, renyi_floor  # re-exports the figure pair
 from .entropy import _excess_entropies, _row_excess, renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
@@ -44,7 +43,6 @@ from .simulator import (
     stack_outcome_arrays,
 )
 
-_LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 # Recorded in reports so random trials are reproducible elsewhere.
@@ -279,11 +277,30 @@ def midpoint_curvature(s):
 
 def _checked_grid(name: str, values, excluded: float) -> np.ndarray:
     """``values`` as floats, refused unless nonempty and in [0, 1] less ``excluded`` (or NaN)."""
-    grid = np.asarray(values, dtype=float)
+    grid = np.array(values, dtype=float, ndmin=1)  # a scalar is a one-point grid
     if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0) & (grid != excluded)):
         domain = "(0, 1]" if excluded == 0.0 else "[0, 1)"
         raise ValueError(f"{name} grid must be nonempty and lie in {domain}")
     return grid
+
+
+def _sign_report(suite: str, margins: np.ndarray, axes: tuple, notes: str) -> VerificationReport:
+    """Sign-suite report, passed when no margin is below -1e-12.
+
+    Its worst cell is the first least one in index order, located on ``axes``.
+    """
+    index = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[index])
+    return VerificationReport(
+        suite=suite,
+        passed=worst >= -1e-12,
+        worst_margin=worst,
+        argmin=tuple(float(axis[i]) for axis, i in zip(axes, index)),
+        resolution=int(margins.size),
+        trials=0,
+        seed=0,
+        notes=notes,
+    )
 
 
 def stationary_signs(s_grid: Sequence[float] | None = None) -> VerificationReport:
@@ -297,24 +314,12 @@ def stationary_signs(s_grid: Sequence[float] | None = None) -> VerificationRepor
     grid = _checked_grid("s", np.linspace(0.001, 1.0, 1000) if s_grid is None else s_grid, 0.0)
     at_endpoint = endpoint_curvature(grid)
     at_midpoint = midpoint_curvature(grid)
-    margins = np.minimum(-at_endpoint, at_midpoint)
-    i = int(np.argmin(margins))
-    worst = float(margins[i])
     notes = (
         f"max endpoint curvature={float(at_endpoint.max())!r} (needs <= 1e-12); "
         f"min midpoint curvature={float(at_midpoint.min())!r} (needs >= -1e-12); "
         f"grid size {grid.size}"
     )
-    return VerificationReport(
-        suite="stationary",
-        passed=worst >= -1e-12,
-        worst_margin=worst,
-        argmin=(float(grid[i]),),
-        resolution=int(grid.size),
-        trials=0,
-        seed=0,
-        notes=notes,
-    )
+    return _sign_report("stationary", np.minimum(-at_endpoint, at_midpoint), (grid,), notes)
 
 
 def _require_gap_domain(a: float, s: float) -> tuple[float, float]:
@@ -385,22 +390,11 @@ def curvature_gap_sweep(
     a = a_values[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 is 0 by continuity
         gaps = np.where(a == 0.0, 0.0, _gap(a, s_values))
-    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    worst = float(gaps[i, j])
     notes = (
         f"grid {a_values.size}x{s_values.size} over a in [{a_values.min()}, {a_values.max()}], "
         f"s in [{s_values.min()}, {s_values.max()}]; a=0 handled by continuity as 0"
     )
-    return VerificationReport(
-        suite="lemma",
-        passed=worst >= -1e-12,
-        worst_margin=worst,
-        argmin=(float(a_values[i]), float(s_values[j])),
-        resolution=int(a_values.size * s_values.size),
-        trials=0,
-        seed=0,
-        notes=notes,
-    )
+    return _sign_report("lemma", gaps, (a_values, s_values), notes)
 
 
 def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):

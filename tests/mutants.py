@@ -6,9 +6,10 @@ A mutant is killed when tier-1 fails and survives when it passes: then no
 test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the
 verdicts of the verifier, one loosened tolerance per constant of
-``verify.py``, ``tables.py`` and ``simulator.py``, the grid and table size
-limits and the trials' checks of the latter, the float-fit refusal of block
-lengths, and the smoothing term and both search brackets of ``bounds.py``.
+``verify.py``, ``tables.py`` and ``simulator.py``, the grid, table and
+figure size limits and the checks that apply them, the float-fit refusal of
+block lengths, the smoothing term and both search brackets of ``bounds.py``,
+and the exact block lengths of the figure CSV.
 
 Stdlib only; pytest does not collect this file, so it is not part of tier-1.
 From the repository root::
@@ -36,6 +37,7 @@ VERIFY = "src/entrobound/verify.py"
 TABLES = "src/entrobound/tables.py"
 SIMULATOR = "src/entrobound/simulator.py"
 BOUNDS = "src/entrobound/bounds.py"
+CLI = "src/entrobound/cli.py"
 
 # (file, exact old text, new text)
 MUTANTS = [
@@ -70,16 +72,7 @@ MUTANTS = [
         "passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok",
         "passed = (margin >= -1e-3) and (abs(margin) <= tolerance) and argmin_ok",
     ),
-    (
-        VERIFY,
-        "passed=worst >= -1e-12,\n        worst_margin=worst,\n        argmin=(float(grid[i]),),",
-        "passed=worst >= -1e-3,\n        worst_margin=worst,\n        argmin=(float(grid[i]),),",
-    ),
-    (
-        VERIFY,
-        "passed=worst >= -1e-12,\n        worst_margin=worst,\n        argmin=(float(a_values[i]),",
-        "passed=worst >= -1e-3,\n        worst_margin=worst,\n        argmin=(float(a_values[i]),",
-    ),
+    (VERIFY, "passed=worst >= -1e-12,", "passed=worst >= -1e-3,"),
     # the rest of the grid search's tolerances
     (VERIFY, "tolerance = max(1e-3, max(", "tolerance = max(1e-1, max("),
     (VERIFY, "    tiny = 1e-12\n", "    tiny = 1e-2\n"),
@@ -101,6 +94,10 @@ MUTANTS = [
     (SIMULATOR, "_MAX_TABLE_ENTRIES = 2**23", "_MAX_TABLE_ENTRIES = 2**24"),
     (VERIFY, "    _require_table_entries(family, n_qubits, trials + 3)\n", ""),
     (VERIFY, "    _require_table_entries(family, n_qubits, trials * k_count)\n", ""),
+    (BOUNDS, "_MAX_FIGURE_ROWS = 10**5", "_MAX_FIGURE_ROWS = 10**6"),
+    (CLI, "    bounds._require_figure_rows(len(args.rates) * args.points)\n", ""),
+    # the figure CSV
+    (CLI, "{row.n_legacy},", "{row.n_legacy:.17g},"),
     # bound layer
     (
         BOUNDS,

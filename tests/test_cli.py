@@ -7,7 +7,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -414,6 +416,88 @@ class TestFigureCommand:
         run_cli(capsys, *args, "--out", str(path_b))
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_block_lengths_are_the_exact_integers(self, capsys, tmp_path):
+        # Above 2^53 a float format would change them: 15321551291192883 prints
+        # as 15321551291192884 under :.17g, and 3099725092117285121 in exponent form.
+        out_path = tmp_path / "rows.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "figure", "--rates", "0.499988,0.499999", "--eps-min", "1e-20", "--eps-max", "1e-3",
+            "--points", "2", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == [
+            "15321551291192883", "2298232693678933", "3099725092117285121", "464958763817592800",
+        ]
+        for rate, eps, n_legacy, n_new in rows:
+            for method, n in (("legacy", n_legacy), ("new", n_new)):
+                _, out, _ = run_cli(
+                    capsys, "blocklen", "--family", "bb84", "--rate", rate, "--eps", eps,
+                    "--method", method,
+                )
+                assert out == f'{{"n": {n}}}\n'
+
+    def test_infeasible_new_route_is_inf(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        rate = repr(math.nextafter(0.5, 0.0))
+        code, _, _ = run_cli(
+            capsys,
+            "figure", "--rates", rate, "--eps-min", "1e-3", "--eps-max", "0.1",
+            "--points", "2", "--out", str(out_path),
+        )
+        assert code == 0
+        assert [line.split(",")[3] for line in out_path.read_text().splitlines()[1:]] == [
+            "inf", "inf",
+        ]
+
+    @pytest.mark.parametrize("points", [str(10**12), "1" + "0" * 400])
+    def test_oversized_figure_is_refused_before_allocating(
+        self, capsys, monkeypatch, tmp_path, points
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an oversized figure built its eps grid or inverted a rate")
+
+        monkeypatch.setattr(np, "geomspace", no_work)
+        monkeypatch.setattr(bounds, "min_n_for_rate", no_work)
+        out_path = tmp_path / "rows.csv"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "figure", "--rates", "0.45,0.46", "--eps-min", "1e-6", "--eps-max", "0.2",
+                "--points", points, "--out", str(out_path),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a figure of {2 * int(points)} rows is more than the limit of 100000\n"
+        assert not out_path.exists()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("points,accepted", [(50_000, True), (50_001, False)])
+    def test_row_limit_is_exact(self, capsys, monkeypatch, tmp_path, points, accepted):
+        # Two rates at 50,000 points are exactly the limit; the eps grid, the
+        # first work after the check, stands in for the figure.
+        class Gridded(Exception):
+            pass
+
+        def gridded(*args, **kwargs):
+            raise Gridded
+
+        monkeypatch.setattr(np, "geomspace", gridded)
+        argv = ["figure", "--rates", "0.45,0.46", "--eps-min", "1e-6", "--eps-max", "0.2",
+                "--points", str(points), "--out", str(tmp_path / "rows.csv")]
+        if accepted:
+            with pytest.raises(Gridded):
+                cli.run(argv)
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: a figure of 100002 rows is more than the limit of 100000\n"
+
     def test_bad_eps_range(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -564,11 +648,41 @@ _EPS = _floats(5e-324, 0.99)
 _TRIALS = _option(
     st.integers(1, 20).map(str), _ODD | st.integers(-(10**30), 0).map(str)
 ) | st.integers(10**6, 10**40).map(str)
+_ALPHA = _option(st.sampled_from(["2", "1.5", "1.3", "1.0001"]))
+_EPS_RANGE = _option(
+    st.lists(st.floats(5e-324, 0.99), min_size=2, max_size=2, unique=True).map(
+        lambda pair: [repr(eps) for eps in sorted(pair)]
+    ),
+    st.lists(_EPS, min_size=2, max_size=2),
+)
+# One or two rates, else an unparsable, empty, out of (0, 1/2) or non-finite list.
+_RATES = _option(
+    st.lists(
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True).map(repr), min_size=1, max_size=2
+    ).map(",".join),
+    st.sampled_from(["", ",", "abc", "0", "0.5", "nan", "1e400"]),
+)
+_POINTS = _option(
+    st.sampled_from(["2", "3"]), st.sampled_from(["-1", "0", "1", str(10**12), _HUGE])
+)
+# Files under the test's directory ("<dir>/" alone is the directory itself),
+# written once by contract_dir; missing.json is never written.
+_TABLE_FILES = ["valid.json", "negative.json", "ragged.json", "not-json.json", "deep.json",
+                "missing.json", ""]
+
+
+def _resolution(family):
+    # 465 (six-state) and 10001 (bb84) are the least grids past the size
+    # limit; every resolution accepted is at most 51.
+    too_large = "465" if family == "six" else "10001"
+    return st.sampled_from(["-1", "49", "50", "51", too_large, _HUGE])
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["rate", "blocklen", "legacy-eps", "feasible", "verify"]))
+    command = draw(st.sampled_from(
+        ["rate", "blocklen", "legacy-eps", "feasible", "verify", "figure", "entropy"]
+    ))
     if command == "rate":
         argv = ["--family", draw(_FAMILY), "--n", draw(_N), "--eps", draw(_EPS)]
         if draw(st.booleans()):
@@ -580,11 +694,24 @@ def _argv(draw):
         argv = ["--n", draw(_N), "--delta", draw(_floats(1e-6, 0.5))]
     elif command == "feasible":
         argv = ["--rate", draw(_floats(0.0, 1.0)), "--perr", draw(_floats(0.0, 1.0))]
+    elif command == "figure":
+        eps_min, eps_max = draw(_EPS_RANGE)
+        argv = ["--rates", draw(_RATES), "--eps-min", eps_min, "--eps-max", eps_max,
+                "--points", draw(_POINTS),
+                "--out", draw(st.sampled_from(["<dir>/rows.csv", "<dir>/"]))]
+    elif command == "entropy":
+        argv = ["--table", "<dir>/" + draw(st.sampled_from(_TABLE_FILES)), "--alpha", draw(_ALPHA)]
     else:
-        alpha = _option(st.sampled_from(["2", "1.5", "1.3", "1.0001"]))
-        argv = ["--suite", draw(st.sampled_from(["additivity", "ensemble"])),
-                "--family", draw(_FAMILY), "--alpha", draw(alpha), "--trials", draw(_TRIALS),
-                "--seed", draw(_option(st.integers(0, 2**64).map(str)))]
+        suite = draw(st.sampled_from(
+            ["additivity", "ensemble", "single-qubit", "lemma", "stationary"]
+        ))
+        family = draw(_FAMILY)
+        argv = ["--suite", suite, "--family", family, "--alpha", draw(_ALPHA)]
+        if suite in ("additivity", "ensemble"):
+            argv += ["--trials", draw(_TRIALS),
+                     "--seed", draw(_option(st.integers(0, 2**64).map(str)))]
+        else:
+            argv += ["--resolution", draw(_resolution(family))]
     return [command, *argv]
 
 
@@ -595,12 +722,31 @@ def _finite_json(line):
     return json.loads(line, parse_constant=refuse)
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """A directory holding one valid table file and five malformed ones."""
+    directory = tmp_path_factory.mktemp("contract")
+    context = {"k": "k", "theta": "0", "weight": 1.0, "p_x": [0.25, 0.75]}
+    negative = [dict(context, weight=-0.5), dict(context, theta="1", weight=1.5)]
+    ragged = [dict(context, weight=0.5), dict(context, theta="1", weight=0.5, p_x=[1.0])]
+    for name, text in [
+        ("valid.json", json.dumps({"contexts": [context]})),
+        ("negative.json", json.dumps({"contexts": negative})),
+        ("ragged.json", json.dumps({"contexts": ragged})),
+        ("not-json.json", "{contexts: "),
+        ("deep.json", "[" * 100_000),
+    ]:
+        (directory / name).write_text(text)
+    return str(directory)
+
+
+@settings(max_examples=300, deadline=None)
 @given(_argv())
-def test_cli_contract(argv):
+def test_cli_contract(contract_dir, argv):
     # In process, whatever the values: exit 0 prints one line of finite JSON,
     # exit 1 is a failed verification report, exit 2 prints nothing on stdout
     # and one error line or argparse's usage message on stderr; nothing raises.
+    argv = [arg.replace("<dir>", contract_dir) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)

@@ -217,6 +217,10 @@ class TestMeasurementOperators:
             measurement_operator(BB84, (2,), (0,))
         with pytest.raises(ValueError, match="out of range"):
             measurement_operator(SIX, (0,), (2,))
+        with pytest.raises(ValueError, match="must have equal length"):
+            measurement_operator(BB84, (0, 1), (0,))
+        with pytest.raises(ValueError, match="must be nonempty"):
+            measurement_operator(SIX, (), ())
 
 
 class TestOutcomeTable:

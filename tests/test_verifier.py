@@ -36,7 +36,7 @@ from entrobound import (
     surface_entropy,
 )
 from entrobound.simulator import DensityOperator, product_eigenstate
-from entrobound import verify
+from entrobound import bounds, verify
 from entrobound.verify import _eigenstate_probes, _near_eigenstate, _probe_states
 from helpers import (
     entropy_space_grid_search_min,
@@ -452,6 +452,14 @@ class TestCurvatureGap:
         with pytest.raises(ValueError, match=message):
             curvature_gap_sweep(a_grid, s_grid)
 
+    def test_a_scalar_is_a_one_point_grid(self):
+        sweep = curvature_gap_sweep(0.5, 0.25)
+        assert sweep == curvature_gap_sweep([0.5], [0.25])
+        assert sweep.argmin == (0.5, 0.25) and sweep.resolution == 1
+        signs = stationary_signs(0.25)
+        assert signs == stationary_signs([0.25])
+        assert signs.argmin == (0.25,) and signs.resolution == 1
+
     @pytest.mark.parametrize(
         "a_grid, s_grid",
         [([0.9, 0.0, 0.3], [0.7, 0.2, 0.45]), ([0.95, 0.4, 0.15, 0.6], [0.3, 0.8, 0.05])],
@@ -609,6 +617,8 @@ class TestTrials:
             additivity_trial(2, 2.0, BB84, trials=0, seed=1)
         with pytest.raises(ValueError):
             ensemble_trial(2, 2.0, BB84, k_count=1, trials=5, seed=1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            ensemble_trial(2, 2.0, BB84, k_count=2, trials=0, seed=1)
 
     @pytest.mark.parametrize(
         "trial,family,n,trials,states",
@@ -790,13 +800,24 @@ class TestFigureRows:
         assert row.n_new is not None and row.n_legacy is not None
         assert row.n_new <= row.n_legacy
 
+    @pytest.mark.parametrize("points,accepted", [(100_000, True), (100_001, False)])
+    def test_row_limit_is_exact(self, monkeypatch, points, accepted):
+        # The first inversion, the first work after the check, stands in for the rows.
+        class Inverted(Exception):
+            pass
+
+        def inverted(*args, **kwargs):
+            raise Inverted
+
+        monkeypatch.setattr(bounds, "min_n_for_rate", inverted)
+        with pytest.raises(Inverted if accepted else ValueError):
+            figure_rows([0.45], np.geomspace(1e-6, 0.2, points))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             figure_rows([0.55], [0.1])
         with pytest.raises(ValueError):
             figure_rows([0.45], [1.5])
-        with pytest.raises(ValueError):
-            figure_rows([0.45], [0.1], SIX)
 
 
 def test_report_json_schema():
