@@ -9,8 +9,10 @@ fact the closed-form bounds rely on:
   Both families share one power sum, ``bloch_power_sum``, over the Bloch
   components along their B measured axes, and one grid: the radius times
   the direction of B - 1 angles. The grid is ranked by the power sum in
-  streamed chunks of radius rows, and the points that can hold the minimum
-  are reduced as tables by the Renyi reduction that every suite shares;
+  streamed chunks of radius rows, on the half of its first angle that the
+  power sum's axis-swap symmetry leaves, and the rows that can hold the
+  minimum are reduced as tables by the Renyi reduction that every suite
+  shares;
 * ``stationary_signs`` and ``curvature_gap_sweep`` check, by one verdict,
   the signs of the second derivatives that make the basis eigenstates the
   only maximisers and of the auxiliary function behind the midpoint sign;
@@ -135,8 +137,9 @@ def surface_entropy(power_sum, s):
     return -np.log2(power_sum) / s
 
 
-# Largest grid the search accepts, about 3 s at ~30 ns per point away from
-# alpha = 1: resolution 10^4 for BB84 and 464 for six-state (464^3 <= 10^8).
+# Largest grid the search accepts, under 1 s at about 8 ns per grid point away
+# from alpha = 1 (2-CPU host): resolution 10^4 for BB84 and 464 for six-state
+# (464^3 <= 10^8).
 _MAX_GRID_POINTS = 10**8
 # Grid points per radius chunk: the search's working set is a few arrays of
 # this many doubles, plus two values per radius row. A chunk is at least one
@@ -166,29 +169,45 @@ def grid_search_min(
 
     A point's entropy is that of its table, rows ``((1 + x_i)/2, (1 - x_i)/2)``
     weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`; it falls
-    as the power sum P rises. A pass over chunks of about ``_CHUNK_POINTS``
-    points keeps each radius row's largest P. Every point of the rows whose
-    largest P reaches the cut ``(1 - 2 (8B + 3)u - 2e-12 s ln 2)`` times the
-    largest of all (u = 2^-53) is reduced as a table, keeping each row's
-    least entropy, and the first row within 1e-12 of the minimum is reduced
-    again for the argmin, its first point within 1e-12. Memory is
-    O(resolution) for BB84 and one chunk for six-state (above resolution
-    256, one radius row of resolution^2 points), and the report is that of
-    reducing every point: with pow, sin and cos within 2u, a
-    computed P is within (8B + 1)u of exact (6(B-1)u from the components, as
-    ``|dP/dx_i| <= e/(2B)`` and ``P >= 1/2``; 4u from the powers, (2B - 1)u
-    from their sum, 4u from the divisor), and a table entropy within 1e-13
-    bits whatever s is (its terms ``p expm1(s ln p)`` share one sign, and
-    moving an entry p by d moves it by about ``(1 + |ln p|) d`` bits). So a
-    point within 1e-12 of the minimum is within 2e-12 bits, exactly, of the
-    largest-P point, and as ``P = 2^(-s H)`` its computed P reaches the cut,
-    which keeps 2u spare for its own rounding; a point below the cut moves
-    neither the minimum nor the argmin. Near alpha = 1 the cut keeps almost
-    every row.
+    as the power sum P rises. The map ``phi -> pi/2 - phi`` of the first
+    angle swaps two Bloch components, ``(r sin phi, r cos phi)`` for BB84 and
+    ``(r sin phi sin theta, r cos phi sin theta, r cos theta)`` for
+    six-state, and P does not change when its components are permuted. So a
+    pass over chunks of about ``_CHUNK_POINTS`` points keeps each radius
+    row's largest P over the phi columns ``j < ceil(resolution/2)`` only,
+    whose mirrors ``m - j`` (``m = resolution - 1``) are the other columns.
+    Every point of the rows whose largest P reaches the cut
+    ``(1 - 2 (8B + 7)u - 2e-12 s ln 2)`` times the largest of all
+    (u = 2^-53) is reduced as a table, keeping each row's least entropy, and
+    the first row within 1e-12 of the minimum is reduced again for the
+    argmin, its first point within 1e-12. Memory is O(resolution) for BB84
+    and one chunk for six-state (above resolution 256, one radius row of
+    resolution^2 points), and the report is that of reducing every point:
+
+    * with pow, sin and cos within 2u, a computed P is within (8B + 1)u of
+      exact (6(B-1)u from the components, as ``|dP/dx_i| <= e/(2B)`` and
+      ``P >= 1/2``; 4u from the powers, (2B - 1)u from their sum, 4u from
+      the divisor);
+    * the exact P at a column's mirror is within 8u of its own: linspace
+      makes ``phi_k`` its step ``fl(fl(pi/2)/m)`` times k, rounded, and
+      ``phi_m = fl(pi/2)``, so ``|phi_(m-j) + phi_j - pi/2| < 3(pi/2)u(1+u)
+      < 5u``, and ``|dP/dphi| <= sqrt(2) e/(2B) <= 1/sqrt(2)`` (as
+      ``e <= 2``, ``B >= 2``) against ``P >= 1/2``;
+    * a table entropy is within 1e-13 bits whatever s is (its terms
+      ``p expm1(s ln p)`` share one sign, and moving an entry p by d moves
+      it by about ``(1 + |ln p|) d`` bits).
+
+    So a point within 1e-12 of the minimum is within 2e-12 bits, exactly, of
+    the largest-P point. As ``P = 2^(-s H)``, the computed P of the point or
+    of its mirror, whichever is ranked, is at least
+    ``1 - 2 (8B + 5)u - 2e-12 s ln 2`` times the largest computed P, and so
+    reaches the cut, which keeps 4u spare for its own rounding; a point
+    below the cut moves neither the minimum nor the argmin. Near alpha = 1
+    the cut keeps almost every row.
 
     Every family is searched at the resolution asked. Raises ``ValueError``
     before building any array when the grid would hold more than 10^8 points
-    (``_MAX_GRID_POINTS``, about 3 s of work away from alpha = 1): BB84
+    (``_MAX_GRID_POINTS``, under 1 s of work away from alpha = 1): BB84
     resolutions above 10^4 and six-state ones above 464. The limit bounds
     memory but not time, which grows near alpha = 1 as the cut keeps more rows.
     """
@@ -206,7 +225,13 @@ def grid_search_min(
     ang = np.linspace(0.0, math.pi / 2.0, resolution)
     axes = [r] + [ang] * (bases - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-    height = max(1, _CHUNK_POINTS // resolution ** len(angles))
+    half = (resolution + 1) // 2  # phi columns ranked; the mirrors hold the rest
+    ranked = [angles[0][:, :half], *angles[1:]]
+
+    def chunks(rows: np.ndarray, row_points: int) -> list[np.ndarray]:
+        """``rows`` in chunks of about ``_CHUNK_POINTS`` points, at least one row each."""
+        height = max(1, _CHUNK_POINTS // row_points)
+        return np.array_split(rows, -(-len(rows) // height))
 
     def table_entropies(rows: np.ndarray) -> np.ndarray:
         """Table entropies of every point of the radius rows ``rows``, one row each."""
@@ -214,14 +239,15 @@ def grid_search_min(
         probs = np.stack([1.0 + x, 1.0 - x], -1) / 2.0
         return renyi_entropies(1.0 / bases, probs, alpha).reshape(len(rows), -1)
 
+    row_points = resolution ** len(angles)
     row_max = np.empty(resolution)
-    for rows in np.array_split(np.arange(resolution), -(-resolution // height)):
-        power_sum = bloch_power_sum(s, _bloch_components(radius[rows], angles))
+    for rows in chunks(np.arange(resolution), row_points // resolution * half):
+        power_sum = bloch_power_sum(s, _bloch_components(radius[rows], ranked))
         row_max[rows] = power_sum.reshape(len(rows), -1).max(axis=1)
-    cut = float(row_max.max()) * (1.0 - 2 * (8 * bases + 3) * 2.0**-53 - 2e-12 * s * _LN2)
+    cut = float(row_max.max()) * (1.0 - 2 * (8 * bases + 7) * 2.0**-53 - 2e-12 * s * _LN2)
     candidates = np.flatnonzero(row_max >= cut)
     row_min = np.full(resolution, np.inf)
-    for rows in np.array_split(candidates, -(-len(candidates) // height)):
+    for rows in chunks(candidates, row_points):
         row_min[rows] = table_entropies(rows).min(axis=1)
 
     grid_min = float(row_min.min())
@@ -276,9 +302,13 @@ def midpoint_curvature(s):
 
 
 def _checked_grid(name: str, values, excluded: float) -> np.ndarray:
-    """``values`` as floats, refused unless nonempty and in [0, 1] less ``excluded`` (or NaN)."""
-    grid = np.array(values, dtype=float, ndmin=1)  # a scalar is a one-point grid
-    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0) & (grid != excluded)):
+    """``values`` as a float grid, a scalar as one point.
+
+    Refused unless one-dimensional, nonempty and in [0, 1] less ``excluded`` (or NaN).
+    """
+    grid = np.array(values, dtype=float, ndmin=1)
+    inside = (grid >= 0.0) & (grid <= 1.0) & (grid != excluded)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(inside):
         domain = "(0, 1]" if excluded == 0.0 else "[0, 1)"
         raise ValueError(f"{name} grid must be nonempty and lie in {domain}")
     return grid

@@ -6,8 +6,9 @@ A mutant is killed when tier-1 fails and survives when it passes: then no
 test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the
 verdicts of the verifier, one loosened tolerance per constant of
-``verify.py``, ``tables.py`` and ``simulator.py``, the grid, table and
-figure size limits and the checks that apply them, the float-fit refusal of
+``verify.py``, ``tables.py`` and ``simulator.py``, the grid's ranked half
+and the mirror-asymmetry term of its cut, the grid, table and figure size
+limits and the checks that apply them, the float-fit refusal of
 block lengths, the smoothing term and both search brackets of ``bounds.py``,
 and the exact block lengths of the figure CSV.
 
@@ -82,6 +83,9 @@ MUTANTS = [
         "row = int(np.argmax(row_min <= grid_min + 1e-6))",
     ),
     (VERIFY, "- 2e-12 * s * _LN2)", "- 0.0 * s * _LN2)"),
+    # the grid's ranked half and the mirror-asymmetry term of its cut
+    (VERIFY, "half = (resolution + 1) // 2", "half = resolution // 2"),
+    (VERIFY, "2 * (8 * bases + 7) * 2.0**-53", "2 * (8 * bases + 3) * 2.0**-53"),
     (VERIFY, "_MAX_GRID_POINTS = 10**8", "_MAX_GRID_POINTS = 10**9"),
     # table and state checks
     (TABLES, "NORM_TOL = 1e-9", "NORM_TOL = 1e-3"),

@@ -248,6 +248,84 @@ class TestGridSearch:
         assert report.argmin == argmin
         assert report.worst_margin == 0.0
 
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("resolution", [50, 51])
+    def test_ranking_evaluates_half_the_first_angle(self, monkeypatch, family, resolution):
+        # phi -> pi/2 - phi swaps two Bloch components, so the ranking pass
+        # evaluates P on phi columns 0 .. ceil(resolution/2) - 1 only.
+        evaluated = []
+        exact = verify.bloch_power_sum
+
+        def spy(s, components):
+            total = exact(s, components)
+            evaluated.append(total.size)
+            return total
+
+        monkeypatch.setattr(verify, "bloch_power_sum", spy)
+        report = grid_search_min(family, 1.5, resolution)
+        assert report.passed
+        half = -(-resolution // 2)
+        assert sum(evaluated) == resolution ** (family.bases_per_qubit - 1) * half
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    def test_a_row_maximum_on_the_middle_column_is_ranked(self, monkeypatch, family):
+        # A planted surface, symmetric under swapping x_0 and x_1: the centre
+        # row r = 0 one bit above the floor, the diagonal x_0 = x_1 of the
+        # r = 1 row (far from the x_0 = x_1 = 0 pole) half a bit below it, and
+        # every other point two bits above it, with P = 2^(-s H). At odd
+        # resolution the diagonal is the middle phi column, the last one
+        # ranked: without it the r = 1 row would rank below the centre row.
+        floor = renyi_floor(2.0, family)
+
+        def entropy(x):
+            h = np.full(x.shape[:-1], floor + 2.0)
+            h[np.all(x == 0.0, axis=-1)] = floor + 1.0
+            diagonal = np.abs(x[..., 0] - x[..., 1]) < 1e-9
+            h[diagonal & (x[..., 0] + x[..., 1] > 1.4)] = floor - 0.5
+            return h
+
+        def power_sum(s, components):
+            return 2.0 ** (-s * entropy(np.stack(np.broadcast_arrays(*components), axis=-1)))
+
+        monkeypatch.setattr(verify, "bloch_power_sum", power_sum)
+        monkeypatch.setattr(
+            verify, "renyi_entropies", lambda weights, probs, alpha: entropy(2 * probs[..., 0] - 1)
+        )
+        report = grid_search_min(family, 2.0, resolution=51)
+        assert report.argmin[:2] == (1.0, np.linspace(0.0, math.pi / 2.0, 51)[25])
+        assert report.worst_margin == -0.5
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    def test_a_row_just_inside_the_widened_cut_is_reduced(self, monkeypatch, family):
+        # A planted surface, symmetric under swapping x_0 and x_1: P = 3/4 at
+        # the eigenstates (one component 1, the others 0) and 1/2 elsewhere,
+        # save the centre row r = 0, whose P lies halfway into the 8 2^-53 by
+        # which the mirror asymmetry widens the cut and whose entropy is 1e-3
+        # below the floor. Without that term the row is cut and the planted
+        # minimum is missed.
+        bases = family.bases_per_qubit
+        s = 0.5
+        floor = renyi_floor(1.0 + s, family)
+        inside = 0.75 * (1.0 - (2 * (8 * bases + 3) + 4) * 2.0**-53 - 2e-12 * s * math.log(2.0))
+
+        def planted(x, at_eigenstate, at_centre, elsewhere):
+            size = np.sort(np.abs(x), axis=-1)
+            eigenstate = (size[..., -1] > 1.0 - 1e-9) & (size[..., -2] < 1e-9)
+            centre = np.all(x == 0.0, axis=-1)
+            return np.where(eigenstate, at_eigenstate, np.where(centre, at_centre, elsewhere))
+
+        def power_sum(s, components):
+            return planted(np.stack(np.broadcast_arrays(*components), axis=-1), 0.75, inside, 0.5)
+
+        def entropies(weights, probs, alpha):
+            return planted(2 * probs[..., 0] - 1, floor, floor - 1e-3, floor + 1.0)
+
+        monkeypatch.setattr(verify, "bloch_power_sum", power_sum)
+        monkeypatch.setattr(verify, "renyi_entropies", entropies)
+        report = grid_search_min(family, 1.0 + s, resolution=50)
+        assert report.argmin == (0.0,) * bases
+        assert report.worst_margin == pytest.approx(-1e-3, abs=1e-15)
+
     def test_six_state_searched_at_resolution_asked(self):
         report = grid_search_min(SIX, 2.0, resolution=101)
         assert report.resolution == 101
@@ -273,9 +351,13 @@ class TestGridSearch:
 
     @pytest.mark.parametrize(
         "family,alpha,resolution",
-        [(BB84, 2.0, 1500), (BB84, 1.3, 1500), (SIX, 2.0, 100), (SIX, 1.0001, 100)],
+        [(BB84, 2.0, 1500), (BB84, 1.3, 1500), (SIX, 2.0, 100), (SIX, 1.0001, 100),
+         (BB84, 1.3, 1501), (SIX, 1.3, 101), (BB84, 1.0 + 1e-12, 1501), (SIX, 1.0 + 1e-12, 101),
+         (BB84, 1.0 + 3e-14, 1501), (SIX, 1.0 + 3e-14, 101)],
     )
     def test_command_line_grids_match_whole_grid(self, family, alpha, resolution):
+        # Odd resolutions rank the middle phi column. Near alpha = 1 the cut
+        # keeps more rows: at 1 + 3e-14, 341 of 1501 and 95 of 101.
         assert grid_search_min(family, alpha, resolution) == whole_grid_search_min(
             family, alpha, resolution
         )
@@ -377,7 +459,7 @@ class TestStationarySigns:
         assert report.passed == passed
 
     def test_rejects_bad_grid(self):
-        for grid in ([0.0, 0.5], [0.5, 1.5], [math.nan], [0.5, math.nan], []):
+        for grid in ([0.0, 0.5], [0.5, 1.5], [math.nan], [0.5, math.nan], [], [[0.5, 0.6]]):
             with pytest.raises(ValueError, match=r"^s grid must be nonempty and lie in \(0, 1\]$"):
                 stationary_signs(grid)
 
@@ -446,6 +528,8 @@ class TestCurvatureGap:
             (None, [], r"^s grid must be nonempty and lie in \(0, 1\]$"),
             (None, [0.0, 0.5], r"^s grid"),
             (None, [math.nan], r"^s grid"),
+            ([[0.5]], [0.5], r"^a grid"),
+            ([0.5], [[0.5]], r"^s grid"),
         ],
     )
     def test_sweep_refuses_bad_grid(self, a_grid, s_grid, message):
