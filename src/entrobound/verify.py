@@ -12,7 +12,9 @@ fact the closed-form bounds rely on:
   streamed chunks of radius rows, on the half of its first angle that the
   power sum's axis-swap symmetry leaves, and the rows that can hold the
   minimum are reduced as tables by the Renyi reduction that every suite
-  shares;
+  shares. The basis eigenstates are grid points, so the verdict is at
+  rounding level: the minimum within ``1e-13 + 4e-16`` bits of the floor,
+  at the eigenstate grid point;
 * ``stationary_signs`` and ``curvature_gap_sweep`` check, by one verdict,
   the signs of the second derivatives that make the basis eigenstates the
   only maximisers and of the auxiliary function behind the midpoint sign;
@@ -147,12 +149,22 @@ _MAX_GRID_POINTS = 10**8
 _CHUNK_POINTS = 2**16
 
 
-def _near_eigenstate(point, step_r: float, step_ang: float) -> bool:
-    """Whether grid point ``(r, *angles)`` lies within one step of a basis eigenstate."""
-    # r within a step of 1, and every Bloch component but one within sin(step) of zero
-    tiny = 1e-12
-    components = sorted(abs(float(x)) for x in _bloch_components(point[0], point[1:]))
-    return point[0] >= 1.0 - step_r - tiny and components[-2] <= math.sin(step_ang) + tiny
+def _single_qubit_report(
+    family: MeasurementFamily, alpha: float, resolution: int, floor: float, grid_min: float, argmin
+) -> VerificationReport:
+    """Report of a grid minimum, judged at rounding level as ``grid_search_min`` states."""
+    margin = grid_min - floor
+    eigenstate = (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
+    tolerance = 1e-13 + 4e-16
+    notes = (
+        f"family={family.value}; alpha={alpha!r}; closed-form floor={floor!r}; grid min="
+        f"{grid_min!r}; needs |margin| <= {tolerance!r}; argmin at eigenstate {eigenstate}: "
+        f"{argmin == eigenstate}; first quadrant/octant searched by symmetry of the power sums"
+    )
+    return VerificationReport(
+        suite="single-qubit", passed=abs(margin) <= tolerance and argmin == eigenstate,
+        worst_margin=margin, argmin=argmin, resolution=resolution, trials=0, seed=0, notes=notes,
+    )
 
 
 def grid_search_min(
@@ -163,9 +175,9 @@ def grid_search_min(
     Searches the full box of the radius and one angle per further Bloch axis
     rather than only the sphere surface, exploiting the reflection symmetry
     of the power sum to restrict to the first quadrant (octant for three
-    bases). Passes when the grid minimum matches the closed-form floor within
-    a curvature-aware tolerance, never undershoots it beyond 1e-9, and the
-    argmin sits within one grid step of a basis eigenstate.
+    bases). Passes when the grid minimum matches the closed-form floor to
+    rounding, ``|grid min - floor| <= T = 1e-13 + 4e-16``, and the argmin is
+    the eigenstate grid point ``(1, 0)`` (``(1, 0, 0)`` for six-state).
 
     A point's entropy is that of its table, rows ``((1 + x_i)/2, (1 - x_i)/2)``
     weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`; it falls
@@ -204,6 +216,16 @@ def grid_search_min(
     reaches the cut, which keeps 4u spare for its own rounding; a point
     below the cut moves neither the minimum nor the argmin. Near alpha = 1
     the cut keeps almost every row.
+
+    ``T`` follows from the same bounds. linspace gives ``r = 1`` and the
+    angle 0 exactly, so the eigenstate grid point's components are exactly
+    0 and 1 and its exact entropy is the floor, which no point's undercuts
+    when the relation holds: the grid minimum is within 1e-13 bits of it.
+    ``renyi_floor`` is within 4e-16 of a floor below 1 bit (its relative
+    accuracy, :mod:`entrobound.bounds`), and the margin is exact (Sterbenz).
+    So ``|margin| <= T``, and a floor off by more than 2T fails. The rows
+    r < 1 lie far above the floor, so the tie rule picks the eigenstate
+    point, the first of the r = 1 row, as the argmin.
 
     Every family is searched at the resolution asked. Raises ``ValueError``
     before building any array when the grid would hold more than 10^8 points
@@ -257,32 +279,7 @@ def grid_search_min(
     column = int(np.argmax(table_entropies(np.array([row]))[0] <= grid_min + 1e-12))
     index = (row, *np.unravel_index(column, (resolution,) * len(angles)))
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
-    margin = grid_min - floor
-    step_r = 1.0 / (resolution - 1)
-    step_ang = (math.pi / 2.0) / (resolution - 1)
-    # Second derivatives of the entropy surfaces are bounded by ~1/(2 s ln 2)
-    # near the eigenstates, so the grid can miss the true minimum by at most
-    # about step^2 / (s ln 2) across all axes.
-    tolerance = max(1e-3, max(step_r, step_ang) ** 2 / (s * _LN2))
-    argmin_ok = _near_eigenstate(argmin, step_r, step_ang)
-
-    passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok
-    notes = (
-        f"family={family.value}; alpha={alpha!r}; closed-form floor={floor!r}; "
-        f"grid min={grid_min!r}; tolerance={tolerance!r} (curvature-aware); "
-        f"argmin near eigenstate: {argmin_ok}; first quadrant/octant searched "
-        f"by symmetry of the power sums in |x_i|"
-    )
-    return VerificationReport(
-        suite="single-qubit",
-        passed=passed,
-        worst_margin=margin,
-        argmin=argmin,
-        resolution=resolution,
-        trials=0,
-        seed=0,
-        notes=notes,
-    )
+    return _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)
 
 
 def endpoint_curvature(s):
@@ -307,8 +304,10 @@ def _checked_grid(name: str, values, excluded: float) -> np.ndarray:
     Refused unless one-dimensional, nonempty and in [0, 1] less ``excluded`` (or NaN).
     """
     grid = np.array(values, dtype=float, ndmin=1)
+    if grid.ndim != 1:
+        raise ValueError(f"{name} grid must be one-dimensional")
     inside = (grid >= 0.0) & (grid <= 1.0) & (grid != excluded)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(inside):
+    if grid.size == 0 or not np.all(inside):
         domain = "(0, 1]" if excluded == 0.0 else "[0, 1)"
         raise ValueError(f"{name} grid must be nonempty and lie in {domain}")
     return grid

@@ -31,7 +31,6 @@ from entrobound import (
     EnsembleMember,
     MeasurementFamily,
     StateEnsemble,
-    VerificationReport,
     cond_renyi_entropy,
     measurement_operator,
     post_measurement_state,
@@ -42,7 +41,7 @@ from entrobound.entropy import renyi_entropies
 from entrobound.verify import (
     _bloch_components,
     _eigenstate_probes,
-    _near_eigenstate,
+    _single_qubit_report,
     bloch_power_sum,
     surface_entropy,
 )
@@ -360,33 +359,12 @@ def _bloch_grid(family: MeasurementFamily, resolution: int):
 
 def _grid_report(family: MeasurementFamily, alpha: float, resolution: int, axes, entropy):
     """The single-qubit report of a whole grid of entropies: its minimum and first tie."""
-    floor = renyi_floor(alpha, family)
-    s = alpha - 1.0
     grid_min = float(entropy.min())
     flat_index = int(np.argmax(entropy <= grid_min + 1e-12))
     index = np.unravel_index(flat_index, entropy.shape)
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
-    margin = grid_min - floor
-    step_r = 1.0 / (resolution - 1)
-    step_ang = (math.pi / 2.0) / (resolution - 1)
-    tolerance = max(1e-3, max(step_r, step_ang) ** 2 / (s * math.log(2.0)))
-    argmin_ok = _near_eigenstate(argmin, step_r, step_ang)
-    notes = (
-        f"family={family.value}; alpha={alpha!r}; closed-form floor={floor!r}; "
-        f"grid min={grid_min!r}; tolerance={tolerance!r} (curvature-aware); "
-        f"argmin near eigenstate: {argmin_ok}; first quadrant/octant searched "
-        f"by symmetry of the power sums in |x_i|"
-    )
-    return VerificationReport(
-        suite="single-qubit",
-        passed=(margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok,
-        worst_margin=margin,
-        argmin=argmin,
-        resolution=resolution,
-        trials=0,
-        seed=0,
-        notes=notes,
-    )
+    floor = renyi_floor(alpha, family)
+    return _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)
 
 
 def whole_grid_search_min(family: MeasurementFamily, alpha: float, resolution: int):

@@ -6,11 +6,13 @@ A mutant is killed when tier-1 fails and survives when it passes: then no
 test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the
 verdicts of the verifier, one loosened tolerance per constant of
-``verify.py``, ``tables.py`` and ``simulator.py``, the grid's ranked half
-and the mirror-asymmetry term of its cut, the grid, table and figure size
-limits and the checks that apply them, the float-fit refusal of
-block lengths, the smoothing term and both search brackets of ``bounds.py``,
-and the exact block lengths of the figure CSV.
+``verify.py``, ``tables.py`` and ``simulator.py``, the grid search's floor
+shifted either way by 1e-10, the grid's ranked half and the
+mirror-asymmetry term of its cut, the default lemma grid, the grid, table
+and figure size limits and the checks that apply them, the float-fit
+refusal of block lengths, the smoothing term, both search brackets and the
+probability check of ``bounds.py``, and the exact block lengths of the
+figure CSV.
 
 Stdlib only; pytest does not collect this file, so it is not part of tier-1.
 From the repository root::
@@ -65,18 +67,23 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok",
-        "passed = (margin >= -1e-9) and (abs(margin) <= tolerance)",
+        "passed=abs(margin) <= tolerance and argmin == eigenstate,",
+        "passed=abs(margin) <= tolerance,",
+    ),
+    (VERIFY, "tolerance = 1e-13 + 4e-16", "tolerance = 1e-9"),
+    (VERIFY, "passed=worst >= -1e-12,", "passed=worst >= -1e-3,"),
+    # the floor the grid search compares with
+    (
+        VERIFY,
+        "floor = renyi_floor(alpha, family)",
+        "floor = renyi_floor(alpha, family) - 1e-10",
     ),
     (
         VERIFY,
-        "passed = (margin >= -1e-9) and (abs(margin) <= tolerance) and argmin_ok",
-        "passed = (margin >= -1e-3) and (abs(margin) <= tolerance) and argmin_ok",
+        "floor = renyi_floor(alpha, family)",
+        "floor = renyi_floor(alpha, family) + 1e-10",
     ),
-    (VERIFY, "passed=worst >= -1e-12,", "passed=worst >= -1e-3,"),
     # the rest of the grid search's tolerances
-    (VERIFY, "tolerance = max(1e-3, max(", "tolerance = max(1e-1, max("),
-    (VERIFY, "    tiny = 1e-12\n", "    tiny = 1e-2\n"),
     (
         VERIFY,
         "row = int(np.argmax(row_min <= grid_min + 1e-12))",
@@ -87,6 +94,8 @@ MUTANTS = [
     (VERIFY, "half = (resolution + 1) // 2", "half = resolution // 2"),
     (VERIFY, "2 * (8 * bases + 7) * 2.0**-53", "2 * (8 * bases + 3) * 2.0**-53"),
     (VERIFY, "_MAX_GRID_POINTS = 10**8", "_MAX_GRID_POINTS = 10**9"),
+    # the default lemma grid
+    (VERIFY, "np.arange(1, 101) / 100.0", "np.arange(1, 101) / 100.000001"),
     # table and state checks
     (TABLES, "NORM_TOL = 1e-9", "NORM_TOL = 1e-3"),
     (TABLES, "ZERO_PROB = 1e-15", "ZERO_PROB = 1e-6"),
@@ -111,6 +120,7 @@ MUTANTS = [
         "",
     ),
     (BOUNDS, "return 1.0 - 2.0 * math.log2(epsilon)", "return -2.0 * math.log2(epsilon)"),
+    (BOUNDS, "if not 0.0 <= p <= 1.0:", "if not 0.0 <= p <= 1.000001:"),
     (BOUNDS, "_LOG_S_MIN = -40.0 * _LN2", "_LOG_S_MIN = -20.0 * _LN2"),
     (BOUNDS, "lo, hi = hi, 2 * hi", "lo, hi = hi, 3 * hi"),
 ]

@@ -195,5 +195,6 @@ def test_binary_entropy():
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(1.0)
     assert binary_entropy(0.11) == pytest.approx(binary_entropy(0.89), abs=1e-14)
-    with pytest.raises(ValueError):
-        binary_entropy(1.2)
+    for p in (1.2, math.nextafter(1.0, 2.0), -5e-324):  # just outside [0, 1] too
+        with pytest.raises(ValueError, match="probability must lie in"):
+            binary_entropy(p)

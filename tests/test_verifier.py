@@ -37,7 +37,7 @@ from entrobound import (
 )
 from entrobound.simulator import DensityOperator, product_eigenstate
 from entrobound import bounds, verify
-from entrobound.verify import _eigenstate_probes, _near_eigenstate, _probe_states
+from entrobound.verify import _eigenstate_probes, _probe_states
 from helpers import (
     entropy_space_grid_search_min,
     reference_additivity,
@@ -48,6 +48,9 @@ from helpers import (
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
+# The grid verdict's bound on |margin|: table entropies within 1e-13 bits,
+# and a floor below 1 bit within 4e-16 relative.
+T = 1e-13 + 4e-16
 
 
 class TestSurfaces:
@@ -135,27 +138,7 @@ class TestGridSearch:
         assert report.worst_margin >= -1e-9
 
     def test_argmin_is_an_eigenstate_direction(self):
-        report = grid_search_min(BB84, 1.5, resolution=80)
-        r, phi = report.argmin
-        assert r == pytest.approx(1.0, abs=1 / 79 + 1e-12)
-        assert min(phi, math.pi / 2 - phi) <= math.pi / 2 / 79 + 1e-12
-
-    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 4, math.pi / 2])
-    def test_six_state_pole_is_an_eigenstate_for_any_phi(self, phi):
-        step = math.pi / 2 / 99
-        assert _near_eigenstate((1.0, phi, 0.0), 1 / 99, step)
-        assert _near_eigenstate((1.0 - 1 / 99, phi, step), 1 / 99, step)
-
-    @pytest.mark.parametrize(
-        "point",
-        [(1.0, math.pi / 4), (1.0, 2 * math.pi / 2 / 99), (1.0, math.pi / 4, math.pi / 4),
-         (1.0, 0.0, math.pi / 2 - 2 * math.pi / 2 / 99), (1.0 - 2 / 99, 0.0),
-         (1.0, (1 + 1e-6) * math.pi / 2 / 99), (1.0 - (1 + 1e-6) / 99, 0.0)],
-        ids=["bb84 diagonal", "bb84 two steps", "six diagonal", "six two steps", "inside",
-             "just past one angle step", "just past one radius step"],
-    )
-    def test_off_axis_argmin_is_rejected(self, point):
-        assert not _near_eigenstate(point, 1 / 99, math.pi / 2 / 99)
+        assert grid_search_min(BB84, 1.5, resolution=80).argmin == (1.0, 0.0)
 
     def test_reports_are_deterministic(self):
         a = grid_search_min(SIX, 1.8, resolution=50)
@@ -168,57 +151,71 @@ class TestGridSearch:
 
     @pytest.mark.parametrize(
         "at,depth,passed",
-        [("eigenstate", 1e-10, True), ("eigenstate", 1e-6, False), ("diagonal", 1e-10, False)],
+        [("eigenstate", T / 2, True), ("eigenstate", 1e-10, False), ("eigenstate", 1e-6, False),
+         ("diagonal", T / 2, False), ("diagonal", 1e-10, False)],
+        ids=["eigenstate-within-T", "eigenstate-1e-10", "eigenstate-1e-6", "diagonal-within-T",
+             "diagonal-1e-10"],
     )
     def test_verdict_on_a_planted_minimum(self, monkeypatch, at, depth, passed):
-        # A minimum planted `depth` below the floor at r = 1 and phi = 0 (an
-        # eigenstate) or phi = pi/4 (none): the grid may undershoot the floor
-        # by 1e-9, and only near an eigenstate.
+        # A minimum planted `depth` below the floor at r = 1 and phi = 0 (the
+        # eigenstate grid point) or phi = pi/4 (none, with every other point
+        # lifted 1e-11 so that the r = 1 arc does not tie with it): the grid
+        # may undershoot the floor by T, and only at the eigenstate.
         floor = renyi_floor(2.0, BB84)
         exact = verify.renyi_entropies
 
         def planted(weights, probs, alpha):
             x = 2.0 * probs[..., 0] - 1.0
+            entropy = exact(weights, probs, alpha)
             if at == "eigenstate":
                 spot = x[..., 1] == 1.0
             else:
                 spot = (np.abs(x[..., 0] - x[..., 1]) < 1e-9) & (x[..., 0] > 0.7)
-            return np.where(spot, floor - depth, exact(weights, probs, alpha))
+                entropy = entropy + 1e-11
+            return np.where(spot, floor - depth, entropy)
 
         monkeypatch.setattr(verify, "renyi_entropies", planted)
         report = grid_search_min(BB84, 2.0, resolution=51)
         phi = 0.0 if at == "eigenstate" else math.pi / 4
         assert report.argmin == pytest.approx((1.0, phi))
         assert report.worst_margin == pytest.approx(-depth, abs=1e-15)
-        assert f"argmin near eigenstate: {at == 'eigenstate'}" in report.notes
+        assert f"argmin at eigenstate (1.0, 0.0): {at == 'eigenstate'}" in report.notes
         assert report.passed == passed
 
-    @pytest.mark.parametrize(
-        "resolution,tolerance",
-        [(50, (math.pi / 2 / 49) ** 2 / math.log(2.0)), (1500, 1e-3)],
-        ids=["curvature", "fixed"],
-    )
-    @pytest.mark.parametrize("offset,passed", [(-1e-9, True), (1e-9, False)])
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("offset,passed", [(-2e-15, True), (2e-15, False)])
     def test_verdict_on_a_minimum_planted_above_the_floor(
-        self, monkeypatch, resolution, tolerance, offset, passed
+        self, monkeypatch, family, offset, passed
     ):
-        # Every table entropy raised by just under or over the tolerance:
-        # the minimum stays at the eigenstate r = 1, phi = 0, so the verdict
-        # turns on the tolerance alone. At resolution 50 the curvature term
-        # step^2 / (s ln 2) = 1.48e-3 sets it, at 1500 the fixed 1e-3 does.
+        # Every table entropy raised by just under or over T: the minimum
+        # stays at the eigenstate grid point, so the verdict turns on T alone.
+        # The 2e-15 covers the unlifted margin (at most a few 1e-16).
         exact = verify.renyi_entropies
-        lift = tolerance + offset
+        lift = T + offset
 
         def lifted(weights, probs, alpha):
             return exact(weights, probs, alpha) + lift
 
         monkeypatch.setattr(verify, "renyi_entropies", lifted)
-        report = grid_search_min(BB84, 2.0, resolution)
-        assert report.argmin == (1.0, 0.0)
+        report = grid_search_min(family, 2.0, resolution=50)
+        eigenstate = (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
+        assert report.argmin == eigenstate
         assert report.worst_margin == pytest.approx(lift, abs=1e-15)
-        assert f"tolerance={tolerance!r}" in report.notes
-        assert "argmin near eigenstate: True" in report.notes
+        assert f"needs |margin| <= {T!r}" in report.notes
+        assert f"argmin at eigenstate {eigenstate}: True" in report.notes
         assert report.passed == passed
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.3, 2.0])
+    @pytest.mark.parametrize("shift", [-1e-10, 1e-10])
+    def test_a_floor_off_by_1e_10_fails(self, monkeypatch, family, alpha, shift):
+        # The relation is tight and its attaining state is a grid point, so a
+        # floor lowered (too conservative) or raised by 1e-10 bits is caught.
+        exact = verify.renyi_floor
+        monkeypatch.setattr(verify, "renyi_floor", lambda a, f: exact(a, f) + shift)
+        report = grid_search_min(family, alpha, resolution=50)
+        assert report.argmin == (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
+        assert report.passed is False
 
     @pytest.mark.parametrize(
         "excess,argmin", [(0.9e-12, (0.0, 0.0)), (1.1e-12, (1.0, 0.0))], ids=["tie", "no tie"]
@@ -419,16 +416,18 @@ class TestGridSearch:
         st.just(2.0) | st.floats(math.log10(4.3e-6), 0.0).map(lambda x: 1.0 + 10.0**x),
     )
     def test_verdict_matches_entropy_space_search(self, data, family, alpha):
-        # Where the earlier -log2(P)/s search was accurate enough to give a
-        # verdict, the verdicts and argmins agree and the margins differ by no
-        # more than its rounding, (8B + 3) 2^-53 / (s ln 2).
+        # The argmins agree and the margins differ by no more than the earlier
+        # -log2(P)/s search's rounding, (8B + 3) 2^-53 / (s ln 2); where that
+        # leaves its margin within T, it passes as the streamed search does.
         top = 400 if family is BB84 else 100
         resolution = data.draw(st.integers(min_value=50, max_value=top), label="resolution")
         report = grid_search_min(family, alpha, resolution)
         expected = entropy_space_grid_search_min(family, alpha, resolution)
-        assert (report.passed, report.argmin) == (expected.passed, expected.argmin)
+        assert report.passed and report.argmin == expected.argmin
         rounding = (8 * family.bases_per_qubit + 3) * 2.0**-53 / ((alpha - 1.0) * math.log(2.0))
         assert abs(report.worst_margin - expected.worst_margin) <= rounding + 1e-15
+        if abs(report.worst_margin) + rounding + 1e-15 <= T:  # its margin within T too
+            assert expected.passed
 
 
 class TestStationarySigns:
@@ -459,9 +458,11 @@ class TestStationarySigns:
         assert report.passed == passed
 
     def test_rejects_bad_grid(self):
-        for grid in ([0.0, 0.5], [0.5, 1.5], [math.nan], [0.5, math.nan], [], [[0.5, 0.6]]):
+        for grid in ([0.0, 0.5], [0.5, 1.5], [math.nan], [0.5, math.nan], []):
             with pytest.raises(ValueError, match=r"^s grid must be nonempty and lie in \(0, 1\]$"):
                 stationary_signs(grid)
+        with pytest.raises(ValueError, match=r"^s grid must be one-dimensional$"):
+            stationary_signs([[0.5, 0.6]])
 
 
 class TestCurvatureGap:
@@ -518,6 +519,12 @@ class TestCurvatureGap:
         assert report.passed
         assert report.worst_margin >= -1e-12
         assert report.resolution == 100 * 100
+
+    def test_default_grids(self):
+        assert curvature_gap_sweep() == curvature_gap_sweep(
+            np.arange(100) / 100, np.arange(1, 101) / 100
+        )
+        assert stationary_signs() == stationary_signs(np.linspace(0.001, 1.0, 1000))
 
     @pytest.mark.parametrize(
         "a_grid, s_grid, message",
