@@ -30,15 +30,33 @@ def cond_min_entropy(table: ConditionalTable) -> float:
     return -math.log2(guess)
 
 
+def _term(p, s: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``p expm1(s ln p)`` elementwise, into ``out`` when given: the excess term of one entry.
+
+    Terms share the sign of ``s``, so their sums keep their relative accuracy
+    at any order; p = 0 gives ``0 * expm1(-inf) = -0.0`` and needs no mask.
+    """
+    with np.errstate(divide="ignore"):
+        out = np.log(p, out=out)
+    out *= s
+    np.expm1(out, out=out)
+    out *= p
+    return out
+
+
 def _row_excess(probs: np.ndarray, s: float) -> np.ndarray:
     """Per-row ``sum_x p expm1(s ln p)``: the power sum of order 1+s minus 1, uncancelled."""
-    with np.errstate(divide="ignore"):  # p = 0 gives ln p = -inf and a term of 0
-        return (probs * np.expm1(s * np.log(probs))).sum(axis=-1)
+    return _term(probs, s).sum(axis=-1)
+
+
+def _excess_bits(excess, s: float) -> np.ndarray:
+    """Renyi entropy ``-log1p(E) / (s ln 2)`` of order 1+s, in bits, of a table excess E."""
+    return -np.log1p(excess) / (s * _LN2)
 
 
 def _excess_entropies(weights, excess: np.ndarray, s: float) -> np.ndarray:
-    """Renyi entropies ``-log1p(sum_c w_c e_c) / (s ln 2)`` of row excesses on the last axis."""
-    return -np.log1p((excess * weights).sum(axis=-1)) / (s * _LN2)
+    """Renyi entropies of row excesses on the last axis: bits of ``sum_c w_c e_c``."""
+    return _excess_bits((excess * weights).sum(axis=-1), s)
 
 
 def renyi_power_sum(table: ConditionalTable, alpha: float) -> float:

@@ -6,15 +6,15 @@ fact the closed-form bounds rely on:
 * ``grid_search_min`` minimises the single-qubit conditional Renyi entropy
   over the full Bloch quadrant/octant and compares with the closed-form
   floor, without trusting the analytic reduction to the sphere surface.
-  Both families share one power sum, ``bloch_power_sum``, over the Bloch
-  components along their B measured axes, and one grid: the radius times
-  the direction of B - 1 angles. The grid is ranked by the power sum in
-  streamed chunks of radius rows, on the half of its first angle that the
-  power sum's axis-swap symmetry leaves, and the rows that can hold the
-  minimum are reduced as tables by the Renyi reduction that every suite
-  shares. The basis eigenstates are grid points, so the verdict is at
-  rounding level: the minimum within ``1e-13 + 4e-16`` bits of the floor,
-  at the eigenstate grid point;
+  Both families share one per-point formula, the table excess of
+  ``_bloch_excess`` over the Bloch components along their B measured axes,
+  and one grid: the radius times the direction of B - 1 angles. The grid is
+  ranked by the excess in streamed chunks of radius rows, on the half of its
+  first angle that the axis-swap symmetry leaves, and the rows whose best
+  ranked point lies within a fixed number of bits of the best are reduced
+  point by point, by the same formula. The basis eigenstates are grid points,
+  so the verdict is at rounding level: the minimum within ``1e-13 + 4e-16``
+  bits of the floor, at the eigenstate grid point;
 * ``stationary_signs`` and ``curvature_gap_sweep`` check, by one verdict,
   the signs of the second derivatives that make the basis eigenstates the
   only maximisers and of the auxiliary function behind the midpoint sign;
@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _LN2, FigureRow, figure_rows, renyi_floor  # re-exports the figure pair
-from .entropy import _excess_entropies, _row_excess, renyi_entropies
+from .bounds import FigureRow, figure_rows, renyi_floor  # re-exports the figure pair
+from .entropy import _excess_bits, _excess_entropies, _row_excess, _term, renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
     _require_table_entries,
@@ -98,30 +98,58 @@ class VerificationReport:
         }
 
 
-def bloch_power_sum(s, components):
-    """Order-(1+s) power sum ``sum_i [(1+x_i)^e + (1-x_i)^e] / (B 2^e)``, ``e = 1+s``.
+def _bloch_excess(s, radius, direction, work=None):
+    """Table excess ``E = sum_i [t((1 + x_i)/2) + t((1 - x_i)/2)] / B``, ``t = entropy._term``.
 
-    ``x_i`` is the Bloch component along measured axis i of B. The first
-    component carries the full broadcast shape: the sum is accumulated in
-    place, because a named running sum keeps numpy from reusing temporaries.
+    ``x_i = radius * direction[i]`` is the Bloch component along measured
+    axis i of B, broadcast against the others. Each axis's two terms are
+    added, weighted ``1/B`` and accumulated in axis order, as
+    :func:`entrobound.entropy.renyi_entropies` sums the point's table, rows
+    ``((1 + x_i)/2, (1 - x_i)/2)``, so the bits of E equal that reduction's,
+    bit for bit. Computed in place in ``work``, five arrays of the broadcast
+    shape, and returned as its first. ``work`` is allocated when not given;
+    the grid search reuses one from chunk to chunk, because fresh arrays of
+    chunk size cost page faults on every chunk.
     """
-    e = 1.0 + s
-    first, *rest = components
-    total = (1 + first) ** e + (1 - first) ** e
-    for x in rest:
-        total += (1 + x) ** e
-        total += (1 - x) ** e
-    return total / (len(components) * 2.0**e)
+    weight = 1.0 / len(direction)
+    if work is None:
+        shape = np.broadcast_shapes(np.shape(radius), *(np.shape(u) for u in direction))
+        work = np.empty((5, *shape))
+    total, half, p, up, down = (work[i, ...] for i in range(5))  # views, 0-d ones included
+    for i, u in enumerate(direction):
+        pair = up if i else total
+        np.multiply(radius, u, out=half)
+        half *= 0.5  # (1 +- x)/2 = 0.5 +- x/2, exactly as rounded
+        _term(np.add(0.5, half, out=p), s, out=pair)
+        pair += _term(np.subtract(0.5, half, out=p), s, out=down)
+        pair *= weight
+        if i:
+            total += pair
+    return total
+
+
+def bloch_power_sum(s, components):
+    """Order-(1+s) power sum ``sum_i [(1+x_i)^(1+s) + (1-x_i)^(1+s)] / (B 2^(1+s))``, as ``1 + E``.
+
+    ``x_i`` is the Bloch component along measured axis i of B; E is
+    :func:`_bloch_excess`.
+    """
+    return 1.0 + _bloch_excess(s, 1.0, components)
+
+
+def _bloch_direction(angles):
+    """Unit vector of ``angles``, one component per Bloch axis."""
+    # (sin phi, cos phi); a further angle theta gives (sin phi sin theta, ..., cos theta)
+    components = [1.0]
+    for angle in angles:
+        sin = np.sin(angle)
+        components = [x * sin for x in components] + [np.cos(angle)]
+    return components
 
 
 def _bloch_components(r, angles):
     """``r`` times the unit vector of ``angles``, one component per Bloch axis."""
-    # (r sin phi, r cos phi); a further angle theta gives (r sin phi sin theta, ..., r cos theta)
-    components = [r]
-    for angle in angles:
-        sin = np.sin(angle)
-        components = [x * sin for x in components] + [r * np.cos(angle)]
-    return components
+    return [r * x for x in _bloch_direction(angles)]
 
 
 def bb84_surface(s, r, phi):
@@ -139,14 +167,15 @@ def surface_entropy(power_sum, s):
     return -np.log2(power_sum) / s
 
 
-# Largest grid the search accepts, under 1 s at about 8 ns per grid point away
-# from alpha = 1 (2-CPU host): resolution 10^4 for BB84 and 464 for six-state
-# (464^3 <= 10^8).
+# Largest grid the search accepts, under 1 s of work at any alpha
+# (2-CPU host): resolution 10^4 for BB84 and 464 for six-state (464^3 <= 10^8).
 _MAX_GRID_POINTS = 10**8
-# Grid points per radius chunk: the search's working set is a few arrays of
-# this many doubles, plus two values per radius row. A chunk is at least one
-# row: above resolution 256 a six-state chunk is one row of resolution^2 points.
-_CHUNK_POINTS = 2**16
+# Grid points per radius chunk: the search's working set is five scratch arrays
+# of this many doubles, reused by every chunk, plus two values per radius row.
+# A chunk is at least one row: from resolution 182 on, a six-state chunk is one
+# row of resolution^2 points. Measured best among 2^12 .. 2^17 on BB84 1500 to
+# 10^4, in fresh processes.
+_CHUNK_POINTS = 2**15
 
 
 def _single_qubit_report(
@@ -180,42 +209,50 @@ def grid_search_min(
     the eigenstate grid point ``(1, 0)`` (``(1, 0, 0)`` for six-state).
 
     A point's entropy is that of its table, rows ``((1 + x_i)/2, (1 - x_i)/2)``
-    weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`; it falls
-    as the power sum P rises. The map ``phi -> pi/2 - phi`` of the first
-    angle swaps two Bloch components, ``(r sin phi, r cos phi)`` for BB84 and
+    weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`: the bits
+    ``-log1p(E)/(s ln 2)`` of its excess E, which :func:`_bloch_excess`
+    computes bit for bit as that reduction does, and the only per-point
+    quantity of the search. Its terms share one sign, so E keeps its relative
+    accuracy at any s. The map ``phi -> pi/2 - phi`` of the first angle swaps
+    two Bloch components, ``(r sin phi, r cos phi)`` for BB84 and
     ``(r sin phi sin theta, r cos phi sin theta, r cos theta)`` for
-    six-state, and P does not change when its components are permuted. So a
-    pass over chunks of about ``_CHUNK_POINTS`` points keeps each radius
-    row's largest P over the phi columns ``j < ceil(resolution/2)`` only,
-    whose mirrors ``m - j`` (``m = resolution - 1``) are the other columns.
-    Every point of the rows whose largest P reaches the cut
-    ``(1 - 2 (8B + 7)u - 2e-12 s ln 2)`` times the largest of all
-    (u = 2^-53) is reduced as a table, keeping each row's least entropy, and
-    the first row within 1e-12 of the minimum is reduced again for the
-    argmin, its first point within 1e-12. Memory is O(resolution) for BB84
-    and one chunk for six-state (above resolution 256, one radius row of
+    six-state, and the entropy does not change when its components are
+    permuted. So a pass over chunks of about ``_CHUNK_POINTS`` points keeps
+    each radius row's largest E over the phi columns ``j < ceil(resolution/2)``
+    only, whose mirrors ``m - j`` (``m = resolution - 1``) are the other
+    columns, and converts it to bits once per row. Every point of the rows
+    whose bits lie within ``W = 1e-12 + 2e-13 + 5uL`` of the least row's
+    (u = 2^-53, L = 4) is reduced, keeping each row's least bits, and the
+    first row within 1e-12 of the minimum is reduced again for the argmin,
+    its first point within 1e-12. Memory is O(resolution) for BB84 and one
+    chunk for six-state (from resolution 182 on, one radius row of
     resolution^2 points), and the report is that of reducing every point:
 
-    * with pow, sin and cos within 2u, a computed P is within (8B + 1)u of
-      exact (6(B-1)u from the components, as ``|dP/dx_i| <= e/(2B)`` and
-      ``P >= 1/2``; 4u from the powers, (2B - 1)u from their sum, 4u from
-      the divisor);
-    * the exact P at a column's mirror is within 8u of its own: linspace
-      makes ``phi_k`` its step ``fl(fl(pi/2)/m)`` times k, rounded, and
-      ``phi_m = fl(pi/2)``, so ``|phi_(m-j) + phi_j - pi/2| < 3(pi/2)u(1+u)
-      < 5u``, and ``|dP/dphi| <= sqrt(2) e/(2B) <= 1/sqrt(2)`` (as
-      ``e <= 2``, ``B >= 2``) against ``P >= 1/2``;
-    * a table entropy is within 1e-13 bits whatever s is (its terms
-      ``p expm1(s ln p)`` share one sign, and moving an entry p by d moves
-      it by about ``(1 + |ln p|) d`` bits).
+    * a computed table entropy is within ``d = 1e-13`` bits of the exact
+      one whatever s is, the bits step included (moving an entry p by a
+      rounding e moves it by about ``(1 + |ln p|) e`` bits);
+    * the exact entropy at a column's mirror is within ``5uL`` of its own:
+      linspace makes ``phi_k`` its step ``fl(fl(pi/2)/m)`` times k, rounded,
+      and ``phi_m = fl(pi/2)``, so ``|phi_(m-j) + phi_j - pi/2| <
+      3(pi/2)u(1+u) < 5u``. ``|dH/dphi| <= |dH/dx_0| |x_1| + |dH/dx_1| |x_0|``
+      with ``|dH/dx_i| = (1+s) |p_+^s - p_-^s| / (2B s ln2 P)``; as
+      ``(a^s - b^s)/s <= ln(a/b)`` on (0, 1], ``|x_1| <= sqrt(1 - x_0^2)``,
+      ``max_v 2v/cosh v < 1.3255`` (at ``x_0 = tanh v``) and ``P >= 2^-s``,
+      this is at most ``(1+s) 2^s 1.3255/(B ln 2) < 3.83`` bits per radian
+      for every s in (0, 1], B >= 2, which L = 4 bounds.
 
-    So a point within 1e-12 of the minimum is within 2e-12 bits, exactly, of
-    the largest-P point. As ``P = 2^(-s H)``, the computed P of the point or
-    of its mirror, whichever is ranked, is at least
-    ``1 - 2 (8B + 5)u - 2e-12 s ln 2`` times the largest computed P, and so
-    reaches the cut, which keeps 4u spare for its own rounding; a point
-    below the cut moves neither the minimum nor the argmin. Near alpha = 1
-    the cut keeps almost every row.
+    So let x be a point within 1e-12 of the computed minimum ``h``, and x'
+    x or its mirror, whichever is ranked. The row of x' has a ranked point
+    of computed E at least that of x', so its bits are at most the exact
+    entropy of x' plus d (which bounds the rounding of E, as bits, and of
+    the bits step together), at most that of x plus ``5uL + d``, at most
+    ``h + 1e-12 + 2d + 5uL``. The least row's bits are a computed entropy,
+    so at least h: the row of x' is within W of it and is reduced. The sum
+    ``best + W`` lies below 1 bit, so its rounding (u/2) is within the
+    ``5u (4 - 3.83)`` that L keeps spare. A row outside W holds no point
+    within 1e-12 of the minimum and moves neither it nor the argmin. W does
+    not depend on s, so near alpha = 1 the cut keeps the r = 1 row alone, as
+    it does at alpha = 1.3.
 
     ``T`` follows from the same bounds. linspace gives ``r = 1`` and the
     angle 0 exactly, so the eigenstate grid point's components are exactly
@@ -229,9 +266,8 @@ def grid_search_min(
 
     Every family is searched at the resolution asked. Raises ``ValueError``
     before building any array when the grid would hold more than 10^8 points
-    (``_MAX_GRID_POINTS``, under 1 s of work away from alpha = 1): BB84
-    resolutions above 10^4 and six-state ones above 464. The limit bounds
-    memory but not time, which grows near alpha = 1 as the cut keeps more rows.
+    (``_MAX_GRID_POINTS``, under 1 s of work at any alpha): BB84
+    resolutions above 10^4 and six-state ones above 464.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
@@ -248,35 +284,39 @@ def grid_search_min(
     axes = [r] + [ang] * (bases - 1)
     radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
     half = (resolution + 1) // 2  # phi columns ranked; the mirrors hold the rest
-    ranked = [angles[0][:, :half], *angles[1:]]
+    direction = _bloch_direction(angles)
+    ranked = _bloch_direction([angles[0][:, :half], *angles[1:]])
 
     def chunks(rows: np.ndarray, row_points: int) -> list[np.ndarray]:
         """``rows`` in chunks of about ``_CHUNK_POINTS`` points, at least one row each."""
         height = max(1, _CHUNK_POINTS // row_points)
         return np.array_split(rows, -(-len(rows) // height))
 
-    def table_entropies(rows: np.ndarray) -> np.ndarray:
-        """Table entropies of every point of the radius rows ``rows``, one row each."""
-        x = np.stack(np.broadcast_arrays(*_bloch_components(radius[rows], angles)), axis=-1)
-        probs = np.stack([1.0 + x, 1.0 - x], -1) / 2.0
-        return renyi_entropies(1.0 / bases, probs, alpha).reshape(len(rows), -1)
-
     row_points = resolution ** len(angles)
+    # A chunk holds at most max(_CHUNK_POINTS, row_points) points.
+    work = np.empty(5 * max(_CHUNK_POINTS, row_points))
+
+    def excess(rows, along) -> np.ndarray:
+        """Table excess of the radius rows ``rows`` along the direction ``along``, one row each."""
+        shape = np.broadcast_shapes(radius[rows].shape, *(u.shape for u in along))
+        chunk = work[: 5 * math.prod(shape)].reshape(5, *shape)
+        return _bloch_excess(s, radius[rows], along, chunk).reshape(len(rows), -1)
+
     row_max = np.empty(resolution)
     for rows in chunks(np.arange(resolution), row_points // resolution * half):
-        power_sum = bloch_power_sum(s, _bloch_components(radius[rows], ranked))
-        row_max[rows] = power_sum.reshape(len(rows), -1).max(axis=1)
-    cut = float(row_max.max()) * (1.0 - 2 * (8 * bases + 7) * 2.0**-53 - 2e-12 * s * _LN2)
-    candidates = np.flatnonzero(row_max >= cut)
+        row_max[rows] = excess(rows, ranked).max(axis=1)
+    row_bits = _excess_bits(row_max, s)
+    window = 1e-12 + 2e-13 + 5 * 2.0**-53 * 4  # W, derived above
+    candidates = np.flatnonzero(row_bits <= float(row_bits.min()) + window)
     row_min = np.full(resolution, np.inf)
     for rows in chunks(candidates, row_points):
-        row_min[rows] = table_entropies(rows).min(axis=1)
+        row_min[rows] = _excess_bits(excess(rows, direction), s).min(axis=1)
 
     grid_min = float(row_min.min())
     # Ties (the whole r = 1 arc at alpha = 2, where P depends on the radius
     # alone) go to the smallest flat index, whatever the execution order.
     row = int(np.argmax(row_min <= grid_min + 1e-12))
-    column = int(np.argmax(table_entropies(np.array([row]))[0] <= grid_min + 1e-12))
+    column = int(np.argmax(_excess_bits(excess([row], direction)[0], s) <= grid_min + 1e-12))
     index = (row, *np.unravel_index(column, (resolution,) * len(angles)))
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     return _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)
@@ -435,11 +475,24 @@ def _eigenstate_probes(family: MeasurementFamily, n_qubits: int):
     ]
 
 
-@functools.lru_cache(maxsize=None)
-def _probe_states(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
-    """Read-only stack of the eigenstate probes of :func:`_eigenstate_probes`."""
+def _build_probe_states(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
     probes = _eigenstate_probes(family, n_qubits)
     return _read_only(np.array([product_eigenstate(family, t, x).matrix for t, x in probes]))
+
+
+_cached_probe_states = functools.lru_cache(maxsize=None)(_build_probe_states)
+
+
+def _probe_states(family: MeasurementFamily, n_qubits: int) -> np.ndarray:
+    """Read-only stack of the eigenstate probes of :func:`_eigenstate_probes`.
+
+    Cached up to 4 qubits (at most 12 KiB a stack), where a rebuild would
+    cost about as much as a whole trial; built per call above, where one
+    stack is ``48 * 4^n`` bytes (48 MiB at 10 qubits).
+    """
+    if n_qubits <= 4:
+        return _cached_probe_states(family, n_qubits)
+    return _build_probe_states(family, n_qubits)
 
 
 def additivity_trial(

@@ -12,8 +12,9 @@ traces against measurement projectors) instead of measuring every state qubit
 by qubit, the reference drawer draws one state at a time instead of a padded
 stack, the reference trials loop over per-trial states and tables instead of
 reducing a stack, the whole-grid search reduces every Bloch grid point as a
-table in one array instead of ranking streamed radius chunks by power sum,
-and the entropy-space search is the grid search's earlier ``-log2(P)/s`` form.
+table by the shared reduction instead of ranking streamed radius chunks by
+the per-point excess, and the entropy-space search is the grid search's
+earlier ``-log2(P)/s`` form on its own pow power sum.
 The decimal Renyi entropy normalises the table exactly and sums the textbook
 power sum at 50 digits instead of the float excess form.
 """
@@ -42,7 +43,6 @@ from entrobound.verify import (
     _bloch_components,
     _eigenstate_probes,
     _single_qubit_report,
-    bloch_power_sum,
     surface_entropy,
 )
 
@@ -372,8 +372,9 @@ def whole_grid_search_min(family: MeasurementFamily, alpha: float, resolution: i
 
     Reduces the outcome tables (rows ``((1 + x_i)/2, (1 - x_i)/2)``, weights
     ``1/B``) of all ``resolution^2`` (BB84) or ``resolution^3`` (six-state)
-    points, one radius row of the grid at a time, with no ranking by power
-    sum and no cut, then takes the minimum and the first flat index within
+    points, one radius row of the grid at a time, by
+    :func:`entrobound.entropy.renyi_entropies`, with no ranking and no cut,
+    then takes the minimum and the first flat index within
     1e-12 of it. Only the entropies of the whole grid are held at once.
     """
     axes, radius, angles = _bloch_grid(family, resolution)
@@ -385,13 +386,25 @@ def whole_grid_search_min(family: MeasurementFamily, alpha: float, resolution: i
     return _grid_report(family, alpha, resolution, axes, entropy)
 
 
+def pow_power_sum(s: float, components):
+    """Order-(1+s) power sum ``sum_i [(1+x_i)^e + (1-x_i)^e] / (B 2^e)``, ``e = 1+s``, by pow."""
+    e = 1.0 + s
+    first, *rest = components
+    total = (1 + first) ** e + (1 - first) ** e
+    for x in rest:
+        total += (1 + x) ** e
+        total += (1 - x) ** e
+    return total / (len(components) * 2.0**e)
+
+
 def entropy_space_grid_search_min(family: MeasurementFamily, alpha: float, resolution: int):
     """The grid search as it was before the shared table reduction, on the whole grid.
 
-    Every point's entropy is ``-log2(P)/s`` of its power sum, whose rounding
-    grows like ``(8B + 3) 2^-53 / (s ln 2)`` as ``s = alpha - 1`` shrinks.
+    Every point's entropy is ``-log2(P)/s`` of its power sum, taken by pow as
+    the search once did, whose rounding grows like ``(8B + 3) 2^-53 / (s ln 2)``
+    as ``s = alpha - 1`` shrinks.
     """
     axes, radius, angles = _bloch_grid(family, resolution)
     s = alpha - 1.0
-    entropy = surface_entropy(bloch_power_sum(s, _bloch_components(radius, angles)), s)
+    entropy = surface_entropy(pow_power_sum(s, _bloch_components(radius, angles)), s)
     return _grid_report(family, alpha, resolution, axes, entropy)

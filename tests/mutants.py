@@ -7,9 +7,10 @@ test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the
 verdicts of the verifier, one loosened tolerance per constant of
 ``verify.py``, ``tables.py`` and ``simulator.py``, the grid search's floor
-shifted either way by 1e-10, the grid's ranked half and the
-mirror-asymmetry term of its cut, the default lemma grid, the grid, table
-and figure size limits and the checks that apply them, the float-fit
+shifted either way by 1e-10, the grid's ranked half and the tie window and
+the rounding and mirror-asymmetry terms of its bits cut, the default lemma
+grid, the grid, table and figure size limits and the checks that apply them,
+the cached probe stacks' qubit limit, the float-fit
 refusal of block lengths, the smoothing term, both search brackets and the
 probability check of ``bounds.py``, and the exact block lengths of the
 figure CSV.
@@ -89,11 +90,17 @@ MUTANTS = [
         "row = int(np.argmax(row_min <= grid_min + 1e-12))",
         "row = int(np.argmax(row_min <= grid_min + 1e-6))",
     ),
-    (VERIFY, "- 2e-12 * s * _LN2)", "- 0.0 * s * _LN2)"),
-    # the grid's ranked half and the mirror-asymmetry term of its cut
+    # the grid's ranked half and its bits cut: the tie window, then the
+    # rounding and mirror-asymmetry terms
     (VERIFY, "half = (resolution + 1) // 2", "half = resolution // 2"),
-    (VERIFY, "2 * (8 * bases + 7) * 2.0**-53", "2 * (8 * bases + 3) * 2.0**-53"),
+    (
+        VERIFY,
+        "window = 1e-12 + 2e-13 + 5 * 2.0**-53 * 4",
+        "window = 2e-13 + 5 * 2.0**-53 * 4",
+    ),
+    (VERIFY, "window = 1e-12 + 2e-13 + 5 * 2.0**-53 * 4", "window = 1e-12"),
     (VERIFY, "_MAX_GRID_POINTS = 10**8", "_MAX_GRID_POINTS = 10**9"),
+    (VERIFY, "if n_qubits <= 4:", "if n_qubits <= 10:"),
     # the default lemma grid
     (VERIFY, "np.arange(1, 101) / 100.0", "np.arange(1, 101) / 100.000001"),
     # table and state checks

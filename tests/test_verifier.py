@@ -35,6 +35,7 @@ from entrobound import (
     stationary_signs,
     surface_entropy,
 )
+from entrobound.entropy import renyi_entropies
 from entrobound.simulator import DensityOperator, product_eigenstate
 from entrobound import bounds, verify
 from entrobound.verify import _eigenstate_probes, _probe_states
@@ -51,6 +52,41 @@ SIX = MeasurementFamily.SIX_STATE
 # The grid verdict's bound on |margin|: table entropies within 1e-13 bits,
 # and a floor below 1 bit within 4e-16 relative.
 T = 1e-13 + 4e-16
+
+
+def planted_excess(entropy):
+    """A stand-in for ``verify._bloch_excess`` whose grid points have the entropies ``entropy``.
+
+    ``entropy(s, radius, direction, x)`` gives the bits of the points
+    ``radius * direction``, whose Bloch components are stacked on the last
+    axis of ``x``; the search then computes them to rounding, as
+    :func:`planted_bits`.
+    """
+
+    def excess(s, radius, direction, work=None):
+        x = np.stack(np.broadcast_arrays(*(radius * u for u in direction)), axis=-1)
+        return np.expm1(-s * math.log(2.0) * entropy(s, radius, direction, x))
+
+    return excess
+
+
+def planted_bits(h, s):
+    """The bits the grid search computes for a point planted at entropy ``h``."""
+    return float(verify._excess_bits(np.expm1(-s * math.log(2.0) * h), s))
+
+
+def excess_shapes(monkeypatch):
+    """Record the broadcast shape of every ``verify._bloch_excess`` call the search makes."""
+    shapes = []
+    exact = verify._bloch_excess
+
+    def spy(s, radius, direction, work=None):
+        total = exact(s, radius, direction, work)
+        shapes.append(total.shape)
+        return total
+
+    monkeypatch.setattr(verify, "_bloch_excess", spy)
+    return shapes
 
 
 class TestSurfaces:
@@ -162,19 +198,18 @@ class TestGridSearch:
         # lifted 1e-11 so that the r = 1 arc does not tie with it): the grid
         # may undershoot the floor by T, and only at the eigenstate.
         floor = renyi_floor(2.0, BB84)
-        exact = verify.renyi_entropies
+        exact = verify._bloch_excess
 
-        def planted(weights, probs, alpha):
-            x = 2.0 * probs[..., 0] - 1.0
-            entropy = exact(weights, probs, alpha)
+        def entropy(s, radius, direction, x):
+            h = verify._excess_bits(exact(s, radius, direction), s)
             if at == "eigenstate":
                 spot = x[..., 1] == 1.0
             else:
                 spot = (np.abs(x[..., 0] - x[..., 1]) < 1e-9) & (x[..., 0] > 0.7)
-                entropy = entropy + 1e-11
-            return np.where(spot, floor - depth, entropy)
+                h = h + 1e-11
+            return np.where(spot, floor - depth, h)
 
-        monkeypatch.setattr(verify, "renyi_entropies", planted)
+        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
         report = grid_search_min(BB84, 2.0, resolution=51)
         phi = 0.0 if at == "eigenstate" else math.pi / 4
         assert report.argmin == pytest.approx((1.0, phi))
@@ -189,14 +224,15 @@ class TestGridSearch:
     ):
         # Every table entropy raised by just under or over T: the minimum
         # stays at the eigenstate grid point, so the verdict turns on T alone.
-        # The 2e-15 covers the unlifted margin (at most a few 1e-16).
-        exact = verify.renyi_entropies
+        # The 2e-15 covers the unlifted margin and the planting's rounding
+        # (each at most a few 1e-16).
+        exact = verify._bloch_excess
         lift = T + offset
 
-        def lifted(weights, probs, alpha):
-            return exact(weights, probs, alpha) + lift
+        def lifted(s, radius, direction, x):
+            return verify._excess_bits(exact(s, radius, direction), s) + lift
 
-        monkeypatch.setattr(verify, "renyi_entropies", lifted)
+        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(lifted))
         report = grid_search_min(family, 2.0, resolution=50)
         eigenstate = (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
         assert report.argmin == eigenstate
@@ -222,106 +258,101 @@ class TestGridSearch:
     )
     def test_ties_within_1e_12_go_to_the_first_point(self, monkeypatch, excess, argmin):
         # A planted surface: the eigenstate r = 1, phi = 0 at the floor, the
-        # centre r = 0 (all of row 0) `excess` above it, every other point 1
-        # bit above, with a consistent power sum P = 2^(-s H). The centre's P
-        # lies 0.6-0.8e-12 below the largest, inside the cut, so row 0 is
-        # reduced; it holds the argmin only when it ties within 1e-12.
+        # centre r = 0 (all of row 0) `excess` above it and every other point
+        # 1 bit above. Row 0 lies within the bits cut W, so it is reduced; it
+        # holds the argmin only when it ties within 1e-12.
         floor = renyi_floor(2.0, BB84)
 
-        def entropy(x):
+        def entropy(s, radius, direction, x):
             h = np.full(x.shape[:-1], floor + 1.0)
             h[np.all(x == 0.0, axis=-1)] = floor + excess
             h[(x[..., 0] == 0.0) & (x[..., 1] == 1.0)] = floor
             return h
 
-        def power_sum(s, components):
-            return 2.0 ** (-s * entropy(np.stack(np.broadcast_arrays(*components), axis=-1)))
-
-        monkeypatch.setattr(verify, "bloch_power_sum", power_sum)
-        monkeypatch.setattr(
-            verify, "renyi_entropies", lambda weights, probs, alpha: entropy(2 * probs[..., 0] - 1)
-        )
+        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
         report = grid_search_min(BB84, 2.0, resolution=51)
         assert report.argmin == argmin
-        assert report.worst_margin == 0.0
+        assert report.worst_margin == planted_bits(floor, 1.0) - floor
 
     @pytest.mark.parametrize("family", [BB84, SIX])
     @pytest.mark.parametrize("resolution", [50, 51])
     def test_ranking_evaluates_half_the_first_angle(self, monkeypatch, family, resolution):
         # phi -> pi/2 - phi swaps two Bloch components, so the ranking pass
-        # evaluates P on phi columns 0 .. ceil(resolution/2) - 1 only.
-        evaluated = []
-        exact = verify.bloch_power_sum
-
-        def spy(s, components):
-            total = exact(s, components)
-            evaluated.append(total.size)
-            return total
-
-        monkeypatch.setattr(verify, "bloch_power_sum", spy)
+        # evaluates the excess on phi columns 0 .. ceil(resolution/2) - 1
+        # only; the kept row and the argmin row are then evaluated whole.
+        shapes = excess_shapes(monkeypatch)
         report = grid_search_min(family, 1.5, resolution)
         assert report.passed
         half = -(-resolution // 2)
-        assert sum(evaluated) == resolution ** (family.bases_per_qubit - 1) * half
+        ranked = [shape for shape in shapes if shape[1] == half]
+        whole = [shape for shape in shapes if shape[1] == resolution]
+        assert len(ranked) + len(whole) == len(shapes)
+        row_points = resolution ** (family.bases_per_qubit - 2)
+        assert sum(math.prod(shape) for shape in ranked) == resolution * half * row_points
+        assert sum(shape[0] for shape in whole) == 2  # one kept row, then the argmin row
+
+    @pytest.mark.parametrize(
+        "family,resolution", [(BB84, 1500), (SIX, 101)], ids=["bb84-1500", "six-101"]
+    )
+    @pytest.mark.parametrize("alpha", [1.3, 1.0 + 1e-15])
+    def test_the_cut_keeps_one_row(self, monkeypatch, family, resolution, alpha):
+        # The bits cut does not depend on s: near alpha = 1 it keeps the
+        # r = 1 row alone, as it does at 1.3.
+        shapes = excess_shapes(monkeypatch)
+        report = grid_search_min(family, alpha, resolution)
+        assert report.passed
+        kept = sum(shape[0] for shape in shapes if shape[1] == resolution) - 1
+        assert kept == 1
 
     @pytest.mark.parametrize("family", [BB84, SIX])
     def test_a_row_maximum_on_the_middle_column_is_ranked(self, monkeypatch, family):
         # A planted surface, symmetric under swapping x_0 and x_1: the centre
         # row r = 0 one bit above the floor, the diagonal x_0 = x_1 of the
         # r = 1 row (far from the x_0 = x_1 = 0 pole) half a bit below it, and
-        # every other point two bits above it, with P = 2^(-s H). At odd
-        # resolution the diagonal is the middle phi column, the last one
-        # ranked: without it the r = 1 row would rank below the centre row.
+        # every other point two bits above it. At odd resolution the diagonal
+        # is the middle phi column, the last one ranked: without it the r = 1
+        # row would rank below the centre row.
         floor = renyi_floor(2.0, family)
 
-        def entropy(x):
+        def entropy(s, radius, direction, x):
             h = np.full(x.shape[:-1], floor + 2.0)
             h[np.all(x == 0.0, axis=-1)] = floor + 1.0
             diagonal = np.abs(x[..., 0] - x[..., 1]) < 1e-9
             h[diagonal & (x[..., 0] + x[..., 1] > 1.4)] = floor - 0.5
             return h
 
-        def power_sum(s, components):
-            return 2.0 ** (-s * entropy(np.stack(np.broadcast_arrays(*components), axis=-1)))
-
-        monkeypatch.setattr(verify, "bloch_power_sum", power_sum)
-        monkeypatch.setattr(
-            verify, "renyi_entropies", lambda weights, probs, alpha: entropy(2 * probs[..., 0] - 1)
-        )
+        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
         report = grid_search_min(family, 2.0, resolution=51)
         assert report.argmin[:2] == (1.0, np.linspace(0.0, math.pi / 2.0, 51)[25])
-        assert report.worst_margin == -0.5
+        assert report.worst_margin == planted_bits(floor - 0.5, 1.0) - floor
 
     @pytest.mark.parametrize("family", [BB84, SIX])
-    def test_a_row_just_inside_the_widened_cut_is_reduced(self, monkeypatch, family):
-        # A planted surface, symmetric under swapping x_0 and x_1: P = 3/4 at
-        # the eigenstates (one component 1, the others 0) and 1/2 elsewhere,
-        # save the centre row r = 0, whose P lies halfway into the 8 2^-53 by
-        # which the mirror asymmetry widens the cut and whose entropy is 1e-3
-        # below the floor. Without that term the row is cut and the planted
-        # minimum is missed.
-        bases = family.bases_per_qubit
+    def test_a_row_inside_the_rounding_and_mirror_terms_of_the_cut_is_reduced(
+        self, monkeypatch, family
+    ):
+        # A planted surface: the eigenstates (one component 1) at the floor,
+        # every point 1 bit above it, save the radius row 10 of 50. Its ranked phi
+        # columns lie 1.1e-12 above the floor, past the 1e-12 tie window but
+        # within the cut W, and its unranked columns near phi = pi/2 (their
+        # mirrors are ranked) hold a minimum 1e-3 below the floor. Without the
+        # rounding and mirror terms of W the row is cut and the minimum missed.
         s = 0.5
         floor = renyi_floor(1.0 + s, family)
-        inside = 0.75 * (1.0 - (2 * (8 * bases + 3) + 4) * 2.0**-53 - 2e-12 * s * math.log(2.0))
+        row = np.linspace(0.0, 1.0, 50)[10]
 
-        def planted(x, at_eigenstate, at_centre, elsewhere):
-            size = np.sort(np.abs(x), axis=-1)
-            eigenstate = (size[..., -1] > 1.0 - 1e-9) & (size[..., -2] < 1e-9)
-            centre = np.all(x == 0.0, axis=-1)
-            return np.where(eigenstate, at_eigenstate, np.where(centre, at_centre, elsewhere))
+        def entropy(s, radius, direction, x):
+            h = np.full(x.shape[:-1], floor + 1.0)
+            h[np.abs(x).max(axis=-1) > 1.0 - 1e-9] = floor
+            in_row = np.abs(np.linalg.norm(x, axis=-1) - row) < 1e-12
+            h[in_row] = floor + 1.1e-12
+            h[in_row & (x[..., 0] > 0.99 * row)] = floor - 1e-3
+            return h
 
-        def power_sum(s, components):
-            return planted(np.stack(np.broadcast_arrays(*components), axis=-1), 0.75, inside, 0.5)
-
-        def entropies(weights, probs, alpha):
-            return planted(2 * probs[..., 0] - 1, floor, floor - 1e-3, floor + 1.0)
-
-        monkeypatch.setattr(verify, "bloch_power_sum", power_sum)
-        monkeypatch.setattr(verify, "renyi_entropies", entropies)
+        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
         report = grid_search_min(family, 1.0 + s, resolution=50)
-        assert report.argmin == (0.0,) * bases
-        assert report.worst_margin == pytest.approx(-1e-3, abs=1e-15)
+        assert report.argmin[0] == row
+        assert report.argmin[1] > math.pi / 4  # an unranked column
+        assert report.worst_margin == pytest.approx(-1e-3, abs=1e-12)
 
     def test_six_state_searched_at_resolution_asked(self):
         report = grid_search_min(SIX, 2.0, resolution=101)
@@ -346,6 +377,31 @@ class TestGridSearch:
         assert report == expected  # every field but the (empty) witness
         assert repr(report.worst_margin) == repr(expected.worst_margin)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=3).flatmap(
+            lambda bases: st.lists(
+                st.lists(
+                    st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+                    min_size=bases,
+                    max_size=bases,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.floats(min_value=-15.0, max_value=0.0).map(lambda x: 1.0 + 10.0**x),
+    )
+    def test_point_excess_bits_equal_the_table_reduction(self, points, alpha):
+        # The search's one per-point formula against the shared reduction of
+        # the stacked tables ((1 + x_i)/2, (1 - x_i)/2), bit for bit.
+        x = np.array(points)
+        s = alpha - 1.0
+        lean = verify._excess_bits(verify._bloch_excess(s, 1.0, list(x.T)), s)
+        tables = np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=-1)
+        expected = renyi_entropies(1.0 / x.shape[1], tables, alpha)
+        assert lean.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "family,alpha,resolution",
         [(BB84, 2.0, 1500), (BB84, 1.3, 1500), (SIX, 2.0, 100), (SIX, 1.0001, 100),
@@ -353,8 +409,8 @@ class TestGridSearch:
          (BB84, 1.0 + 3e-14, 1501), (SIX, 1.0 + 3e-14, 101)],
     )
     def test_command_line_grids_match_whole_grid(self, family, alpha, resolution):
-        # Odd resolutions rank the middle phi column. Near alpha = 1 the cut
-        # keeps more rows: at 1 + 3e-14, 341 of 1501 and 95 of 101.
+        # Odd resolutions rank the middle phi column; near alpha = 1 the
+        # excess keeps its relative accuracy, so the cut in bits still holds.
         assert grid_search_min(family, alpha, resolution) == whole_grid_search_min(
             family, alpha, resolution
         )
@@ -390,7 +446,7 @@ class TestGridSearch:
 
     def test_largest_grids_are_not_refused(self):
         # 10^4 squared and 464 cubed fit in 10^8 points; the first array built
-        # after the size check stands in for the 2-4 s search
+        # after the size check stands in for the 0.5-1 s search
         class Allocated(Exception):
             pass
 
@@ -843,6 +899,18 @@ class TestTrials:
         assert not stack.flags.writeable
         expected = [product_eigenstate(family, t, x).matrix for t, x in _eigenstate_probes(family, n)]
         assert np.array_equal(stack, expected)
+
+    def test_large_probe_stacks_are_not_held(self):
+        # A 10-qubit probe stack is 48 MiB; only the stacks of up to 4 qubits,
+        # which the trials reuse, stay cached.
+        additivity_trial(2, 2.0, BB84, trials=1, seed=0)  # first-use caches stay out
+        tracemalloc.start()
+        try:
+            additivity_trial(10, 2.0, BB84, trials=1, seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2**20
 
     def test_witness_is_left_out_of_equality(self):
         report = stationary_signs()
