@@ -22,8 +22,11 @@ The maximum over s is one golden-section search over ``log s`` on
 linear one, so it is quasi-concave in s and in ``log s``. The module is plain
 ``math``, so the scalar commands built on it never load numpy.
 
-Both inversions to a least block length are one exact search of a monotone
-predicate in n, ``_least_n``, from a guess (the legacy closed form, or 1).
+Both inversions to a least block length are one exact search of a predicate
+in n, ``_least_n``, from a guess (the legacy closed form, or 1). It returns a
+crossing, an n where the predicate holds and fails at n - 1; that is the least
+n wherever the computed predicate is monotone, which the new route's rate is
+not at rounding level above about 2e11.
 
 Note the legacy error formula mixes logarithm bases on purpose: the outer
 exponential is natural while the inner log is base 2. The choice reproduces
@@ -241,11 +244,14 @@ def plain_minentropy_rate_bb84() -> float:
 
 
 def _least_n(reaches: Callable[[int], bool], guess: int) -> int:
-    """Least ``n >= 1`` at which the monotone predicate ``reaches`` holds.
+    """A crossing of ``reaches``: ``n >= 1`` where it holds, with ``n = 1`` or ``not reaches(n - 1)``.
 
     From the guess, doubles up while ``reaches`` fails, or halves down while
     it holds, then bisects the bracket: an exact guess costs two evaluations.
-    Any refusal, such as a largest block length, is raised by ``reaches``.
+    When ``reaches`` is monotone in n, the crossing is the least n at which it
+    holds. Otherwise it is whichever crossing the path from the guess meets,
+    so another guess may return another one. Any refusal, such as a largest
+    block length, is raised by ``reaches``.
     """
     if reaches(guess):
         lo, hi = guess - 1, guess  # lo = 0 stands in for "fails"
@@ -267,12 +273,22 @@ def min_n_for_rate(
     family: MeasurementFamily = MeasurementFamily.BB84,
     method: str = "new",
 ) -> int:
-    """Least block length whose certified rate reaches ``target_rate``.
+    """A block length at which the certified rate crosses ``target_rate``.
 
     ``method="new"`` searches the maximised Renyi-route rate from ``n = 1``
     and refuses block lengths above 2^62; ``method="legacy"`` (two-basis only)
     is :func:`legacy_min_n` at ``delta = 1/2 - rate``. Raises
     :class:`InfeasibleRateError` at or above the family's ceiling.
+
+    The answer n always satisfies ``rate(n) >= target_rate > rate(n - 1)``
+    (or ``n = 1``). It is the least such n while the computed rate is
+    monotone in n. Above about 2e11 it is not, at rounding level: the
+    six-state rate at eps 8.197603340392385e-05 reaches 0.6666606620719053
+    at n = 240512641241 but not at 240512641242, and at rate 0.49999997, eps
+    1.4664146380214673e-268 the two-basis search returns 685618394927733952
+    although 685618393737978304 is also a crossing. There the answer is the
+    crossing that the search from ``n = 1`` meets, and another guess would
+    move it.
     """
     target_rate = float(target_rate)
     if not math.isfinite(target_rate):

@@ -12,9 +12,12 @@ fact the closed-form bounds rely on:
   ranked by the excess in streamed chunks of radius rows, on the half of its
   first angle that the axis-swap symmetry leaves, and the rows whose best
   ranked point lies within a fixed number of bits of the best are reduced
-  point by point, by the same formula. The basis eigenstates are grid points,
-  so the verdict is at rounding level: the minimum within ``1e-13 + 4e-16``
-  bits of the floor, at the eigenstate grid point;
+  point by point, by the same formula. The chunks of both passes are shared
+  among one worker thread per CPU the process may run on; each writes only
+  its own rows, so the report is that of one worker, bit for bit, and memory
+  is workers x 5 x one chunk of doubles. The basis eigenstates are grid
+  points, so the verdict is at rounding level: the minimum within
+  ``1e-13 + 4e-16`` bits of the floor, at the eigenstate grid point;
 * ``stationary_signs`` and ``curvature_gap_sweep`` check, by one verdict,
   the signs of the second derivatives that make the basis eigenstates the
   only maximisers and of the auxiliary function behind the midpoint sign;
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -167,15 +172,78 @@ def surface_entropy(power_sum, s):
     return -np.log2(power_sum) / s
 
 
-# Largest grid the search accepts, under 1 s of work at any alpha
-# (2-CPU host): resolution 10^4 for BB84 and 464 for six-state (464^3 <= 10^8).
+# Largest grid the search accepts, at most 0.5 s of work at any alpha on two
+# workers and 0.93 s on one (2-CPU host): resolution 10^4 for BB84 and 464 for
+# six-state (464^3 <= 10^8).
 _MAX_GRID_POINTS = 10**8
-# Grid points per radius chunk: the search's working set is five scratch arrays
-# of this many doubles, reused by every chunk, plus two values per radius row.
-# A chunk is at least one row: from resolution 182 on, a six-state chunk is one
-# row of resolution^2 points. Measured best among 2^12 .. 2^17 on BB84 1500 to
-# 10^4, in fresh processes.
+# Grid points per radius chunk: each worker's working set is five scratch
+# arrays of this many doubles, reused by every chunk it takes, and the search
+# adds two values per radius row. A chunk is at least one row: from resolution
+# 182 on, a six-state chunk is one row of resolution^2 points. Swept over
+# 2^12 .. 2^17 on BB84 1500 and 10^4 and six-state 100, in process (2-CPU
+# host): on one worker 2^15 is best; on two, 2^12 and 2^13 run 2-4x slower
+# (GIL hand-offs between short array loops) and 2^16 8-10% faster than 2^15,
+# but doubles the scratch, so 2^15 is kept.
 _CHUNK_POINTS = 2**15
+
+
+def _workers() -> int:
+    """CPUs this process may run on: the size of the grid search's pool.
+
+    Measured on two CPUs; scaling beyond two was not measured.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share_chunks(chunks: Sequence, scratch: int, task) -> None:
+    """Run ``task(chunk, work)`` on every chunk, dealt round-robin to a pool of workers.
+
+    Worker k takes chunks k, k + w, k + 2w, ... of the ``w = min(_workers(),
+    len(chunks))`` workers: the calling thread is worker 0, and each other
+    worker is a plain thread; the share of a thread that cannot start is
+    run by the caller. Each worker has its own ``work``, ``scratch`` doubles
+    reused by every chunk it takes. One chunk starts no thread. numpy
+    releases the GIL in its array loops, so the chunks of a grid search run
+    on as many CPUs; when every task writes only its own chunk's results,
+    they equal a one-worker run's bit for bit, in any order. Every thread is
+    joined before the call returns. A worker that fails, on a chunk or on
+    allocating its scratch before its first, stops there, and the exception
+    of the lowest-numbered failing chunk is raised in the caller once all
+    have stopped.
+    """
+    workers = min(_workers(), len(chunks))
+    errors: list[BaseException | None] = [None] * len(chunks)
+
+    def run(first: int) -> None:
+        i = first
+        try:
+            work = np.empty(scratch)
+            for i in range(first, len(chunks), workers):
+                task(chunks[i], work)
+        except BaseException as exc:  # raised in the caller below
+            errors[i] = exc
+
+    threads, unstarted = [], []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=run, args=(k,))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to spare: the caller takes this share
+                unstarted.append(k)
+            else:
+                threads.append(thread)
+        for k in [0, *unstarted]:
+            run(k)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _single_qubit_report(
@@ -224,9 +292,15 @@ def grid_search_min(
     whose bits lie within ``W = 1e-12 + 2e-13 + 5uL`` of the least row's
     (u = 2^-53, L = 4) is reduced, keeping each row's least bits, and the
     first row within 1e-12 of the minimum is reduced again for the argmin,
-    its first point within 1e-12. Memory is O(resolution) for BB84 and one
-    chunk for six-state (from resolution 182 on, one radius row of
-    resolution^2 points), and the report is that of reducing every point:
+    its first point within 1e-12. Both passes share their chunks among the
+    workers of :func:`_share_chunks`, one per CPU the process may run on.
+    Each chunk writes only its own rows of the row maxima and minima, so the
+    values, the cut, the argmin and the report are those of one worker, bit
+    for bit, whatever the worker count and order. Memory is O(resolution)
+    plus workers x 5 x one chunk of doubles: about 2^15 points for BB84, and
+    for six-state from resolution 182 on one radius row, half a row when
+    ranked (at 464, 4.3 MB a worker in the ranking pass, 8.6 MB to reduce a
+    row). The report is that of reducing every point:
 
     * a computed table entropy is within ``d = 1e-13`` bits of the exact
       one whatever s is, the bits step included (moving an entry p by a
@@ -266,8 +340,8 @@ def grid_search_min(
 
     Every family is searched at the resolution asked. Raises ``ValueError``
     before building any array when the grid would hold more than 10^8 points
-    (``_MAX_GRID_POINTS``, under 1 s of work at any alpha): BB84
-    resolutions above 10^4 and six-state ones above 464.
+    (``_MAX_GRID_POINTS``, at most 0.5 s of work at any alpha on two CPUs):
+    BB84 resolutions above 10^4 and six-state ones above 464.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
@@ -287,36 +361,46 @@ def grid_search_min(
     direction = _bloch_direction(angles)
     ranked = _bloch_direction([angles[0][:, :half], *angles[1:]])
 
-    def chunks(rows: np.ndarray, row_points: int) -> list[np.ndarray]:
-        """``rows`` in chunks of about ``_CHUNK_POINTS`` points, at least one row each."""
-        height = max(1, _CHUNK_POINTS // row_points)
-        return np.array_split(rows, -(-len(rows) // height))
-
-    row_points = resolution ** len(angles)
-    # A chunk holds at most max(_CHUNK_POINTS, row_points) points.
-    work = np.empty(5 * max(_CHUNK_POINTS, row_points))
-
-    def excess(rows, along) -> np.ndarray:
+    def excess(rows, along, work) -> np.ndarray:
         """Table excess of the radius rows ``rows`` along the direction ``along``, one row each."""
         shape = np.broadcast_shapes(radius[rows].shape, *(u.shape for u in along))
         chunk = work[: 5 * math.prod(shape)].reshape(5, *shape)
         return _bloch_excess(s, radius[rows], along, chunk).reshape(len(rows), -1)
 
+    def reduce_rows(out, rows, along, points, reduce) -> None:
+        """``out[rows] = reduce(excess)`` of the radius rows ``rows``, ``points`` points each.
+
+        The rows go in chunks of about ``_CHUNK_POINTS`` points, at least one
+        row each, shared among the workers of :func:`_share_chunks`.
+        """
+        height = max(1, _CHUNK_POINTS // points)
+        parts = np.array_split(rows, -(-len(rows) // height))  # the first is the longest
+
+        def task(part, work):
+            out[part] = reduce(excess(part, along, work))
+
+        _share_chunks(parts, 5 * points * len(parts[0]), task)
+
+    row_points = resolution ** len(angles)
     row_max = np.empty(resolution)
-    for rows in chunks(np.arange(resolution), row_points // resolution * half):
-        row_max[rows] = excess(rows, ranked).max(axis=1)
+    reduce_rows(
+        row_max, np.arange(resolution), ranked, row_points // resolution * half,
+        lambda e: e.max(axis=1),
+    )
     row_bits = _excess_bits(row_max, s)
     window = 1e-12 + 2e-13 + 5 * 2.0**-53 * 4  # W, derived above
     candidates = np.flatnonzero(row_bits <= float(row_bits.min()) + window)
     row_min = np.full(resolution, np.inf)
-    for rows in chunks(candidates, row_points):
-        row_min[rows] = _excess_bits(excess(rows, direction), s).min(axis=1)
+    reduce_rows(
+        row_min, candidates, direction, row_points, lambda e: _excess_bits(e, s).min(axis=1)
+    )
 
     grid_min = float(row_min.min())
     # Ties (the whole r = 1 arc at alpha = 2, where P depends on the radius
     # alone) go to the smallest flat index, whatever the execution order.
     row = int(np.argmax(row_min <= grid_min + 1e-12))
-    column = int(np.argmax(_excess_bits(excess([row], direction)[0], s) <= grid_min + 1e-12))
+    bits = _excess_bits(excess([row], direction, np.empty(5 * row_points))[0], s)
+    column = int(np.argmax(bits <= grid_min + 1e-12))
     index = (row, *np.unravel_index(column, (resolution,) * len(angles)))
     argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
     return _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)

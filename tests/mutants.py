@@ -8,10 +8,10 @@ every mutant would look killed. The list covers the
 verdicts of the verifier, one loosened tolerance per constant of
 ``verify.py``, ``tables.py`` and ``simulator.py``, the grid search's floor
 shifted either way by 1e-10, the grid's ranked half and the tie window and
-the rounding and mirror-asymmetry terms of its bits cut, the default lemma
-grid, the grid, table and figure size limits and the checks that apply them,
-the cached probe stacks' qubit limit, the float-fit
-refusal of block lengths, the smoothing term, both search brackets and the
+the rounding and mirror-asymmetry terms of its bits cut, its worker pool
+(a skipped chunk, a dropped exception), the default lemma grid, the grid,
+table and figure size limits and the checks that apply them, the cached
+probe stacks' qubit limit, the float-fit refusal of block lengths, the smoothing term, both search brackets and the
 probability check of ``bounds.py``, and the exact block lengths of the
 figure CSV.
 
@@ -100,6 +100,14 @@ MUTANTS = [
     ),
     (VERIFY, "window = 1e-12 + 2e-13 + 5 * 2.0**-53 * 4", "window = 1e-12"),
     (VERIFY, "_MAX_GRID_POINTS = 10**8", "_MAX_GRID_POINTS = 10**9"),
+    # the grid's worker pool: a thread that skips the first chunk of its
+    # share, and a worker whose exception is dropped
+    (
+        VERIFY,
+        "for i in range(first, len(chunks), workers):",
+        "for i in range(first + workers * (first > 0), len(chunks), workers):",
+    ),
+    (VERIFY, "            errors[i] = exc\n", "            pass\n"),
     (VERIFY, "if n_qubits <= 4:", "if n_qubits <= 10:"),
     # the default lemma grid
     (VERIFY, "np.arange(1, 101) / 100.0", "np.arange(1, 101) / 100.000001"),

@@ -427,6 +427,26 @@ class TestMinBlockLength:
         assert fn(n, eps).rate >= target
         assert n == 1 or fn(n - 1, eps).rate < target
 
+    @pytest.mark.parametrize(
+        "target, eps, family, n, other",
+        [
+            (0.6666606620719053, 8.197603340392385e-05, SIX, 240512641239, 240512641243),
+            (0.49999997, 1.4664146380214673e-268, BB84, 685618394927733952, 685618393737978304),
+        ],
+        ids=["six-2.4e11", "bb84-6.9e17"],
+    )
+    def test_a_crossing_above_2e11_is_the_one_the_search_meets(
+        self, target, eps, family, n, other
+    ):
+        # Above about 2e11 the computed rate is not monotone in n at rounding
+        # level, so more than one n crosses the target: the search from n = 1
+        # returns n, and a guess near `other` would return that instead (for
+        # six-state the rate dips below the target again at n + 3).
+        fn = rate_bb84 if family is BB84 else rate_six
+        assert min_n_for_rate(target, eps, family, "new") == n
+        for m in (n, other):
+            assert fn(m, eps).rate >= target > fn(m - 1, eps).rate
+
     def test_six_ceiling_allows_rates_above_half(self):
         n = min_n_for_rate(0.55, 0.2, SIX, "new")
         assert rate_six(n, 0.2).rate >= 0.55

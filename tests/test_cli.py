@@ -145,6 +145,26 @@ class TestBlocklenCommand:
         n = json.loads(out)["n"]
         assert bounds.rate_bb84(n, float(eps)).rate >= 0.4 > bounds.rate_bb84(n - 1, float(eps)).rate
 
+    @pytest.mark.parametrize(
+        "family, rate, eps, n",
+        [
+            ("six", "0.6666606620719053", "8.197603340392385e-05", 240512641239),
+            ("bb84", "0.49999997", "1.4664146380214673e-268", 685618394927733952),
+        ],
+    )
+    def test_block_length_where_the_rate_is_not_monotone(self, capsys, family, rate, eps, n):
+        # More than one n crosses these targets (see
+        # test_bounds::test_a_crossing_above_2e11_is_the_one_the_search_meets):
+        # the printed one is the crossing the search from n = 1 meets.
+        code, out, _ = run_cli(
+            capsys,
+            "blocklen", "--family", family, "--rate", rate, "--eps", eps, "--method", "new",
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": n}
+        fn = bounds.rate_bb84 if family == "bb84" else bounds.rate_six
+        assert fn(n, float(eps)).rate >= float(rate) > fn(n - 1, float(eps)).rate
+
     def test_block_length_above_2_62_is_refused(self, capsys):
         code, out, err = run_cli(
             capsys,

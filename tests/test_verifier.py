@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -37,7 +40,7 @@ from entrobound import (
 )
 from entrobound.entropy import renyi_entropies
 from entrobound.simulator import DensityOperator, product_eigenstate
-from entrobound import bounds, verify
+from entrobound import bounds, cli, verify
 from entrobound.verify import _eigenstate_probes, _probe_states
 from helpers import (
     entropy_space_grid_search_min,
@@ -365,13 +368,16 @@ class TestGridSearch:
         st.sampled_from([BB84, SIX]),
         st.just(2.0) | st.floats(min_value=-15.0, max_value=0.0).map(lambda x: 1.0 + 10.0**x),
         st.sampled_from([None, 1, 997, 4099]),
+        st.sampled_from([1, 2, 3]),
     )
-    def test_streamed_search_matches_whole_grid(self, data, family, alpha, chunk_points):
+    def test_streamed_search_matches_whole_grid(self, data, family, alpha, chunk_points, workers):
         # Small chunks cut BB84 grids into many chunks too, and their heights
         # rarely divide the row count; None keeps the module's chunk size.
+        # The chunks are shared among `workers` threads whatever the host's CPUs.
         top = 400 if family is BB84 else 100
         resolution = data.draw(st.integers(min_value=50, max_value=top), label="resolution")
-        with mock.patch.object(verify, "_CHUNK_POINTS", chunk_points or verify._CHUNK_POINTS):
+        with mock.patch.object(verify, "_CHUNK_POINTS", chunk_points or verify._CHUNK_POINTS), \
+                mock.patch.object(verify, "_workers", lambda: workers):
             report = grid_search_min(family, alpha, resolution)
         expected = whole_grid_search_min(family, alpha, resolution)
         assert report == expected  # every field but the (empty) witness
@@ -484,6 +490,151 @@ class TestGridSearch:
         assert abs(report.worst_margin - expected.worst_margin) <= rounding + 1e-15
         if abs(report.worst_margin) + rounding + 1e-15 <= T:  # its margin within T too
             assert expected.passed
+
+
+def failing_excess(rows):
+    """A ``verify._bloch_excess`` whose ranking chunk holding radius row i of 1500 raises, i in ``rows``.
+
+    The error names the row, so a test can tell which chunk's error was raised.
+    """
+    exact = verify._bloch_excess
+    radius = np.linspace(0.0, 1.0, 1500)
+
+    def excess(s, r, direction, work=None):
+        for i in rows:
+            if np.shape(direction[0])[-1] == 750 and np.any(r == radius[i]):
+                raise MemoryError(f"chunk of row {i}")
+        return exact(s, r, direction, work)
+
+    return excess
+
+
+class TestGridPool:
+    """The grid search's chunks shared among worker threads."""
+
+    def test_one_worker_per_cpu_the_process_may_run_on(self, monkeypatch):
+        # os.sched_getaffinity where it exists, else os.cpu_count.
+        if hasattr(os, "sched_getaffinity"):
+            assert verify._workers() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert verify._workers() == os.cpu_count()
+
+    @pytest.mark.parametrize(
+        "family,resolution", [(BB84, 1500), (BB84, 1501), (SIX, 100), (SIX, 101)]
+    )
+    @pytest.mark.parametrize("alpha", [2.0, 1.3, 1.0 + 1e-12, 1.0 + 1e-15])
+    def test_reports_do_not_depend_on_the_worker_count(
+        self, monkeypatch, family, alpha, resolution
+    ):
+        # Each chunk writes only its own rows, so the report is bit for bit
+        # that of one worker.
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(verify, "_workers", lambda: workers)
+            report = grid_search_min(family, alpha, resolution)
+            reports.append((report.to_json_dict(), repr(report.worst_margin)))
+        assert reports[0][0]["pass"] is True
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
+        # Two workers more than CPUs, handing the GIL over every microsecond
+        # across 51 chunks: a lost or misplaced row write would change the
+        # report.
+        expected = whole_grid_search_min(BB84, 1.3, 301)
+        monkeypatch.setattr(verify, "_CHUNK_POINTS", 997)
+        monkeypatch.setattr(verify, "_workers", lambda: (os.cpu_count() or 1) + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = grid_search_min(BB84, 1.3, 301)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == expected
+        assert repr(report.worst_margin) == repr(expected.worst_margin)
+
+    @pytest.mark.parametrize(
+        "rows,raised", [((7, 600), 7), ((50, 100), 50)], ids=["caller-first", "thread-first"]
+    )
+    def test_a_failing_chunk_is_raised_after_every_thread_stops(self, monkeypatch, rows, raised):
+        # 1500 rows ranked in chunks of 43: rows 7 and 100 fall in chunks 0
+        # and 2, which the calling thread takes, rows 50 and 600 in chunks 1
+        # and 13, which the second worker takes. The lower chunk's error is
+        # raised, and no thread outlives the call.
+        monkeypatch.setattr(verify, "_workers", lambda: 2)
+        monkeypatch.setattr(verify, "_bloch_excess", failing_excess(rows))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=f"^chunk of row {raised}$"):
+            grid_search_min(BB84, 2.0, 1500)
+        assert threading.active_count() == before
+
+    def test_a_failed_scratch_allocation_is_raised(self, monkeypatch):
+        # 2^50 doubles (8 PiB) cannot be allocated: each worker fails before
+        # its first chunk, and no chunk runs.
+        monkeypatch.setattr(verify, "_workers", lambda: 2)
+        done = []
+        before = threading.active_count()
+        with pytest.raises(MemoryError):
+            verify._share_chunks([0, 1, 2], 2**50, lambda chunk, work: done.append(chunk))
+        assert done == []
+        assert threading.active_count() == before
+
+    def test_the_share_of_a_thread_that_cannot_start_is_run_by_the_caller(self, monkeypatch):
+        # Of three workers, the second thread cannot start (a host out of
+        # threads): the caller runs its share, and the report is unchanged.
+        expected = grid_search_min(BB84, 1.3, 1500)
+        started = []
+        callers = set()
+        exact = verify._bloch_excess
+
+        class Thread(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        def spy(s, radius, direction, work=None):
+            callers.add(threading.get_ident())
+            return exact(s, radius, direction, work)
+
+        monkeypatch.setattr(verify, "_workers", lambda: 3)
+        monkeypatch.setattr(verify.threading, "Thread", Thread)
+        monkeypatch.setattr(verify, "_bloch_excess", spy)
+        before = threading.active_count()
+        report = grid_search_min(BB84, 1.3, 1500)
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert len(started) == 1 and not started[0].is_alive()
+        assert callers == {threading.get_ident(), started[0].ident}
+        assert threading.active_count() == before
+
+    def test_a_failing_chunk_is_a_usage_error_on_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_workers", lambda: 2)
+        monkeypatch.setattr(verify, "_bloch_excess", failing_excess((600,)))
+        code = cli.run(
+            ["verify", "--suite", "single-qubit", "--family", "bb84", "--resolution", "1500"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError: chunk of row 600\n"
+
+    @pytest.mark.parametrize("resolution,threads", [(200, 1), (1500, 2)])
+    def test_a_one_chunk_pass_starts_no_thread(self, monkeypatch, resolution, threads):
+        # BB84 200 ranks 200 rows of 100 points, one chunk of at most 2^15
+        # points, and reduces one row: every evaluation runs in the calling
+        # thread. BB84 1500 ranks 35 chunks, shared by both workers.
+        callers = set()
+        exact = verify._bloch_excess
+
+        def spy(s, radius, direction, work=None):
+            callers.add(threading.get_ident())
+            return exact(s, radius, direction, work)
+
+        monkeypatch.setattr(verify, "_workers", lambda: 2)
+        monkeypatch.setattr(verify, "_bloch_excess", spy)
+        assert grid_search_min(BB84, 2.0, resolution).passed
+        assert threading.get_ident() in callers
+        assert len(callers) == threads
 
 
 class TestStationarySigns:
