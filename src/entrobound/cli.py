@@ -14,7 +14,9 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 Exit codes: 0 on success, 1 when a verification suite fails, and 2, with
 one ``error:`` line on stderr, on usage errors including malformed table
 files, out-of-range block lengths and trial counts, non-finite results,
-arithmetic errors, and running out of memory (stdout is always valid JSON).
+arithmetic errors, running out of memory, and a stdout that is closed or
+cannot be written (stdout is always valid JSON). A closed stderr loses the
+``error:`` line but not the exit code.
 
 ``rate``, ``blocklen``, ``legacy-eps`` and ``feasible`` run on the bound
 layer alone and never import numpy; the other commands import what they
@@ -24,7 +26,9 @@ use when they run.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -109,6 +113,8 @@ def _emit(payload: object) -> None:
         line = json.dumps(payload, allow_nan=False)
     except ValueError:
         raise ValueError(f"result is not finite, refusing to print it: {payload!r}") from None
+    if sys.stdout is None:  # the process was started with stdout closed
+        raise OSError("stdout is closed, nothing can be printed")
     sys.stdout.write(line + "\n")
 
 
@@ -210,13 +216,22 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a buffered write that fails does so here, not at exit
+        return code
     except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _error(str(exc))
     except (ArithmeticError, MemoryError) as exc:  # a safety net, e.g. a host out of memory
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
+        return _error(f"{type(exc).__name__}: {exc}")
+
+
+def _error(message: str) -> int:
+    """Write one ``error:`` line where stderr allows it; returns exit code 2."""
+    try:
+        sys.stderr.write(f"error: {message}\n")
+    except (AttributeError, OSError):  # stderr closed or unwritable: the exit code still tells
+        pass
+    return 2
 
 
 def __getattr__(name: str):
@@ -228,8 +243,28 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _flush_or_discard(stream) -> None:
+    """Flush a standard stream; if it cannot be written, point it at the null
+    device, so the flush at interpreter exit succeeds instead of exiting 120."""
+    if stream is None:
+        return
+    try:
+        stream.flush()
+    except OSError:  # ``run`` has answered the failed write with exit 2 (``--help`` aside)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    # A command makes no garbage cycles that outlive it beyond the parser's
+    # (the same count for any size of work), so the collector stays off while
+    # it runs, and freezing every object spares the interpreter's teardown its
+    # full sweeps over numpy's. ``run`` itself leaves the collector alone.
+    gc.disable()
+    code = run(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        _flush_or_discard(stream)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

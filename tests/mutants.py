@@ -12,8 +12,10 @@ the rounding and mirror-asymmetry terms of its bits cut, its worker pool
 (a skipped chunk, a dropped exception), the default lemma grid, the grid,
 table and figure size limits and the checks that apply them, the cached
 probe stacks' qubit limit, the float-fit refusal of block lengths, the smoothing term, both search brackets and the
-probability check of ``bounds.py``, and the exact block lengths of the
-figure CSV.
+probability check of ``bounds.py``, the exact block lengths of the
+figure CSV, and the CLI's process policy: the stdout flush in ``run`` and the
+collector calls of ``main`` (``gc.disable()`` moved into ``run``, by adding
+it there, which behaves the same as moving it, and ``gc.freeze()`` dropped).
 
 Stdlib only; pytest does not collect this file, so it is not part of tier-1.
 From the repository root::
@@ -126,6 +128,15 @@ MUTANTS = [
     (CLI, "    bounds._require_figure_rows(len(args.rates) * args.points)\n", ""),
     # the figure CSV
     (CLI, "{row.n_legacy},", "{row.n_legacy:.17g},"),
+    # the CLI process: a failed stdout write is exit 2, and the collector is
+    # off and everything frozen in ``main`` alone
+    (CLI, "        sys.stdout.flush()  # a buffered write that fails does so here, not at exit\n", ""),
+    (
+        CLI,
+        "    parser = build_parser()\n    try:\n        args = parser.parse_args(argv)\n",
+        "    gc.disable()\n    parser = build_parser()\n    try:\n        args = parser.parse_args(argv)\n",
+    ),
+    (CLI, "    gc.freeze()\n", ""),
     # bound layer
     (
         BOUNDS,

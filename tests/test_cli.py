@@ -1,6 +1,8 @@
 """Black-box command line checks: outputs, exit codes, determinism, lazy imports."""
 
 import contextlib
+import errno
+import gc
 import io
 import json
 import math
@@ -570,20 +572,24 @@ class TestUsageErrors:
 
 
 # Runs a command as ``python -m entrobound.cli`` does, then prints its exit
-# code and the modules it loaded as the last stdout line.
+# code, the modules it loaded and the collector's state as the last stdout line.
 _RUN_AND_LIST_MODULES = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = ["entrobound", *sys.argv[1:]]
 try:
     runpy.run_module("entrobound.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "collector": [gc.isenabled(), gc.get_freeze_count()]}))
 """
 
 
 def run_fresh(*argv):
-    """Run one command in a fresh interpreter: (exit code, stdout lines, modules)."""
+    """Run one command in a fresh interpreter.
+
+    Returns (exit code, stdout lines, modules, (collector enabled, frozen count)).
+    """
     src = os.path.dirname(os.path.dirname(entrobound.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -592,7 +598,7 @@ def run_fresh(*argv):
     )
     *lines, last = proc.stdout.splitlines()
     report = json.loads(last)
-    return report["code"], lines, set(report["modules"])
+    return report["code"], lines, set(report["modules"]), tuple(report["collector"])
 
 
 class TestLazyImports:
@@ -608,14 +614,14 @@ class TestLazyImports:
         ids=["rate", "blocklen-new", "blocklen-legacy", "legacy-eps", "feasible"],
     )
     def test_scalar_commands_never_import_numpy(self, capsys, argv):
-        code, lines, modules = run_fresh(*argv)
+        code, lines, modules, _ = run_fresh(*argv)
         assert code == 0
         assert "numpy" not in modules
         # the same line as a run in this process, where numpy is loaded
         assert lines == run_cli(capsys, *argv)[1].splitlines()
 
     def test_figure_loads_no_simulator_layer(self, tmp_path):
-        code, _, modules = run_fresh(
+        code, _, modules, _ = run_fresh(
             "figure", "--rates", "0.45", "--eps-min", "1e-6", "--eps-max", "0.2",
             "--points", "3", "--out", str(tmp_path / "rows.csv"),
         )
@@ -641,6 +647,138 @@ class TestLazyImports:
                 getattr(families, name)
         for module in (bounds, families, cli):
             assert not hasattr(module, "np") and not hasattr(module, "numpy")
+
+
+_RATE = ("rate", "--family", "bb84", "--n", "23600", "--eps", "0.1")
+_USAGE_ERRORS = [("rate", "--family", "bb84", "--n", "100", "--eps", "1.5"), ("frobnicate",)]
+
+
+def run_process(*argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, close_fd=None,
+                unbuffered=False):
+    """Run ``python -m entrobound.cli`` with its output sent to ``stdout`` and
+    ``stderr`` and, if given, fd ``close_fd`` closed before the interpreter
+    starts: (exit code, captured stderr or "")."""
+    src = os.path.dirname(os.path.dirname(entrobound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "entrobound.cli", *argv],
+        stdout=stdout, stderr=stderr, text=True, env=env, timeout=120,
+        preexec_fn=None if close_fd is None else (lambda: os.close(close_fd)),
+    )
+    err = proc.stderr or ""
+    assert "Traceback" not in err and "Exception ignored" not in err
+    return proc.returncode, err
+
+
+class TestUnwritableStreams:
+    # Exit 2 with one error line, never a traceback, exit 1 (a failed suite)
+    # or the interpreter's exit 120 for a stream it could not flush.
+    @pytest.mark.parametrize("argv", [_RATE, ("verify", "--suite", "lemma")], ids=["rate", "lemma"])
+    def test_closed_stdout_is_a_usage_error(self, argv):
+        code, err = run_process(*argv, stdout=None, close_fd=1)
+        assert code == 2
+        assert err == "error: stdout is closed, nothing can be printed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_stdout_is_a_usage_error(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            code, err = run_process(*_RATE, stdout=full, unbuffered=unbuffered)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=["invalid-value", "unknown-command"])
+    def test_usage_error_with_closed_stderr_exits_two(self, argv):
+        assert run_process(*argv, close_fd=2) == (2, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=["invalid-value", "unknown-command"])
+    def test_usage_error_with_full_stderr_exits_two(self, argv):
+        with open("/dev/full", "w") as full:
+            assert run_process(*argv, stderr=full) == (2, "")
+
+    def test_failed_flush_is_a_usage_error_in_process(self):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Full()), contextlib.redirect_stderr(err):
+            assert cli.run(list(_RATE)) == 2
+        assert err.getvalue() == "error: [Errno 28] No space left on device\n"
+
+
+class TestCollectorPolicy:
+    @pytest.mark.parametrize(
+        "argv",
+        [_RATE, *_USAGE_ERRORS, ("--help",)],
+        ids=["success", "usage-error", "argparse-error", "help"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_run_leaves_the_collector_as_it_found_it(self, capsys, argv, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            run_cli(capsys, *argv)
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("argv", [_RATE, ("frobnicate",)], ids=["success", "usage-error"])
+    def test_a_cli_process_runs_and_exits_without_the_collector(self, argv):
+        code, _, _, (enabled, frozen) = run_fresh(*argv)
+        assert code == (0 if argv == _RATE else 2)
+        assert not enabled
+        assert frozen > 0
+
+
+def _table_file(path, contexts):
+    context = {"k": "k", "weight": 1.0 / contexts, "p_x": [0.25, 0.75]}
+    path.write_text(json.dumps({"contexts": [dict(context, theta=str(i)) for i in range(contexts)]}))
+    return str(path)
+
+
+class TestCollectorOffCannotGrowMemory:
+    # ``main`` runs a command with the collector off. That is safe only if the
+    # garbage cycles a command leaves do not grow with its work: the unreachable
+    # count after a small and after a large instance must be the same.
+    @staticmethod
+    def unreachable_after(capsys, argv):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            code = cli.run(argv)
+            unreachable = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert code == 0
+        return unreachable
+
+    @pytest.mark.parametrize("command", ["verify", "figure", "entropy"])
+    def test_small_and_large_leave_the_same_garbage(self, capsys, tmp_path, command):
+        if command == "verify":
+            small, large = (["verify", "--suite", "all", "--trials", str(trials)] for trials in (20, 2000))
+        elif command == "figure":
+            small, large = (
+                ["figure", "--rates", "0.45", "--eps-min", "1e-6", "--eps-max", "0.2",
+                 "--points", str(points), "--out", str(tmp_path / "rows.csv")]
+                for points in (4, 400)
+            )
+        else:
+            small, large = (
+                ["entropy", "--table", _table_file(tmp_path / f"{contexts}.json", contexts),
+                 "--alpha", "2"]
+                for contexts in (8, 1024)
+            )
+        self.unreachable_after(capsys, small)  # first use may import and cache
+        assert self.unreachable_after(capsys, small) == self.unreachable_after(capsys, large)
 
 
 # Option values for the contract property: in the domain three times in
