@@ -113,8 +113,6 @@ def _emit(payload: object) -> None:
         line = json.dumps(payload, allow_nan=False)
     except ValueError:
         raise ValueError(f"result is not finite, refusing to print it: {payload!r}") from None
-    if sys.stdout is None:  # the process was started with stdout closed
-        raise OSError("stdout is closed, nothing can be printed")
     sys.stdout.write(line + "\n")
 
 
@@ -216,6 +214,8 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        if sys.stdout is None:  # started with stdout closed: refused before a command writes a file
+            raise OSError("stdout is closed, nothing can be printed")
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a buffered write that fails does so here, not at exit
         return code

@@ -1,7 +1,9 @@
 """Shared test utilities: table generators and independent oracles.
 
 The oracles here deliberately avoid the code paths they are used to check:
-the dense rate scans never call the golden-section optimiser, the decimal
+the dense rate scans never call the golden-section optimiser, the full
+golden section is the optimiser's earlier form that evaluates every
+candidate instead of stopping at a target, the decimal
 floor evaluates the textbook formula at 50 digits instead of the
 cancellation-free float form, the nested power sum goes through conditional states instead of the full outcome table,
 the series remainder bound never sums the series it bounds, the table
@@ -32,6 +34,7 @@ from entrobound import (
     EnsembleMember,
     MeasurementFamily,
     StateEnsemble,
+    bounds,
     cond_renyi_entropy,
     measurement_operator,
     post_measurement_state,
@@ -137,6 +140,33 @@ def rate_log_scan(n: int, epsilon: float, family: MeasurementFamily) -> float:
     ceiling = (family.bases_per_qubit - 1) / family.bases_per_qubit
     floors = -np.log1p(ceiling * np.expm1(-x)) / x
     return float(np.max(floors - math.log2(2.0 / epsilon**2) / (s * float(n))))
+
+
+def full_golden_section(n: int, eps_term: float, ceiling: float) -> tuple[float, float]:
+    """``(rate, s)`` of the maximiser's earlier form, which had no stop.
+
+    Every golden-section candidate over ``log s`` is evaluated, then the
+    endpoint ``s = 1``, and the best ``(rate, s)`` pair is returned.
+    """
+
+    def point(u: float) -> tuple[float, float]:
+        s = math.exp(u)
+        return bounds._rate_at(s, n, eps_term, ceiling), s
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -40.0 * math.log(2.0), 0.0
+    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fc, fd = point(c), point(d)
+    while hi - lo > 1e-9:
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = point(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = point(c)
+    return max(fc, fd, point(0.0))
 
 
 def decimal_floor(s: float, bases: int) -> Decimal:

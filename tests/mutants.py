@@ -12,7 +12,8 @@ the rounding and mirror-asymmetry terms of its bits cut, its worker pool
 (a skipped chunk, a dropped exception), the default lemma grid, the grid,
 table and figure size limits and the checks that apply them, the cached
 probe stacks' qubit limit, the float-fit refusal of block lengths, the smoothing term, both search brackets and the
-probability check of ``bounds.py``, the exact block lengths of the
+probability check of ``bounds.py``, the rate maximiser's stop test
+(loosened by 1e-9) and its endpoint ``s = 1`` (dropped), the exact block lengths of the
 figure CSV, and the CLI's process policy: the stdout flush in ``run`` and the
 collector calls of ``main`` (``gc.disable()`` moved into ``run``, by adding
 it there, which behaves the same as moving it, and ``gc.freeze()`` dropped).
@@ -149,6 +150,9 @@ MUTANTS = [
     (BOUNDS, "if not 0.0 <= p <= 1.0:", "if not 0.0 <= p <= 1.000001:"),
     (BOUNDS, "_LOG_S_MIN = -40.0 * _LN2", "_LOG_S_MIN = -20.0 * _LN2"),
     (BOUNDS, "lo, hi = hi, 2 * hi", "lo, hi = hi, 3 * hi"),
+    # the maximiser's early stop and its first candidate, the endpoint s = 1
+    (BOUNDS, "if rate >= stop:", "if rate >= stop - 1e-9:"),
+    (BOUNDS, "        end = point(0.0)\n", "        end = (-math.inf, 1.0)\n"),
 ]
 
 

@@ -20,7 +20,7 @@ from entrobound import (
     rate_six,
     renyi_floor,
 )
-from helpers import decimal_floor, rate_log_scan, rate_scan
+from helpers import decimal_floor, full_golden_section, rate_log_scan, rate_scan
 
 BB84 = MeasurementFamily.BB84
 SIX = MeasurementFamily.SIX_STATE
@@ -243,6 +243,34 @@ class TestNewRates:
         # the golden-section search may break exact monotonicity by a few 1e-16 relative
         assert smaller <= larger + 1e-15 * max(abs(smaller), abs(larger))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([BB84, SIX]),
+        st.integers(min_value=1, max_value=2**62),
+        st.floats(min_value=-300.0, max_value=math.log10(0.9)),
+        st.one_of(
+            st.sampled_from([-1, 0, 1]).map(lambda step: ("ulp", step)),
+            st.floats(min_value=-1e-6, max_value=1e-6).map(lambda gap: ("gap", gap)),
+            st.floats(min_value=-2.0, max_value=0.7).map(lambda value: ("value", value)),
+        ),
+    )
+    def test_stop_keeps_the_verdict(self, family, n, log10_eps, draw):
+        eps_term = bounds._smoothing_term(10.0**log10_eps)
+        ceiling = family.rate_ceiling
+        full = bounds._maximize_rate(n, eps_term, ceiling)
+        assert full == full_golden_section(n, eps_term, ceiling)
+        kind, value = draw
+        if kind == "ulp":  # the rate itself and its neighbours: the ties
+            stop = full.rate if value == 0 else math.nextafter(full.rate, value * math.inf)
+        else:
+            stop = full.rate + value if kind == "gap" else value
+        stopped = bounds._maximize_rate(n, eps_term, ceiling, stop)
+        assert (stopped.rate >= stop) == (full.rate >= stop)
+        if stopped.rate < stop:  # never reached: the whole search ran
+            assert stopped == full
+        else:  # the first candidate that reached it
+            assert stopped.rate == bounds._rate_at(stopped.s_opt, n, eps_term, ceiling)
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_epsilon_domain(self, eps):
         with pytest.raises(ValueError):
@@ -452,9 +480,8 @@ class TestMinBlockLength:
         assert rate_six(n, 0.2).rate >= 0.55
 
 
-@pytest.fixture
-def evaluations(monkeypatch):
-    """Counts calls of the rate maximiser and of the legacy error."""
+def _count_calls(monkeypatch, *names):
+    """Counts calls of the named ``bounds`` functions, all in one counter."""
     count = [0]
 
     def counted(function):
@@ -464,9 +491,21 @@ def evaluations(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(bounds, "_maximize_rate", counted(bounds._maximize_rate))
-    monkeypatch.setattr(bounds, "legacy_epsilon", counted(bounds.legacy_epsilon))
+    for name in names:
+        monkeypatch.setattr(bounds, name, counted(getattr(bounds, name)))
     return count
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts calls of the rate maximiser and of the legacy error."""
+    return _count_calls(monkeypatch, "_maximize_rate", "legacy_epsilon")
+
+
+@pytest.fixture
+def rate_evaluations(monkeypatch):
+    """Counts evaluations of the rate at one ``s``."""
+    return _count_calls(monkeypatch, "_rate_at")
 
 
 class TestInversionCost:
@@ -485,6 +524,16 @@ class TestInversionCost:
     def test_search_costs(self, evaluations, target, eps, family, method, n, cost):
         assert min_n_for_rate(target, eps, family, method) == n
         assert evaluations[0] == cost
+
+    @pytest.mark.parametrize(
+        "target, eps, family, n, cost",
+        [(0.4894, 0.1, BB84, 23576, 1257), (0.66, 1e-10, SIX, 468989, 1721), (0.3, 1e-300, BB84, 17335, 1174)],
+    )
+    def test_rate_evaluations_per_inversion(self, rate_evaluations, target, eps, family, n, cost):
+        # a probe that reaches the target stops at the first s that does: the
+        # full searches of the same probes cost 1590, 2014 and 1590
+        assert min_n_for_rate(target, eps, family, "new") == n
+        assert rate_evaluations[0] == cost
 
     def test_refusal_above_2_62_and_its_cost(self, evaluations):
         # the rate at 2^62 falls short of 0.4999999999 at eps = 0.5: n = 1, 2,

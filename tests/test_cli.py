@@ -650,6 +650,9 @@ class TestLazyImports:
 
 
 _RATE = ("rate", "--family", "bb84", "--n", "23600", "--eps", "0.1")
+_OUT = object()  # stands for an ``--out`` path made per test
+_FIGURE = ("figure", "--rates", "0.45", "--eps-min", "1e-6", "--eps-max", "0.2", "--points", "3",
+           "--out", _OUT)
 _USAGE_ERRORS = [("rate", "--family", "bb84", "--n", "100", "--eps", "1.5"), ("frobnicate",)]
 
 
@@ -676,11 +679,19 @@ def run_process(*argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, close_
 class TestUnwritableStreams:
     # Exit 2 with one error line, never a traceback, exit 1 (a failed suite)
     # or the interpreter's exit 120 for a stream it could not flush.
-    @pytest.mark.parametrize("argv", [_RATE, ("verify", "--suite", "lemma")], ids=["rate", "lemma"])
-    def test_closed_stdout_is_a_usage_error(self, argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [_RATE, ("verify", "--suite", "lemma"), _FIGURE],
+        ids=["rate", "lemma", "figure"],
+    )
+    def test_closed_stdout_is_a_usage_error(self, tmp_path, argv):
+        # refused before the command runs, so ``figure`` leaves no CSV behind
+        out = tmp_path / "figure.csv"
+        argv = [str(out) if arg is _OUT else arg for arg in argv]
         code, err = run_process(*argv, stdout=None, close_fd=1)
         assert code == 2
         assert err == "error: stdout is closed, nothing can be printed\n"
+        assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
