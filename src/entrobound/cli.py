@@ -16,7 +16,9 @@ one ``error:`` line on stderr, on usage errors including malformed table
 files, out-of-range block lengths and trial counts, non-finite results,
 arithmetic errors, running out of memory, and a stdout that is closed or
 cannot be written (stdout is always valid JSON). A closed stderr loses the
-``error:`` line but not the exit code.
+``error:`` line but not the exit code. ``--help`` whose text cannot be
+written exits 2 too, unless stdout is unbuffered: argparse then drops the
+failed write itself and exits 0.
 
 ``rate``, ``blocklen``, ``legacy-eps`` and ``feasible`` run on the bound
 layer alone and never import numpy; the other commands import what they
@@ -210,14 +212,16 @@ def run(argv: Sequence[str]) -> int:
     """Parse and execute one command; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    try:
-        if sys.stdout is None:  # started with stdout closed: refused before a command writes a file
-            raise OSError("stdout is closed, nothing can be printed")
-        code = _DISPATCH[args.command](args)
-        sys.stdout.flush()  # a buffered write that fails does so here, not at exit
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            code = int(exc.code or 0)
+        else:
+            if sys.stdout is None:  # stdout closed: refused before a command writes a file
+                raise OSError("stdout is closed, nothing can be printed")
+            code = _DISPATCH[args.command](args)
+        if sys.stdout is not None:  # with stdout closed, --help prints to stderr
+            sys.stdout.flush()  # a buffered write that fails does so here, not at exit
         return code
     except (ValueError, OSError) as exc:
         return _error(str(exc))
@@ -250,7 +254,7 @@ def _flush_or_discard(stream) -> None:
         return
     try:
         stream.flush()
-    except OSError:  # ``run`` has answered the failed write with exit 2 (``--help`` aside)
+    except OSError:  # ``run`` has answered the failed write with exit 2
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 

@@ -4,20 +4,16 @@ Each suite rechecks, by exhaustive grid search or seeded random trials, a
 fact the closed-form bounds rely on:
 
 * ``grid_search_min`` minimises the single-qubit conditional Renyi entropy
-  over the full Bloch quadrant/octant and compares with the closed-form
-  floor, without trusting the analytic reduction to the sphere surface.
-  Both families share one per-point formula, the table excess of
-  ``_bloch_excess`` over the Bloch components along their B measured axes,
-  and one grid: the radius times the direction of B - 1 angles. The grid is
-  ranked by the excess in streamed chunks of radius rows, on the half of its
-  first angle that the axis-swap symmetry leaves, and the rows whose best
-  ranked point lies within a fixed number of bits of the best are reduced
-  point by point, by the same formula. The chunks of both passes are shared
-  among one worker thread per CPU the process may run on; each writes only
-  its own rows, so the report is that of one worker, bit for bit, and memory
-  is workers x 5 x one chunk of doubles. The basis eigenstates are grid
-  points, so the verdict is at rounding level: the minimum within
-  ``1e-13 + 4e-16`` bits of the floor, at the eigenstate grid point;
+  over the Bloch sphere's first quadrant/octant and compares with the
+  closed-form floor. Both families share one per-point formula, the table
+  excess of ``_bloch_excess`` over the Bloch components along their B
+  measured axes, and one grid: the unit direction of B - 1 angles, evaluated
+  in one call. The minimum over the whole ball lies on the sphere because
+  each axis's excess does not decrease with the size of its component; the
+  search checks that, on the code's own per-axis term along the radius,
+  rather than trusting it. The basis eigenstates are grid points, so the
+  verdict is at rounding level: the minimum within ``1e-13 + 4e-16`` bits of
+  the floor, at the eigenstate grid point;
 * ``stationary_signs`` and ``curvature_gap_sweep`` check, by one verdict,
   the signs of the second derivatives that make the basis eigenstates the
   only maximisers and of the auxiliary function behind the midpoint sign;
@@ -34,9 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -103,7 +97,7 @@ class VerificationReport:
         }
 
 
-def _bloch_excess(s, radius, direction, work=None):
+def _bloch_excess(s, radius, direction):
     """Table excess ``E = sum_i [t((1 + x_i)/2) + t((1 - x_i)/2)] / B``, ``t = entropy._term``.
 
     ``x_i = radius * direction[i]`` is the Bloch component along measured
@@ -111,15 +105,12 @@ def _bloch_excess(s, radius, direction, work=None):
     added, weighted ``1/B`` and accumulated in axis order, as
     :func:`entrobound.entropy.renyi_entropies` sums the point's table, rows
     ``((1 + x_i)/2, (1 - x_i)/2)``, so the bits of E equal that reduction's,
-    bit for bit. Computed in place in ``work``, five arrays of the broadcast
-    shape, and returned as its first. ``work`` is allocated when not given;
-    the grid search reuses one from chunk to chunk, because fresh arrays of
-    chunk size cost page faults on every chunk.
+    bit for bit. Computed in place in five arrays of the broadcast shape, and
+    returned as the first.
     """
     weight = 1.0 / len(direction)
-    if work is None:
-        shape = np.broadcast_shapes(np.shape(radius), *(np.shape(u) for u in direction))
-        work = np.empty((5, *shape))
+    shape = np.broadcast_shapes(np.shape(radius), *(np.shape(u) for u in direction))
+    work = np.empty((5, *shape))
     total, half, p, up, down = (work[i, ...] for i in range(5))  # views, 0-d ones included
     for i, u in enumerate(direction):
         pair = up if i else total
@@ -172,78 +163,11 @@ def surface_entropy(power_sum, s):
     return -np.log2(power_sum) / s
 
 
-# Largest grid the search accepts, at most 0.5 s of work at any alpha on two
-# workers and 0.93 s on one (2-CPU host): resolution 10^4 for BB84 and 464 for
-# six-state (464^3 <= 10^8).
+# Largest grid the search accepts, counted as the box of the radius and the
+# angles: resolution 10^4 for BB84 and 464 for six-state (464^3 <= 10^8). The
+# search evaluates the r = 1 sphere of that box, resolution^(B-1) points: at
+# most 9.7 ms of work, for six-state at 464 (2-CPU host, one BLAS thread).
 _MAX_GRID_POINTS = 10**8
-# Grid points per radius chunk: each worker's working set is five scratch
-# arrays of this many doubles, reused by every chunk it takes, and the search
-# adds two values per radius row. A chunk is at least one row: from resolution
-# 182 on, a six-state chunk is one row of resolution^2 points. Swept over
-# 2^12 .. 2^17 on BB84 1500 and 10^4 and six-state 100, in process (2-CPU
-# host): on one worker 2^15 is best; on two, 2^12 and 2^13 run 2-4x slower
-# (GIL hand-offs between short array loops) and 2^16 8-10% faster than 2^15,
-# but doubles the scratch, so 2^15 is kept.
-_CHUNK_POINTS = 2**15
-
-
-def _workers() -> int:
-    """CPUs this process may run on: the size of the grid search's pool.
-
-    Measured on two CPUs; scaling beyond two was not measured.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _share_chunks(chunks: Sequence, scratch: int, task) -> None:
-    """Run ``task(chunk, work)`` on every chunk, dealt round-robin to a pool of workers.
-
-    Worker k takes chunks k, k + w, k + 2w, ... of the ``w = min(_workers(),
-    len(chunks))`` workers: the calling thread is worker 0, and each other
-    worker is a plain thread; the share of a thread that cannot start is
-    run by the caller. Each worker has its own ``work``, ``scratch`` doubles
-    reused by every chunk it takes. One chunk starts no thread. numpy
-    releases the GIL in its array loops, so the chunks of a grid search run
-    on as many CPUs; when every task writes only its own chunk's results,
-    they equal a one-worker run's bit for bit, in any order. Every thread is
-    joined before the call returns. A worker that fails, on a chunk or on
-    allocating its scratch before its first, stops there, and the exception
-    of the lowest-numbered failing chunk is raised in the caller once all
-    have stopped.
-    """
-    workers = min(_workers(), len(chunks))
-    errors: list[BaseException | None] = [None] * len(chunks)
-
-    def run(first: int) -> None:
-        i = first
-        try:
-            work = np.empty(scratch)
-            for i in range(first, len(chunks), workers):
-                task(chunks[i], work)
-        except BaseException as exc:  # raised in the caller below
-            errors[i] = exc
-
-    threads, unstarted = [], []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=run, args=(k,))
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to spare: the caller takes this share
-                unstarted.append(k)
-            else:
-                threads.append(thread)
-        for k in [0, *unstarted]:
-            run(k)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def _single_qubit_report(
@@ -267,81 +191,56 @@ def _single_qubit_report(
 def grid_search_min(
     family: MeasurementFamily, alpha: float, resolution: int = 200
 ) -> VerificationReport:
-    """Grid-minimise the single-qubit Renyi entropy and compare to the floor.
+    """Grid-minimise the single-qubit Renyi entropy on the Bloch sphere and compare to the floor.
 
-    Searches the full box of the radius and one angle per further Bloch axis
-    rather than only the sphere surface, exploiting the reflection symmetry
-    of the power sum to restrict to the first quadrant (octant for three
-    bases). Passes when the grid minimum matches the closed-form floor to
-    rounding, ``|grid min - floor| <= T = 1e-13 + 4e-16``, and the argmin is
-    the eigenstate grid point ``(1, 0)`` (``(1, 0, 0)`` for six-state).
+    Searches the sphere r = 1 on ``resolution`` points per angle, one angle
+    per further Bloch axis, restricted by the reflection symmetry of the
+    power sum to the first quadrant (octant for three bases). Passes when the
+    grid minimum matches the closed-form floor to rounding,
+    ``|grid min - floor| <= T = 1e-13 + 4e-16``, the argmin is the eigenstate
+    grid point ``(1, 0)`` (``(1, 0, 0)`` for six-state), and the radial check
+    below holds.
 
     A point's entropy is that of its table, rows ``((1 + x_i)/2, (1 - x_i)/2)``
     weighted 1/B, under :func:`entrobound.entropy.renyi_entropies`: the bits
     ``-log1p(E)/(s ln 2)`` of its excess E, which :func:`_bloch_excess`
-    computes bit for bit as that reduction does, and the only per-point
-    quantity of the search. Its terms share one sign, so E keeps its relative
-    accuracy at any s. The map ``phi -> pi/2 - phi`` of the first angle swaps
-    two Bloch components, ``(r sin phi, r cos phi)`` for BB84 and
-    ``(r sin phi sin theta, r cos phi sin theta, r cos theta)`` for
-    six-state, and the entropy does not change when its components are
-    permuted. So a pass over chunks of about ``_CHUNK_POINTS`` points keeps
-    each radius row's largest E over the phi columns ``j < ceil(resolution/2)``
-    only, whose mirrors ``m - j`` (``m = resolution - 1``) are the other
-    columns, and converts it to bits once per row. Every point of the rows
-    whose bits lie within ``W = 1e-12 + 2e-13 + 5uL`` of the least row's
-    (u = 2^-53, L = 4) is reduced, keeping each row's least bits, and the
-    first row within 1e-12 of the minimum is reduced again for the argmin,
-    its first point within 1e-12. Both passes share their chunks among the
-    workers of :func:`_share_chunks`, one per CPU the process may run on.
-    Each chunk writes only its own rows of the row maxima and minima, so the
-    values, the cut, the argmin and the report are those of one worker, bit
-    for bit, whatever the worker count and order. Memory is O(resolution)
-    plus workers x 5 x one chunk of doubles: about 2^15 points for BB84, and
-    for six-state from resolution 182 on one radius row, half a row when
-    ranked (at 464, 4.3 MB a worker in the ranking pass, 8.6 MB to reduce a
-    row). The report is that of reducing every point:
+    computes bit for bit as that reduction does. Its terms share one sign,
+    so E keeps its relative accuracy at any s. The ``resolution^(B-1)``
+    points of the sphere are evaluated in one call (215k points and 8.6 MB
+    of scratch for six-state at 464), and the argmin is the first of them,
+    in flat index order, within 1e-12 bits of the minimum: the whole arc ties
+    at alpha = 2, where the power sum depends on the radius alone.
 
-    * a computed table entropy is within ``d = 1e-13`` bits of the exact
-      one whatever s is, the bits step included (moving an entry p by a
-      rounding e moves it by about ``(1 + |ln p|) e`` bits);
-    * the exact entropy at a column's mirror is within ``5uL`` of its own:
-      linspace makes ``phi_k`` its step ``fl(fl(pi/2)/m)`` times k, rounded,
-      and ``phi_m = fl(pi/2)``, so ``|phi_(m-j) + phi_j - pi/2| <
-      3(pi/2)u(1+u) < 5u``. ``|dH/dphi| <= |dH/dx_0| |x_1| + |dH/dx_1| |x_0|``
-      with ``|dH/dx_i| = (1+s) |p_+^s - p_-^s| / (2B s ln2 P)``; as
-      ``(a^s - b^s)/s <= ln(a/b)`` on (0, 1], ``|x_1| <= sqrt(1 - x_0^2)``,
-      ``max_v 2v/cosh v < 1.3255`` (at ``x_0 = tanh v``) and ``P >= 2^-s``,
-      this is at most ``(1+s) 2^s 1.3255/(B ln 2) < 3.83`` bits per radian
-      for every s in (0, 1], B >= 2, which L = 4 bounds.
+    **The reduction to the sphere.** E is the mean over the axes of the
+    per-axis excess ``g(x) = t((1 + x)/2) + t((1 - x)/2)``,
+    ``t(p) = p^(1+s) - p``, at ``x_i = r d_i`` for a unit direction d. g is
+    even, and nondecreasing in |x| because ``p^(1+s)`` is convex. So along
+    every direction E does not decrease and the bits do not increase with r,
+    and each direction's minimum over the ball lies at r = 1. The search
+    checks this instead of trusting it: it evaluates the code's own per-axis
+    term, ``_bloch_excess`` on one axis, at ``r = linspace(0, 1, resolution)``
+    for the search's s, and unless those values are nondecreasing the report
+    fails, with one clause in its notes saying so. The check covers the
+    computed term at those radii; between them, and at the components
+    ``r d_i`` of other directions, the reduction rests on the convexity
+    above. Rounding is monotone, so the weighted sum of nondecreasing terms
+    does not decrease either.
 
-    So let x be a point within 1e-12 of the computed minimum ``h``, and x'
-    x or its mirror, whichever is ranked. The row of x' has a ranked point
-    of computed E at least that of x', so its bits are at most the exact
-    entropy of x' plus d (which bounds the rounding of E, as bits, and of
-    the bits step together), at most that of x plus ``5uL + d``, at most
-    ``h + 1e-12 + 2d + 5uL``. The least row's bits are a computed entropy,
-    so at least h: the row of x' is within W of it and is reduced. The sum
-    ``best + W`` lies below 1 bit, so its rounding (u/2) is within the
-    ``5u (4 - 3.83)`` that L keeps spare. A row outside W holds no point
-    within 1e-12 of the minimum and moves neither it nor the argmin. W does
-    not depend on s, so near alpha = 1 the cut keeps the r = 1 row alone, as
-    it does at alpha = 1.3.
-
-    ``T`` follows from the same bounds. linspace gives ``r = 1`` and the
-    angle 0 exactly, so the eigenstate grid point's components are exactly
-    0 and 1 and its exact entropy is the floor, which no point's undercuts
-    when the relation holds: the grid minimum is within 1e-13 bits of it.
-    ``renyi_floor`` is within 4e-16 of a floor below 1 bit (its relative
-    accuracy, :mod:`entrobound.bounds`), and the margin is exact (Sterbenz).
-    So ``|margin| <= T``, and a floor off by more than 2T fails. The rows
-    r < 1 lie far above the floor, so the tie rule picks the eigenstate
-    point, the first of the r = 1 row, as the argmin.
+    ``T`` follows from two bounds. A computed table entropy is within
+    ``1e-13`` bits of the exact one whatever s is, the bits step included
+    (moving an entry p by a rounding e moves it by about ``(1 + |ln p|) e``
+    bits). linspace gives the angle 0 exactly, so the eigenstate grid point's
+    components are exactly 0 and 1 and its exact entropy is the floor, which
+    no point's undercuts when the relation holds: the grid minimum is within
+    1e-13 bits of it. ``renyi_floor`` is within 4e-16 of a floor below 1 bit
+    (its relative accuracy, :mod:`entrobound.bounds`), and the margin is
+    exact (Sterbenz). So ``|margin| <= T``, and a floor off by more than 2T
+    fails.
 
     Every family is searched at the resolution asked. Raises ``ValueError``
-    before building any array when the grid would hold more than 10^8 points
-    (``_MAX_GRID_POINTS``, at most 0.5 s of work at any alpha on two CPUs):
-    BB84 resolutions above 10^4 and six-state ones above 464.
+    before building any array when the box of the radius and the angles would
+    hold more than 10^8 points (``_MAX_GRID_POINTS``): BB84 resolutions above
+    10^4 and six-state ones above 464.
     """
     if resolution < 50:
         raise ValueError(f"resolution must be at least 50, got {resolution!r}")
@@ -355,55 +254,16 @@ def grid_search_min(
         )
     r = np.linspace(0.0, 1.0, resolution)
     ang = np.linspace(0.0, math.pi / 2.0, resolution)
-    axes = [r] + [ang] * (bases - 1)
-    radius, *angles = np.meshgrid(*axes, indexing="ij", sparse=True)
-    half = (resolution + 1) // 2  # phi columns ranked; the mirrors hold the rest
-    direction = _bloch_direction(angles)
-    ranked = _bloch_direction([angles[0][:, :half], *angles[1:]])
-
-    def excess(rows, along, work) -> np.ndarray:
-        """Table excess of the radius rows ``rows`` along the direction ``along``, one row each."""
-        shape = np.broadcast_shapes(radius[rows].shape, *(u.shape for u in along))
-        chunk = work[: 5 * math.prod(shape)].reshape(5, *shape)
-        return _bloch_excess(s, radius[rows], along, chunk).reshape(len(rows), -1)
-
-    def reduce_rows(out, rows, along, points, reduce) -> None:
-        """``out[rows] = reduce(excess)`` of the radius rows ``rows``, ``points`` points each.
-
-        The rows go in chunks of about ``_CHUNK_POINTS`` points, at least one
-        row each, shared among the workers of :func:`_share_chunks`.
-        """
-        height = max(1, _CHUNK_POINTS // points)
-        parts = np.array_split(rows, -(-len(rows) // height))  # the first is the longest
-
-        def task(part, work):
-            out[part] = reduce(excess(part, along, work))
-
-        _share_chunks(parts, 5 * points * len(parts[0]), task)
-
-    row_points = resolution ** len(angles)
-    row_max = np.empty(resolution)
-    reduce_rows(
-        row_max, np.arange(resolution), ranked, row_points // resolution * half,
-        lambda e: e.max(axis=1),
-    )
-    row_bits = _excess_bits(row_max, s)
-    window = 1e-12 + 2e-13 + 5 * 2.0**-53 * 4  # W, derived above
-    candidates = np.flatnonzero(row_bits <= float(row_bits.min()) + window)
-    row_min = np.full(resolution, np.inf)
-    reduce_rows(
-        row_min, candidates, direction, row_points, lambda e: _excess_bits(e, s).min(axis=1)
-    )
-
-    grid_min = float(row_min.min())
-    # Ties (the whole r = 1 arc at alpha = 2, where P depends on the radius
-    # alone) go to the smallest flat index, whatever the execution order.
-    row = int(np.argmax(row_min <= grid_min + 1e-12))
-    bits = _excess_bits(excess([row], direction, np.empty(5 * row_points))[0], s)
-    column = int(np.argmax(bits <= grid_min + 1e-12))
-    index = (row, *np.unravel_index(column, (resolution,) * len(angles)))
-    argmin = tuple(float(axis[i]) for axis, i in zip(axes, index))
-    return _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)
+    angles = np.meshgrid(*[ang] * (bases - 1), indexing="ij", sparse=True)
+    bits = _excess_bits(_bloch_excess(s, 1.0, _bloch_direction(angles)), s)
+    grid_min = float(bits.min())
+    index = np.unravel_index(int(np.argmax(bits <= grid_min + 1e-12)), bits.shape)
+    argmin = (1.0, *(float(ang[i]) for i in index))
+    report = _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)
+    if np.all(np.diff(_bloch_excess(s, r, [1.0])) >= 0.0):
+        return report
+    notes = f"{report.notes}; radial check failed: the per-axis excess decreases in r"
+    return replace(report, passed=False, notes=notes)
 
 
 def endpoint_curvature(s):

@@ -13,9 +13,9 @@ table oracles build one row at a time (by n-qubit Kronecker unitaries, or by
 traces against measurement projectors) instead of measuring every state qubit
 by qubit, the reference drawer draws one state at a time instead of a padded
 stack, the reference trials loop over per-trial states and tables instead of
-reducing a stack, the whole-grid search reduces every Bloch grid point as a
-table by the shared reduction instead of ranking streamed radius chunks by
-the per-point excess, and the entropy-space search is the grid search's
+reducing a stack, the whole-grid search reduces every point of the Bloch
+ball's grid as a table by the shared reduction instead of the sphere alone
+by the per-point excess, and the entropy-space search is the grid search's
 earlier ``-log2(P)/s`` form on its own pow power sum.
 The decimal Renyi entropy normalises the table exactly and sums the textbook
 power sum at 50 digits instead of the float excess form.
@@ -398,14 +398,14 @@ def _grid_report(family: MeasurementFamily, alpha: float, resolution: int, axes,
 
 
 def whole_grid_search_min(family: MeasurementFamily, alpha: float, resolution: int):
-    """The grid search with every Bloch grid point reduced as a table: the streamed search's report.
+    """The grid search over the whole ball, every point reduced as a table: the sphere search's report.
 
     Reduces the outcome tables (rows ``((1 + x_i)/2, (1 - x_i)/2)``, weights
     ``1/B``) of all ``resolution^2`` (BB84) or ``resolution^3`` (six-state)
-    points, one radius row of the grid at a time, by
-    :func:`entrobound.entropy.renyi_entropies`, with no ranking and no cut,
-    then takes the minimum and the first flat index within
-    1e-12 of it. Only the entropies of the whole grid are held at once.
+    points of the box of the radius and the angles, one radius row at a
+    time, by :func:`entrobound.entropy.renyi_entropies`, trusting no
+    reduction to the sphere, then takes the minimum and the first flat index
+    within 1e-12 of it. Only the entropies of the whole grid are held at once.
     """
     axes, radius, angles = _bloch_grid(family, resolution)
     entropy = np.empty((resolution,) * len(axes))

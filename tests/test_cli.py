@@ -694,10 +694,15 @@ class TestUnwritableStreams:
         assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_full_stdout_is_a_usage_error(self, unbuffered):
+    @pytest.mark.parametrize(
+        "argv,unbuffered",
+        [(_RATE, False), (_RATE, True), (("--help",), False)],
+        ids=["buffered", "unbuffered", "help-buffered"],
+    )
+    def test_full_stdout_is_a_usage_error(self, argv, unbuffered):
+        # argparse writes the help text to the buffer, so ``run``'s flush fails
         with open("/dev/full", "wb") as full:
-            code, err = run_process(*_RATE, stdout=full, unbuffered=unbuffered)
+            code, err = run_process(*argv, stdout=full, unbuffered=unbuffered)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 

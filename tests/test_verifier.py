@@ -3,9 +3,6 @@
 import dataclasses
 import json
 import math
-import os
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -63,10 +60,14 @@ def planted_excess(entropy):
     ``entropy(s, radius, direction, x)`` gives the bits of the points
     ``radius * direction``, whose Bloch components are stacked on the last
     axis of ``x``; the search then computes them to rounding, as
-    :func:`planted_bits`.
+    :func:`planted_bits`. The one-axis call of the radial check gets the
+    exact per-axis excess.
     """
+    exact = verify._bloch_excess
 
-    def excess(s, radius, direction, work=None):
+    def excess(s, radius, direction):
+        if len(direction) == 1:
+            return exact(s, radius, direction)
         x = np.stack(np.broadcast_arrays(*(radius * u for u in direction)), axis=-1)
         return np.expm1(-s * math.log(2.0) * entropy(s, radius, direction, x))
 
@@ -83,8 +84,8 @@ def excess_shapes(monkeypatch):
     shapes = []
     exact = verify._bloch_excess
 
-    def spy(s, radius, direction, work=None):
-        total = exact(s, radius, direction, work)
+    def spy(s, radius, direction):
+        total = exact(s, radius, direction)
         shapes.append(total.shape)
         return total
 
@@ -256,106 +257,61 @@ class TestGridSearch:
         assert report.argmin == (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
         assert report.passed is False
 
-    @pytest.mark.parametrize(
-        "excess,argmin", [(0.9e-12, (0.0, 0.0)), (1.1e-12, (1.0, 0.0))], ids=["tie", "no tie"]
-    )
-    def test_ties_within_1e_12_go_to_the_first_point(self, monkeypatch, excess, argmin):
-        # A planted surface: the eigenstate r = 1, phi = 0 at the floor, the
-        # centre r = 0 (all of row 0) `excess` above it and every other point
-        # 1 bit above. Row 0 lies within the bits cut W, so it is reduced; it
-        # holds the argmin only when it ties within 1e-12.
-        floor = renyi_floor(2.0, BB84)
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("depth,tied", [(0.9e-12, True), (1.1e-12, False)], ids=["tie", "no-tie"])
+    def test_ties_within_1e_12_go_to_the_first_point(self, monkeypatch, family, depth, tied):
+        # A planted sphere: the eigenstates (one component 1) at the floor, one
+        # point of the arc `depth` below it and every other point 1 bit above.
+        # The eigenstate grid point comes first, so it keeps the argmin when it
+        # lies within 1e-12 bits of the minimum.
+        floor = renyi_floor(2.0, family)
+        ang = np.linspace(0.0, math.pi / 2.0, 51)
+        angles = (ang[10], ang[20])[: family.bases_per_qubit - 1]
+        target = np.array(verify._bloch_direction(angles))
 
         def entropy(s, radius, direction, x):
             h = np.full(x.shape[:-1], floor + 1.0)
-            h[np.all(x == 0.0, axis=-1)] = floor + excess
-            h[(x[..., 0] == 0.0) & (x[..., 1] == 1.0)] = floor
-            return h
-
-        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
-        report = grid_search_min(BB84, 2.0, resolution=51)
-        assert report.argmin == argmin
-        assert report.worst_margin == planted_bits(floor, 1.0) - floor
-
-    @pytest.mark.parametrize("family", [BB84, SIX])
-    @pytest.mark.parametrize("resolution", [50, 51])
-    def test_ranking_evaluates_half_the_first_angle(self, monkeypatch, family, resolution):
-        # phi -> pi/2 - phi swaps two Bloch components, so the ranking pass
-        # evaluates the excess on phi columns 0 .. ceil(resolution/2) - 1
-        # only; the kept row and the argmin row are then evaluated whole.
-        shapes = excess_shapes(monkeypatch)
-        report = grid_search_min(family, 1.5, resolution)
-        assert report.passed
-        half = -(-resolution // 2)
-        ranked = [shape for shape in shapes if shape[1] == half]
-        whole = [shape for shape in shapes if shape[1] == resolution]
-        assert len(ranked) + len(whole) == len(shapes)
-        row_points = resolution ** (family.bases_per_qubit - 2)
-        assert sum(math.prod(shape) for shape in ranked) == resolution * half * row_points
-        assert sum(shape[0] for shape in whole) == 2  # one kept row, then the argmin row
-
-    @pytest.mark.parametrize(
-        "family,resolution", [(BB84, 1500), (SIX, 101)], ids=["bb84-1500", "six-101"]
-    )
-    @pytest.mark.parametrize("alpha", [1.3, 1.0 + 1e-15])
-    def test_the_cut_keeps_one_row(self, monkeypatch, family, resolution, alpha):
-        # The bits cut does not depend on s: near alpha = 1 it keeps the
-        # r = 1 row alone, as it does at 1.3.
-        shapes = excess_shapes(monkeypatch)
-        report = grid_search_min(family, alpha, resolution)
-        assert report.passed
-        kept = sum(shape[0] for shape in shapes if shape[1] == resolution) - 1
-        assert kept == 1
-
-    @pytest.mark.parametrize("family", [BB84, SIX])
-    def test_a_row_maximum_on_the_middle_column_is_ranked(self, monkeypatch, family):
-        # A planted surface, symmetric under swapping x_0 and x_1: the centre
-        # row r = 0 one bit above the floor, the diagonal x_0 = x_1 of the
-        # r = 1 row (far from the x_0 = x_1 = 0 pole) half a bit below it, and
-        # every other point two bits above it. At odd resolution the diagonal
-        # is the middle phi column, the last one ranked: without it the r = 1
-        # row would rank below the centre row.
-        floor = renyi_floor(2.0, family)
-
-        def entropy(s, radius, direction, x):
-            h = np.full(x.shape[:-1], floor + 2.0)
-            h[np.all(x == 0.0, axis=-1)] = floor + 1.0
-            diagonal = np.abs(x[..., 0] - x[..., 1]) < 1e-9
-            h[diagonal & (x[..., 0] + x[..., 1] > 1.4)] = floor - 0.5
+            h[x.max(axis=-1) == 1.0] = floor
+            h[np.all(np.abs(x - target) < 1e-9, axis=-1)] = floor - depth
             return h
 
         monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
         report = grid_search_min(family, 2.0, resolution=51)
-        assert report.argmin[:2] == (1.0, np.linspace(0.0, math.pi / 2.0, 51)[25])
-        assert report.worst_margin == planted_bits(floor - 0.5, 1.0) - floor
+        eigenstate = (1.0,) + (0.0,) * len(angles)
+        assert report.argmin == (eigenstate if tied else (1.0, *angles))
+        assert report.worst_margin == planted_bits(floor - depth, 1.0) - floor
 
     @pytest.mark.parametrize("family", [BB84, SIX])
-    def test_a_row_inside_the_rounding_and_mirror_terms_of_the_cut_is_reduced(
-        self, monkeypatch, family
-    ):
-        # A planted surface: the eigenstates (one component 1) at the floor,
-        # every point 1 bit above it, save the radius row 10 of 50. Its ranked phi
-        # columns lie 1.1e-12 above the floor, past the 1e-12 tie window but
-        # within the cut W, and its unranked columns near phi = pi/2 (their
-        # mirrors are ranked) hold a minimum 1e-3 below the floor. Without the
-        # rounding and mirror terms of W the row is cut and the minimum missed.
-        s = 0.5
-        floor = renyi_floor(1.0 + s, family)
-        row = np.linspace(0.0, 1.0, 50)[10]
+    @pytest.mark.parametrize("at", ["centre", "edge"])
+    def test_a_per_axis_excess_that_decreases_in_r_fails(self, monkeypatch, family, at):
+        # The per-axis excess planted non-monotone on the radius axis: the
+        # centre r = 0 above its neighbour (a minimum inside the ball), or the
+        # last step, to r = 1, down by one ulp. The sphere is unchanged, so the
+        # report is the exact one but for its verdict and one clause.
+        exact = verify._bloch_excess
 
-        def entropy(s, radius, direction, x):
-            h = np.full(x.shape[:-1], floor + 1.0)
-            h[np.abs(x).max(axis=-1) > 1.0 - 1e-9] = floor
-            in_row = np.abs(np.linalg.norm(x, axis=-1) - row) < 1e-12
-            h[in_row] = floor + 1.1e-12
-            h[in_row & (x[..., 0] > 0.99 * row)] = floor - 1e-3
-            return h
+        def excess(s, radius, direction):
+            e = exact(s, radius, direction)
+            if len(direction) == 1:
+                if at == "centre":
+                    e[0] = np.nextafter(e[1], np.inf)
+                else:
+                    e[-1] = np.nextafter(e[-2], -np.inf)
+            return e
 
-        monkeypatch.setattr(verify, "_bloch_excess", planted_excess(entropy))
-        report = grid_search_min(family, 1.0 + s, resolution=50)
-        assert report.argmin[0] == row
-        assert report.argmin[1] > math.pi / 4  # an unranked column
-        assert report.worst_margin == pytest.approx(-1e-3, abs=1e-12)
+        expected = grid_search_min(family, 1.3, resolution=50)
+        monkeypatch.setattr(verify, "_bloch_excess", excess)
+        report = grid_search_min(family, 1.3, resolution=50)
+        clause = "; radial check failed: the per-axis excess decreases in r"
+        assert expected.passed and not report.passed
+        assert report == dataclasses.replace(expected, passed=False, notes=expected.notes + clause)
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("resolution", [50, 51])
+    def test_one_call_for_the_sphere_and_one_for_the_radius(self, monkeypatch, family, resolution):
+        shapes = excess_shapes(monkeypatch)
+        assert grid_search_min(family, 1.5, resolution).passed
+        assert shapes == [(resolution,) * (family.bases_per_qubit - 1), (resolution,)]
 
     def test_six_state_searched_at_resolution_asked(self):
         report = grid_search_min(SIX, 2.0, resolution=101)
@@ -367,18 +323,12 @@ class TestGridSearch:
         st.data(),
         st.sampled_from([BB84, SIX]),
         st.just(2.0) | st.floats(min_value=-15.0, max_value=0.0).map(lambda x: 1.0 + 10.0**x),
-        st.sampled_from([None, 1, 997, 4099]),
-        st.sampled_from([1, 2, 3]),
     )
-    def test_streamed_search_matches_whole_grid(self, data, family, alpha, chunk_points, workers):
-        # Small chunks cut BB84 grids into many chunks too, and their heights
-        # rarely divide the row count; None keeps the module's chunk size.
-        # The chunks are shared among `workers` threads whatever the host's CPUs.
+    def test_streamed_search_matches_whole_grid(self, data, family, alpha):
+        # The sphere search against every point of the ball reduced as a table.
         top = 400 if family is BB84 else 100
         resolution = data.draw(st.integers(min_value=50, max_value=top), label="resolution")
-        with mock.patch.object(verify, "_CHUNK_POINTS", chunk_points or verify._CHUNK_POINTS), \
-                mock.patch.object(verify, "_workers", lambda: workers):
-            report = grid_search_min(family, alpha, resolution)
+        report = grid_search_min(family, alpha, resolution)
         expected = whole_grid_search_min(family, alpha, resolution)
         assert report == expected  # every field but the (empty) witness
         assert repr(report.worst_margin) == repr(expected.worst_margin)
@@ -415,8 +365,8 @@ class TestGridSearch:
          (BB84, 1.0 + 3e-14, 1501), (SIX, 1.0 + 3e-14, 101)],
     )
     def test_command_line_grids_match_whole_grid(self, family, alpha, resolution):
-        # Odd resolutions rank the middle phi column; near alpha = 1 the
-        # excess keeps its relative accuracy, so the cut in bits still holds.
+        # The grids of the command line and its tests, odd resolutions and
+        # orders near alpha = 1 included.
         assert grid_search_min(family, alpha, resolution) == whole_grid_search_min(
             family, alpha, resolution
         )
@@ -452,7 +402,7 @@ class TestGridSearch:
 
     def test_largest_grids_are_not_refused(self):
         # 10^4 squared and 464 cubed fit in 10^8 points; the first array built
-        # after the size check stands in for the 0.5-1 s search
+        # after the size check stands in for the search
         class Allocated(Exception):
             pass
 
@@ -471,6 +421,24 @@ class TestGridSearch:
         assert abs(report.worst_margin) <= 1e-13
         assert report.argmin == (1.0,) + (0.0,) * (family.bases_per_qubit - 1)
 
+    def test_a_failing_chunk_is_a_usage_error_on_the_command_line(self, monkeypatch, capsys):
+        # Memory runs out while the r = 1 row is evaluated: exit 2, one line.
+        exact = verify._bloch_excess
+
+        def excess(s, radius, direction):
+            if len(direction) > 1:
+                raise MemoryError("the r = 1 row")
+            return exact(s, radius, direction)
+
+        monkeypatch.setattr(verify, "_bloch_excess", excess)
+        code = cli.run(
+            ["verify", "--suite", "single-qubit", "--family", "bb84", "--resolution", "1500"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError: the r = 1 row\n"
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.data(),
@@ -480,7 +448,7 @@ class TestGridSearch:
     def test_verdict_matches_entropy_space_search(self, data, family, alpha):
         # The argmins agree and the margins differ by no more than the earlier
         # -log2(P)/s search's rounding, (8B + 3) 2^-53 / (s ln 2); where that
-        # leaves its margin within T, it passes as the streamed search does.
+        # leaves its margin within T, it passes as the sphere search does.
         top = 400 if family is BB84 else 100
         resolution = data.draw(st.integers(min_value=50, max_value=top), label="resolution")
         report = grid_search_min(family, alpha, resolution)
@@ -490,151 +458,6 @@ class TestGridSearch:
         assert abs(report.worst_margin - expected.worst_margin) <= rounding + 1e-15
         if abs(report.worst_margin) + rounding + 1e-15 <= T:  # its margin within T too
             assert expected.passed
-
-
-def failing_excess(rows):
-    """A ``verify._bloch_excess`` whose ranking chunk holding radius row i of 1500 raises, i in ``rows``.
-
-    The error names the row, so a test can tell which chunk's error was raised.
-    """
-    exact = verify._bloch_excess
-    radius = np.linspace(0.0, 1.0, 1500)
-
-    def excess(s, r, direction, work=None):
-        for i in rows:
-            if np.shape(direction[0])[-1] == 750 and np.any(r == radius[i]):
-                raise MemoryError(f"chunk of row {i}")
-        return exact(s, r, direction, work)
-
-    return excess
-
-
-class TestGridPool:
-    """The grid search's chunks shared among worker threads."""
-
-    def test_one_worker_per_cpu_the_process_may_run_on(self, monkeypatch):
-        # os.sched_getaffinity where it exists, else os.cpu_count.
-        if hasattr(os, "sched_getaffinity"):
-            assert verify._workers() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        assert verify._workers() == os.cpu_count()
-
-    @pytest.mark.parametrize(
-        "family,resolution", [(BB84, 1500), (BB84, 1501), (SIX, 100), (SIX, 101)]
-    )
-    @pytest.mark.parametrize("alpha", [2.0, 1.3, 1.0 + 1e-12, 1.0 + 1e-15])
-    def test_reports_do_not_depend_on_the_worker_count(
-        self, monkeypatch, family, alpha, resolution
-    ):
-        # Each chunk writes only its own rows, so the report is bit for bit
-        # that of one worker.
-        reports = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(verify, "_workers", lambda: workers)
-            report = grid_search_min(family, alpha, resolution)
-            reports.append((report.to_json_dict(), repr(report.worst_margin)))
-        assert reports[0][0]["pass"] is True
-        assert reports[1] == reports[0] and reports[2] == reports[0]
-
-    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
-        # Two workers more than CPUs, handing the GIL over every microsecond
-        # across 51 chunks: a lost or misplaced row write would change the
-        # report.
-        expected = whole_grid_search_min(BB84, 1.3, 301)
-        monkeypatch.setattr(verify, "_CHUNK_POINTS", 997)
-        monkeypatch.setattr(verify, "_workers", lambda: (os.cpu_count() or 1) + 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = grid_search_min(BB84, 1.3, 301)
-        finally:
-            sys.setswitchinterval(interval)
-        assert report == expected
-        assert repr(report.worst_margin) == repr(expected.worst_margin)
-
-    @pytest.mark.parametrize(
-        "rows,raised", [((7, 600), 7), ((50, 100), 50)], ids=["caller-first", "thread-first"]
-    )
-    def test_a_failing_chunk_is_raised_after_every_thread_stops(self, monkeypatch, rows, raised):
-        # 1500 rows ranked in chunks of 43: rows 7 and 100 fall in chunks 0
-        # and 2, which the calling thread takes, rows 50 and 600 in chunks 1
-        # and 13, which the second worker takes. The lower chunk's error is
-        # raised, and no thread outlives the call.
-        monkeypatch.setattr(verify, "_workers", lambda: 2)
-        monkeypatch.setattr(verify, "_bloch_excess", failing_excess(rows))
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match=f"^chunk of row {raised}$"):
-            grid_search_min(BB84, 2.0, 1500)
-        assert threading.active_count() == before
-
-    def test_a_failed_scratch_allocation_is_raised(self, monkeypatch):
-        # 2^50 doubles (8 PiB) cannot be allocated: each worker fails before
-        # its first chunk, and no chunk runs.
-        monkeypatch.setattr(verify, "_workers", lambda: 2)
-        done = []
-        before = threading.active_count()
-        with pytest.raises(MemoryError):
-            verify._share_chunks([0, 1, 2], 2**50, lambda chunk, work: done.append(chunk))
-        assert done == []
-        assert threading.active_count() == before
-
-    def test_the_share_of_a_thread_that_cannot_start_is_run_by_the_caller(self, monkeypatch):
-        # Of three workers, the second thread cannot start (a host out of
-        # threads): the caller runs its share, and the report is unchanged.
-        expected = grid_search_min(BB84, 1.3, 1500)
-        started = []
-        callers = set()
-        exact = verify._bloch_excess
-
-        class Thread(threading.Thread):
-            def start(self):
-                if started:
-                    raise RuntimeError("can't start new thread")
-                started.append(self)
-                super().start()
-
-        def spy(s, radius, direction, work=None):
-            callers.add(threading.get_ident())
-            return exact(s, radius, direction, work)
-
-        monkeypatch.setattr(verify, "_workers", lambda: 3)
-        monkeypatch.setattr(verify.threading, "Thread", Thread)
-        monkeypatch.setattr(verify, "_bloch_excess", spy)
-        before = threading.active_count()
-        report = grid_search_min(BB84, 1.3, 1500)
-        assert report.to_json_dict() == expected.to_json_dict()
-        assert len(started) == 1 and not started[0].is_alive()
-        assert callers == {threading.get_ident(), started[0].ident}
-        assert threading.active_count() == before
-
-    def test_a_failing_chunk_is_a_usage_error_on_the_command_line(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "_workers", lambda: 2)
-        monkeypatch.setattr(verify, "_bloch_excess", failing_excess((600,)))
-        code = cli.run(
-            ["verify", "--suite", "single-qubit", "--family", "bb84", "--resolution", "1500"]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "error: MemoryError: chunk of row 600\n"
-
-    @pytest.mark.parametrize("resolution,threads", [(200, 1), (1500, 2)])
-    def test_a_one_chunk_pass_starts_no_thread(self, monkeypatch, resolution, threads):
-        # BB84 200 ranks 200 rows of 100 points, one chunk of at most 2^15
-        # points, and reduces one row: every evaluation runs in the calling
-        # thread. BB84 1500 ranks 35 chunks, shared by both workers.
-        callers = set()
-        exact = verify._bloch_excess
-
-        def spy(s, radius, direction, work=None):
-            callers.add(threading.get_ident())
-            return exact(s, radius, direction, work)
-
-        monkeypatch.setattr(verify, "_workers", lambda: 2)
-        monkeypatch.setattr(verify, "_bloch_excess", spy)
-        assert grid_search_min(BB84, 2.0, resolution).passed
-        assert threading.get_ident() in callers
-        assert len(callers) == threads
 
 
 class TestStationarySigns:
