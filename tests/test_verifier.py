@@ -52,6 +52,8 @@ SIX = MeasurementFamily.SIX_STATE
 # The grid verdict's bound on |margin|: table entropies within 1e-13 bits,
 # and a floor below 1 bit within 4e-16 relative.
 T = 1e-13 + 4e-16
+# Orders from alpha = 2 down to within 1e-15 of 1.
+ORDERS = [2.0, 1.5, 1.3, 1.0001, 1.0 + 1e-6, 1.0 + 1e-9, 1.0 + 1e-12, 1.0 + 3e-14, 1.0 + 1e-15]
 
 
 def planted_excess(entropy):
@@ -312,6 +314,85 @@ class TestGridSearch:
         shapes = excess_shapes(monkeypatch)
         assert grid_search_min(family, 1.5, resolution).passed
         assert shapes == [(resolution,) * (family.bases_per_qubit - 1), (resolution,)]
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    @pytest.mark.parametrize("alpha", [1.3, 1.0 + 1e-15])
+    def test_the_radial_check_runs_at_the_search_order_on_the_radius_axis(
+        self, monkeypatch, family, alpha
+    ):
+        # The sphere at r = 1, then one axis at r = linspace(0, 1, resolution),
+        # both at the order searched.
+        calls = []
+        exact = verify._bloch_excess
+
+        def spy(s, radius, direction):
+            calls.append((s, np.array(radius, copy=True), list(direction)))
+            return exact(s, radius, direction)
+
+        monkeypatch.setattr(verify, "_bloch_excess", spy)
+        assert grid_search_min(family, alpha, resolution=51).passed
+        (s_sphere, r_sphere, _), (s_radial, r_radial, direction) = calls
+        assert s_sphere == s_radial == alpha - 1.0
+        assert r_sphere == 1.0 and direction == [1.0]
+        assert r_radial.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_the_computed_per_axis_excess_is_nondecreasing_in_r(self, alpha):
+        # The radial check holds on the code's own term with no tolerance, at
+        # resolutions from the least the search accepts to the largest.
+        s = alpha - 1.0
+        for resolution in (50, 51, 200, 1500, 1501, 10_000):
+            r = np.linspace(0.0, 1.0, resolution)
+            assert np.all(np.diff(verify._bloch_excess(s, r, [1.0])) >= 0.0), resolution
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_the_excess_is_even_in_each_component(self, alpha):
+        # x_i -> -x_i swaps the two terms of axis i, so the search's first
+        # quadrant (octant) stands for the whole sphere, bit for bit.
+        s = alpha - 1.0
+        x = np.linspace(-1.0, 1.0, 41)
+        axes = [x[:, None, None], x[None, :, None], x[None, None, :]]
+        expected = verify._bloch_excess(s, 1.0, axes).tobytes()
+        for flipped in range(3):
+            components = [-u if i == flipped else u for i, u in enumerate(axes)]
+            assert verify._bloch_excess(s, 1.0, components).tobytes() == expected
+
+    @pytest.mark.parametrize("failing", ["sphere", "radius"])
+    def test_a_failed_evaluation_is_raised(self, monkeypatch, failing):
+        # Memory running out in either call reaches the caller as it was
+        # raised; no report is built from part of the search.
+        exact = verify._bloch_excess
+
+        def excess(s, radius, direction):
+            if (len(direction) == 1) == (failing == "radius"):
+                raise MemoryError(failing)
+            return exact(s, radius, direction)
+
+        monkeypatch.setattr(verify, "_bloch_excess", excess)
+        with pytest.raises(MemoryError, match=f"^{failing}$"):
+            grid_search_min(BB84, 2.0, 1500)
+
+    @pytest.mark.parametrize("family", [BB84, SIX])
+    def test_a_failed_radial_check_fails_the_command(self, monkeypatch, capsys, family):
+        # The report is printed as usual, with its clause, and the command
+        # exits 1 as for any failed verification.
+        exact = verify._bloch_excess
+
+        def excess(s, radius, direction):
+            e = exact(s, radius, direction)
+            if len(direction) == 1:
+                e[0] = np.nextafter(e[1], np.inf)
+            return e
+
+        monkeypatch.setattr(verify, "_bloch_excess", excess)
+        code = cli.run(
+            ["verify", "--suite", "single-qubit", "--family", family.value, "--resolution", "50"]
+        )
+        captured = capsys.readouterr()
+        (report,) = json.loads(captured.out)
+        assert code == 1 and captured.err == ""
+        assert report["pass"] is False
+        assert report["notes"].endswith("; radial check failed: the per-axis excess decreases in r")
 
     def test_six_state_searched_at_resolution_asked(self):
         report = grid_search_min(SIX, 2.0, resolution=101)
