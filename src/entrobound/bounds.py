@@ -63,16 +63,26 @@ class RateResult(NamedTuple):
     s_opt: float
 
 
-def _require_block_length(n) -> int:
+def _require_count(name: str, value, least: int, relation: str = ">=") -> int:
+    """``value`` as an int, refused unless it is an integer ``relation least``.
+
+    Integral floats count as integers; bools do not.
+    """
     # operator.index refuses other floats and (numpy 2) numpy bools, not bools.
     try:
-        if isinstance(n, bool):
+        if isinstance(value, bool):
             raise TypeError
-        n = int(n) if isinstance(n, float) and n.is_integer() else operator.index(n)
+        integral = isinstance(value, float) and value.is_integer()
+        count = int(value) if integral else operator.index(value)
     except TypeError:
-        raise ValueError(f"block length must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be {relation} {least}, got {count!r}")
+    return count
+
+
+def _require_block_length(n) -> int:
+    n = _require_count("block length", n, 1)
     try:
         float(n)  # the formulas convert n to a float
     except OverflowError:

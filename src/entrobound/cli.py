@@ -13,9 +13,10 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 
 Exit codes: 0 on success, 1 when a verification suite fails, and 2, with
 one ``error:`` line on stderr, on usage errors including malformed table
-files, out-of-range block lengths and trial counts, non-finite results,
-arithmetic errors, running out of memory, and a stdout that is closed or
-cannot be written (stdout is always valid JSON). A closed stderr loses the
+files, out-of-range block lengths and trial counts, a Renyi order outside
+(1, 2] for any ``verify`` suite, non-finite results, arithmetic errors,
+running out of memory, and a stdout that is closed or cannot be written
+(stdout is always valid JSON). A closed stderr loses the
 ``error:`` line but not the exit code. ``--help`` whose text cannot be
 written exits 2 too, unless stdout is unbuffered: argparse then drops the
 failed write itself and exits 0.
@@ -166,6 +167,7 @@ def _run_suite(name: str, args) -> verify.VerificationReport:
 
 
 def _cmd_verify(args) -> int:
+    bounds._require_alpha(args.alpha)  # the lemma and stationary suites do not read it
     names = _SUITES if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]
     _emit([report.to_json_dict() for report in reports])

@@ -7,7 +7,10 @@ the outcome probabilities, and the Shannon form averages per-context
 entropies. Renyi orders are restricted to (1, 2] because that is the range
 the min-entropy chaining step accepts. Every Renyi entropy in the package,
 of tables, trials and Bloch grid points, comes from one cancellation-free
-reduction here, accurate down to the Shannon limit alpha -> 1.
+reduction here, accurate down to the Shannon limit alpha -> 1. The one
+exception is :func:`entrobound.verify.surface_entropy`, ``-log2(P)/s`` of a
+power-sum value, whose rounding error grows as ``1/s``; it is kept for the
+tests' checks of the Bloch surfaces.
 """
 
 from __future__ import annotations
@@ -27,21 +30,17 @@ def cond_min_entropy(table: ConditionalTable) -> float:
     the full log for uniform ones.
     """
     guess = float(np.dot(table.weight_vector, table.prob_matrix.max(axis=1)))
-    return -math.log2(guess)
+    return -math.log2(guess) + 0.0  # + 0.0 turns -log2(1) = -0.0 into 0.0
 
 
-def _term(p, s: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``p expm1(s ln p)`` elementwise, into ``out`` when given: the excess term of one entry.
+def _term(p, s: float) -> np.ndarray:
+    """``p expm1(s ln p)`` elementwise: the excess term of one entry.
 
     Terms share the sign of ``s``, so their sums keep their relative accuracy
     at any order; p = 0 gives ``0 * expm1(-inf) = -0.0`` and needs no mask.
     """
     with np.errstate(divide="ignore"):
-        out = np.log(p, out=out)
-    out *= s
-    np.expm1(out, out=out)
-    out *= p
-    return out
+        return p * np.expm1(s * np.log(p))
 
 
 def _row_excess(probs: np.ndarray, s: float) -> np.ndarray:
@@ -83,7 +82,8 @@ def cond_renyi_entropy(table: ConditionalTable, alpha: float) -> float:
     Meets :func:`cond_shannon_entropy` as alpha -> 1, and is never smaller
     than :func:`cond_min_entropy` of the same table.
     """
-    return float(renyi_entropies(table.weight_vector, table.prob_matrix, alpha))
+    # + 0.0 turns a deterministic table's -log1p(0) / (s ln 2) = -0.0 into 0.0
+    return float(renyi_entropies(table.weight_vector, table.prob_matrix, alpha)) + 0.0
 
 
 def cond_shannon_entropy(table: ConditionalTable) -> float:

@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import FigureRow, figure_rows, renyi_floor  # re-exports the figure pair
+from .bounds import _require_count
 from .entropy import _excess_bits, _excess_entropies, _row_excess, _term, renyi_entropies
 from .families import MeasurementFamily
 from .simulator import (
@@ -97,30 +98,22 @@ class VerificationReport:
         }
 
 
-def _bloch_excess(s, radius, direction):
+def _bloch_excess(s, components):
     """Table excess ``E = sum_i [t((1 + x_i)/2) + t((1 - x_i)/2)] / B``, ``t = entropy._term``.
 
-    ``x_i = radius * direction[i]`` is the Bloch component along measured
-    axis i of B, broadcast against the others. Each axis's two terms are
-    added, weighted ``1/B`` and accumulated in axis order, as
+    ``x_i = components[i]`` is the Bloch component along measured axis i of
+    B, broadcast against the others. Each axis's two terms are added,
+    weighted ``1/B`` and accumulated in axis order, as
     :func:`entrobound.entropy.renyi_entropies` sums the point's table, rows
     ``((1 + x_i)/2, (1 - x_i)/2)``, so the bits of E equal that reduction's,
-    bit for bit. Computed in place in five arrays of the broadcast shape, and
-    returned as the first.
+    bit for bit. Scalar components give a numpy scalar.
     """
-    weight = 1.0 / len(direction)
-    shape = np.broadcast_shapes(np.shape(radius), *(np.shape(u) for u in direction))
-    work = np.empty((5, *shape))
-    total, half, p, up, down = (work[i, ...] for i in range(5))  # views, 0-d ones included
-    for i, u in enumerate(direction):
-        pair = up if i else total
-        np.multiply(radius, u, out=half)
-        half *= 0.5  # (1 +- x)/2 = 0.5 +- x/2, exactly as rounded
-        _term(np.add(0.5, half, out=p), s, out=pair)
-        pair += _term(np.subtract(0.5, half, out=p), s, out=down)
-        pair *= weight
-        if i:
-            total += pair
+    weight = 1.0 / len(components)
+    total = None
+    for x in components:
+        half = 0.5 * x  # (1 +- x)/2 = 0.5 +- x/2, exactly as rounded
+        pair = (_term(0.5 + half, s) + _term(0.5 - half, s)) * weight
+        total = pair if total is None else total + pair
     return total
 
 
@@ -130,7 +123,7 @@ def bloch_power_sum(s, components):
     ``x_i`` is the Bloch component along measured axis i of B; E is
     :func:`_bloch_excess`.
     """
-    return 1.0 + _bloch_excess(s, 1.0, components)
+    return 1.0 + _bloch_excess(s, components)
 
 
 def _bloch_direction(angles):
@@ -166,7 +159,7 @@ def surface_entropy(power_sum, s):
 # Largest grid the search accepts, counted as the box of the radius and the
 # angles: resolution 10^4 for BB84 and 464 for six-state (464^3 <= 10^8). The
 # search evaluates the r = 1 sphere of that box, resolution^(B-1) points: at
-# most 9.7 ms of work, for six-state at 464 (2-CPU host, one BLAS thread).
+# most 10.4 ms of work, for six-state at 464 (2-CPU host, one BLAS thread).
 _MAX_GRID_POINTS = 10**8
 
 
@@ -206,8 +199,9 @@ def grid_search_min(
     ``-log1p(E)/(s ln 2)`` of its excess E, which :func:`_bloch_excess`
     computes bit for bit as that reduction does. Its terms share one sign,
     so E keeps its relative accuracy at any s. The ``resolution^(B-1)``
-    points of the sphere are evaluated in one call (215k points and 8.6 MB
-    of scratch for six-state at 464), and the argmin is the first of them,
+    points of the sphere are evaluated in one call, each axis's terms on
+    that axis's own broadcast shape (215k points and a traced peak of 13 MiB
+    for six-state at 464), and the argmin is the first of them,
     in flat index order, within 1e-12 bits of the minimum: the whole arc ties
     at alpha = 2, where the power sum depends on the radius alone.
 
@@ -237,17 +231,17 @@ def grid_search_min(
     exact (Sterbenz). So ``|margin| <= T``, and a floor off by more than 2T
     fails.
 
-    Every family is searched at the resolution asked. Raises ``ValueError``
-    before building any array when the box of the radius and the angles would
-    hold more than 10^8 points (``_MAX_GRID_POINTS``): BB84 resolutions above
-    10^4 and six-state ones above 464.
+    Every family is searched at the resolution asked, which must be an
+    integer of at least 50. Raises ``ValueError`` before building any array
+    when the box of the radius and the angles would hold more than 10^8
+    points (``_MAX_GRID_POINTS``): BB84 resolutions above 10^4 and six-state
+    ones above 464.
     """
-    if resolution < 50:
-        raise ValueError(f"resolution must be at least 50, got {resolution!r}")
+    resolution = _require_count("resolution", resolution, 50, "at least")
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
     bases = family.bases_per_qubit
-    if int(resolution) ** bases > _MAX_GRID_POINTS:
+    if resolution**bases > _MAX_GRID_POINTS:
         raise ValueError(
             f"resolution {resolution!r} gives a {family.value} grid of more than "
             f"10^8 points, the limit of the single-qubit search"
@@ -255,12 +249,12 @@ def grid_search_min(
     r = np.linspace(0.0, 1.0, resolution)
     ang = np.linspace(0.0, math.pi / 2.0, resolution)
     angles = np.meshgrid(*[ang] * (bases - 1), indexing="ij", sparse=True)
-    bits = _excess_bits(_bloch_excess(s, 1.0, _bloch_direction(angles)), s)
+    bits = _excess_bits(_bloch_excess(s, _bloch_direction(angles)), s)
     grid_min = float(bits.min())
     index = np.unravel_index(int(np.argmax(bits <= grid_min + 1e-12)), bits.shape)
     argmin = (1.0, *(float(ang[i]) for i in index))
     report = _single_qubit_report(family, alpha, resolution, floor, grid_min, argmin)
-    if np.all(np.diff(_bloch_excess(s, r, [1.0])) >= 0.0):
+    if np.all(np.diff(_bloch_excess(s, [r])) >= 0.0):
         return report
     notes = f"{report.notes}; radial check failed: the per-axis excess decreases in r"
     return replace(report, passed=False, notes=notes)
@@ -457,8 +451,8 @@ def additivity_trial(
     axis. The worst state is the report's witness. ``trials + 3`` tables past
     the simulator's entry limit (states and probes) are refused before seeding.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    n_qubits = _require_count("n_qubits", n_qubits, 1)
+    trials = _require_count("trials", trials, 1)
     floor_total = n_qubits * renyi_floor(alpha, family)
     _require_table_entries(family, n_qubits, trials + 3)
     dim = 2**n_qubits
@@ -513,10 +507,9 @@ def ensemble_trial(
     100,000 BB84 two-qubit, two-member trials take 11 s, so the largest such
     run accepted (262,144 trials) would take about 30 s (estimated, not run).
     """
-    if k_count < 2:
-        raise ValueError(f"k_count must be >= 2, got {k_count!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    n_qubits = _require_count("n_qubits", n_qubits, 1)
+    k_count = _require_count("k_count", k_count, 2)
+    trials = _require_count("trials", trials, 1)
     floor_total = n_qubits * renyi_floor(alpha, family)
     _require_table_entries(family, n_qubits, trials * k_count)
     dim = 2**n_qubits

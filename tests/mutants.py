@@ -7,10 +7,11 @@ test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the verdicts of the
 verifier, one loosened tolerance per constant of ``verify.py``,
 ``tables.py`` and ``simulator.py``, the grid search's floor shifted either
-way by 1e-10, its tie window, its radial check (dropped) and the per-axis
-excess it checks (decreasing near x = 1), the default lemma grid, the grid,
-table and figure size limits and the checks that apply them, the cached
-probe stacks' qubit limit, the float-fit refusal of block lengths, the
+way by 1e-10, its tie window, its radial check (dropped), the per-axis
+excess it checks (decreasing near x = 1) and the per-point excess's weight
+``1/B``, the default lemma grid, the grid, table and figure size limits and
+the checks that apply them, the ``verify`` command's check of ``--alpha``,
+the cached probe stacks' qubit limit, the float-fit refusal of block lengths, the
 smoothing term, both search brackets and the probability check of
 ``bounds.py``, the rate maximiser's stop test (loosened by 1e-9) and its
 endpoint ``s = 1`` (dropped), the exact block lengths of the figure CSV,
@@ -102,12 +103,14 @@ MUTANTS = [
     (VERIFY, "_MAX_GRID_POINTS = 10**8", "_MAX_GRID_POINTS = 10**9"),
     # the reduction to the sphere: its radial check dropped, and a per-axis
     # excess that decreases near x = 1 (on 0.9 < x < 1, below its value at 0.9)
-    (VERIFY, "if np.all(np.diff(_bloch_excess(s, r, [1.0])) >= 0.0):", "if True:"),
+    (VERIFY, "if np.all(np.diff(_bloch_excess(s, [r])) >= 0.0):", "if True:"),
     (
         VERIFY,
-        "half *= 0.5  # (1 +- x)/2 = 0.5 +- x/2, exactly as rounded",
-        "half *= np.where((half > 0.9) & (half < 1.0), 0.4, 0.5)",
+        "half = 0.5 * x  # (1 +- x)/2 = 0.5 +- x/2, exactly as rounded",
+        "half = np.where((x > 0.9) & (x < 1.0), 0.4, 0.5) * x",
     ),
+    # the per-point excess weighted 1/(B + 1) in place of 1/B
+    (VERIFY, "weight = 1.0 / len(components)", "weight = 1.0 / (len(components) + 1)"),
     (VERIFY, "if n_qubits <= 4:", "if n_qubits <= 10:"),
     # the default lemma grid
     (VERIFY, "np.arange(1, 101) / 100.0", "np.arange(1, 101) / 100.000001"),
@@ -124,6 +127,8 @@ MUTANTS = [
     (VERIFY, "    _require_table_entries(family, n_qubits, trials * k_count)\n", ""),
     (BOUNDS, "_MAX_FIGURE_ROWS = 10**5", "_MAX_FIGURE_ROWS = 10**6"),
     (CLI, "    bounds._require_figure_rows(len(args.rates) * args.points)\n", ""),
+    # the Renyi order checked for every suite, those that do not read it included
+    (CLI, "    bounds._require_alpha(args.alpha)  # the lemma and stationary suites do not read it\n", ""),
     # the figure CSV
     (CLI, "{row.n_legacy},", "{row.n_legacy:.17g},"),
     # the CLI process: a failed stdout write is exit 2, a command's output

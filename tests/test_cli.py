@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entrobound
@@ -916,10 +916,15 @@ def contract_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(_argv())
+@example(["verify", "--suite", "lemma", "--alpha", "nan"])
+@example(["verify", "--suite", "stationary", "--alpha", "inf"])
+@example(["verify", "--suite", "lemma", "--alpha", "1"])
 def test_cli_contract(contract_dir, argv):
     # In process, whatever the values: exit 0 prints one line of finite JSON,
     # exit 1 is a failed verification report, exit 2 prints nothing on stdout
     # and one error line or argparse's usage message on stderr; nothing raises.
+    # An --alpha outside (1, 2] is refused by every suite, those that do not
+    # read it included.
     argv = [arg.replace("<dir>", contract_dir) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -931,6 +936,8 @@ def test_cli_contract(contract_dir, argv):
         return
     assert code in (0, 1) and err == ""
     assert out.endswith("\n") and out.count("\n") == 1
+    if "--alpha" in argv:
+        assert 1.0 < float(argv[argv.index("--alpha") + 1]) <= 2.0
     doc = _finite_json(out)
     if code == 1:
         assert argv[0] == "verify" and not all(report["pass"] for report in doc)

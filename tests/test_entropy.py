@@ -79,6 +79,16 @@ class TestShannonEntropy:
         assert cond_shannon_entropy(deterministic_table()) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.3, 1.0 + 1e-12, 1.0 + 1e-15])
+@pytest.mark.parametrize("rows", [[(0.0, 1.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 0.0)]])
+def test_deterministic_tables_have_positive_zero_entropies(rows, alpha):
+    # -log2(1) and the reduction's -log1p(0) / (s ln 2) are -0.0, which JSON
+    # prints as "-0.0"; every entropy of a certain outcome reads 0.0.
+    table = ConditionalTable(Context("k", str(t), 0.5, row) for t, row in enumerate(rows))
+    for h in (cond_min_entropy(table), cond_renyi_entropy(table, alpha), cond_shannon_entropy(table)):
+        assert math.copysign(1.0, h) == 1.0 and h == 0.0
+
+
 @st.composite
 def tables(draw, entries=st.floats(0.001, 1.0, allow_nan=False)):
     num_outcomes = draw(st.integers(2, 4))

@@ -59,19 +59,18 @@ ORDERS = [2.0, 1.5, 1.3, 1.0001, 1.0 + 1e-6, 1.0 + 1e-9, 1.0 + 1e-12, 1.0 + 3e-1
 def planted_excess(entropy):
     """A stand-in for ``verify._bloch_excess`` whose grid points have the entropies ``entropy``.
 
-    ``entropy(s, radius, direction, x)`` gives the bits of the points
-    ``radius * direction``, whose Bloch components are stacked on the last
-    axis of ``x``; the search then computes them to rounding, as
-    :func:`planted_bits`. The one-axis call of the radial check gets the
-    exact per-axis excess.
+    ``entropy(s, components, x)`` gives the bits of the points of
+    ``components``, which are stacked on the last axis of ``x``; the search
+    then computes them to rounding, as :func:`planted_bits`. The one-axis
+    call of the radial check gets the exact per-axis excess.
     """
     exact = verify._bloch_excess
 
-    def excess(s, radius, direction):
-        if len(direction) == 1:
-            return exact(s, radius, direction)
-        x = np.stack(np.broadcast_arrays(*(radius * u for u in direction)), axis=-1)
-        return np.expm1(-s * math.log(2.0) * entropy(s, radius, direction, x))
+    def excess(s, components):
+        if len(components) == 1:
+            return exact(s, components)
+        x = np.stack(np.broadcast_arrays(*components), axis=-1)
+        return np.expm1(-s * math.log(2.0) * entropy(s, components, x))
 
     return excess
 
@@ -86,8 +85,8 @@ def excess_shapes(monkeypatch):
     shapes = []
     exact = verify._bloch_excess
 
-    def spy(s, radius, direction):
-        total = exact(s, radius, direction)
+    def spy(s, components):
+        total = exact(s, components)
         shapes.append(total.shape)
         return total
 
@@ -161,6 +160,30 @@ class TestSurfaces:
                 assert abs(h_axis - renyi_floor(1.0 + s, family)) <= 1e-14
 
 
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_scalars_and_arrays_agree_bit_for_bit(self, alpha):
+        # A Python float, a numpy scalar, a 0-d array and an entry of an n-d
+        # array give the same bits, in the term and in the excess.
+        s = alpha - 1.0
+        values = np.array([0.0, 5.5e-17, 1e-9, 0.25, 0.5, 0.7071067811865476, 1.0 - 2.0**-53, 1.0])
+        forms = (float, np.float64, np.array)
+        terms = verify._term(values, s)
+        for components in ([values], [values, values[::-1]], [values, values[::-1], values / 3]):
+            excess = verify._bloch_excess(s, components)
+            for i, p in enumerate(values):
+                for form in forms:
+                    term = verify._term(form(p), s)
+                    point = verify._bloch_excess(s, [form(x[i]) for x in components])
+                    assert type(term) is type(point) is np.float64
+                    assert term.tobytes() == terms[i].tobytes()
+                    assert point.tobytes() == excess[i].tobytes()
+
+    def test_surfaces_of_scalars_are_numpy_scalars(self):
+        assert type(bb84_surface(0.3, 0.5, 0.2)) is np.float64
+        assert type(six_state_surface(0.3, 0.5, 0.2, 1.1)) is np.float64
+        assert type(bloch_power_sum(0.3, (1.0, 0.0))) is np.float64
+
+
 class TestGridSearch:
     @pytest.mark.parametrize(
         "family,alpha,expected",
@@ -206,8 +229,8 @@ class TestGridSearch:
         floor = renyi_floor(2.0, BB84)
         exact = verify._bloch_excess
 
-        def entropy(s, radius, direction, x):
-            h = verify._excess_bits(exact(s, radius, direction), s)
+        def entropy(s, components, x):
+            h = verify._excess_bits(exact(s, components), s)
             if at == "eigenstate":
                 spot = x[..., 1] == 1.0
             else:
@@ -235,8 +258,8 @@ class TestGridSearch:
         exact = verify._bloch_excess
         lift = T + offset
 
-        def lifted(s, radius, direction, x):
-            return verify._excess_bits(exact(s, radius, direction), s) + lift
+        def lifted(s, components, x):
+            return verify._excess_bits(exact(s, components), s) + lift
 
         monkeypatch.setattr(verify, "_bloch_excess", planted_excess(lifted))
         report = grid_search_min(family, 2.0, resolution=50)
@@ -271,7 +294,7 @@ class TestGridSearch:
         angles = (ang[10], ang[20])[: family.bases_per_qubit - 1]
         target = np.array(verify._bloch_direction(angles))
 
-        def entropy(s, radius, direction, x):
+        def entropy(s, components, x):
             h = np.full(x.shape[:-1], floor + 1.0)
             h[x.max(axis=-1) == 1.0] = floor
             h[np.all(np.abs(x - target) < 1e-9, axis=-1)] = floor - depth
@@ -292,9 +315,9 @@ class TestGridSearch:
         # report is the exact one but for its verdict and one clause.
         exact = verify._bloch_excess
 
-        def excess(s, radius, direction):
-            e = exact(s, radius, direction)
-            if len(direction) == 1:
+        def excess(s, components):
+            e = exact(s, components)
+            if len(components) == 1:
                 if at == "centre":
                     e[0] = np.nextafter(e[1], np.inf)
                 else:
@@ -325,16 +348,20 @@ class TestGridSearch:
         calls = []
         exact = verify._bloch_excess
 
-        def spy(s, radius, direction):
-            calls.append((s, np.array(radius, copy=True), list(direction)))
-            return exact(s, radius, direction)
+        def spy(s, components):
+            calls.append((s, [np.array(x, copy=True) for x in components]))
+            return exact(s, components)
 
         monkeypatch.setattr(verify, "_bloch_excess", spy)
         assert grid_search_min(family, alpha, resolution=51).passed
-        (s_sphere, r_sphere, _), (s_radial, r_radial, direction) = calls
+        (s_sphere, sphere), (s_radial, radial) = calls
         assert s_sphere == s_radial == alpha - 1.0
-        assert r_sphere == 1.0 and direction == [1.0]
-        assert r_radial.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
+        ang = np.linspace(0.0, math.pi / 2.0, 51)
+        angles = np.meshgrid(*[ang] * (family.bases_per_qubit - 1), indexing="ij", sparse=True)
+        unit = verify._bloch_direction(angles)
+        assert [x.tobytes() for x in sphere] == [np.asarray(x).tobytes() for x in unit]
+        (r,) = radial
+        assert r.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
 
     @pytest.mark.parametrize("alpha", ORDERS)
     def test_the_computed_per_axis_excess_is_nondecreasing_in_r(self, alpha):
@@ -343,7 +370,7 @@ class TestGridSearch:
         s = alpha - 1.0
         for resolution in (50, 51, 200, 1500, 1501, 10_000):
             r = np.linspace(0.0, 1.0, resolution)
-            assert np.all(np.diff(verify._bloch_excess(s, r, [1.0])) >= 0.0), resolution
+            assert np.all(np.diff(verify._bloch_excess(s, [r])) >= 0.0), resolution
 
     @pytest.mark.parametrize("alpha", ORDERS)
     def test_the_excess_is_even_in_each_component(self, alpha):
@@ -352,10 +379,10 @@ class TestGridSearch:
         s = alpha - 1.0
         x = np.linspace(-1.0, 1.0, 41)
         axes = [x[:, None, None], x[None, :, None], x[None, None, :]]
-        expected = verify._bloch_excess(s, 1.0, axes).tobytes()
+        expected = verify._bloch_excess(s, axes).tobytes()
         for flipped in range(3):
             components = [-u if i == flipped else u for i, u in enumerate(axes)]
-            assert verify._bloch_excess(s, 1.0, components).tobytes() == expected
+            assert verify._bloch_excess(s, components).tobytes() == expected
 
     @pytest.mark.parametrize("failing", ["sphere", "radius"])
     def test_a_failed_evaluation_is_raised(self, monkeypatch, failing):
@@ -363,10 +390,10 @@ class TestGridSearch:
         # raised; no report is built from part of the search.
         exact = verify._bloch_excess
 
-        def excess(s, radius, direction):
-            if (len(direction) == 1) == (failing == "radius"):
+        def excess(s, components):
+            if (len(components) == 1) == (failing == "radius"):
                 raise MemoryError(failing)
-            return exact(s, radius, direction)
+            return exact(s, components)
 
         monkeypatch.setattr(verify, "_bloch_excess", excess)
         with pytest.raises(MemoryError, match=f"^{failing}$"):
@@ -378,9 +405,9 @@ class TestGridSearch:
         # exits 1 as for any failed verification.
         exact = verify._bloch_excess
 
-        def excess(s, radius, direction):
-            e = exact(s, radius, direction)
-            if len(direction) == 1:
+        def excess(s, components):
+            e = exact(s, components)
+            if len(components) == 1:
                 e[0] = np.nextafter(e[1], np.inf)
             return e
 
@@ -434,7 +461,7 @@ class TestGridSearch:
         # the stacked tables ((1 + x_i)/2, (1 - x_i)/2), bit for bit.
         x = np.array(points)
         s = alpha - 1.0
-        lean = verify._excess_bits(verify._bloch_excess(s, 1.0, list(x.T)), s)
+        lean = verify._excess_bits(verify._bloch_excess(s, list(x.T)), s)
         tables = np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=-1)
         expected = renyi_entropies(1.0 / x.shape[1], tables, alpha)
         assert lean.tobytes() == expected.tobytes()
@@ -506,10 +533,10 @@ class TestGridSearch:
         # Memory runs out while the r = 1 row is evaluated: exit 2, one line.
         exact = verify._bloch_excess
 
-        def excess(s, radius, direction):
-            if len(direction) > 1:
+        def excess(s, components):
+            if len(components) > 1:
                 raise MemoryError("the r = 1 row")
-            return exact(s, radius, direction)
+            return exact(s, components)
 
         monkeypatch.setattr(verify, "_bloch_excess", excess)
         code = cli.run(
@@ -813,6 +840,38 @@ class TestTrials:
         weakest = float(report.notes.split("weakest member=")[1].split()[0])
         assert report.passed and abs(weakest) <= 1e-15
         assert report.worst_margin == pytest.approx(2.0 - 2 * renyi_floor(1.5, BB84), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "call,args,message",
+        [
+            (additivity_trial, (0, 2.0, BB84, 5, 1), "n_qubits must be >= 1, got 0"),
+            (additivity_trial, (-1, 2.0, BB84, 5, 1), "n_qubits must be >= 1, got -1"),
+            (additivity_trial, (1.5, 2.0, BB84, 5, 1), "n_qubits must be an integer, got 1.5"),
+            (ensemble_trial, (True, 2.0, BB84, 2, 5, 1), "n_qubits must be an integer, got True"),
+            (additivity_trial, (2, 2.0, BB84, 2.5, 1), "trials must be an integer, got 2.5"),
+            (additivity_trial, (2, 2.0, BB84, True, 1), "trials must be an integer, got True"),
+            (additivity_trial, (2, 2.0, BB84, 0, 1), "trials must be >= 1, got 0"),
+            (ensemble_trial, (2, 2.0, BB84, 2, math.nan, 1), "trials must be an integer, got nan"),
+            (ensemble_trial, (2, 2.0, BB84, 2, 0, 1), "trials must be >= 1, got 0"),
+            (ensemble_trial, (2, 2.0, BB84, 1, 5, 1), "k_count must be >= 2, got 1"),
+            (ensemble_trial, (2, 2.0, BB84, 2.5, 5, 1), "k_count must be an integer, got 2.5"),
+            (grid_search_min, (BB84, 2.0, 200.5), "resolution must be an integer, got 200.5"),
+            (grid_search_min, (SIX, 2.0, math.inf), "resolution must be an integer, got inf"),
+            (grid_search_min, (BB84, 2.0, False), "resolution must be an integer, got False"),
+            (grid_search_min, (BB84, 2.0, 49), "resolution must be at least 50, got 49"),
+        ],
+    )
+    def test_counts_must_be_integers(self, call, args, message):
+        # Each was numpy's TypeError, an OverflowError or a message about
+        # the state's dimension.
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert str(info.value) == message
+
+    def test_integral_floats_count_as_integers(self):
+        assert additivity_trial(2.0, 2.0, BB84, 5.0, 1) == additivity_trial(2, 2.0, BB84, 5, 1)
+        assert ensemble_trial(2.0, 2.0, SIX, 3.0, 4.0, 1) == ensemble_trial(2, 2.0, SIX, 3, 4, 1)
+        assert grid_search_min(BB84, 2.0, np.float64(50.0)) == grid_search_min(BB84, 2.0, 50)
 
     def test_trial_validation(self):
         with pytest.raises(ValueError):
