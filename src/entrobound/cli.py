@@ -13,8 +13,10 @@ Subcommands (all numeric output is single-line JSON on stdout, except
 
 Exit codes: 0 on success, 1 when a verification suite fails, and 2, with
 one ``error:`` line on stderr, on usage errors including malformed table
-files, out-of-range block lengths and trial counts, a Renyi order outside
-(1, 2] for any ``verify`` suite, non-finite results, arithmetic errors,
+files, out-of-range block lengths and trial counts, a ``verify`` option
+out of its range (a Renyi order outside (1, 2], a trial count below 1, a
+negative seed or a grid resolution the single-qubit search refuses) for any
+suite, those that do not read it included, non-finite results, arithmetic errors,
 running out of memory, and a stdout that is closed or cannot be written
 (stdout is always valid JSON). A closed stderr loses the
 ``error:`` line but not the exit code. ``--help`` whose text cannot be
@@ -167,7 +169,14 @@ def _run_suite(name: str, args) -> verify.VerificationReport:
 
 
 def _cmd_verify(args) -> int:
-    bounds._require_alpha(args.alpha)  # the lemma and stationary suites do not read it
+    from . import verify
+
+    # Every option is checked for every suite, before any runs: a suite that
+    # does not read an option would otherwise answer a bad value in silence.
+    bounds._require_alpha(args.alpha)
+    verify._require_resolution(args.family, args.resolution)
+    bounds._require_count("trials", args.trials, 1)
+    bounds._require_count("seed", args.seed, 0)
     names = _SUITES if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]
     _emit([report.to_json_dict() for report in reports])

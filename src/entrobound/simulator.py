@@ -8,7 +8,10 @@ matrix per family, and measurement projectors and conditioning build their
 one column as a Kronecker product of single-qubit columns. States are drawn and
 validated as stacks: Hermitian, positive semidefinite and unit trace, each
 within small tolerances scaled by the matrix norm, by one validator that
-:class:`DensityOperator` also runs.
+:class:`DensityOperator` also runs. It decides a valid stack of up to 16
+dimensions by whole-stack reductions and one Cholesky factorisation, and
+falls back to ``eigvalsh``, matrix by matrix, to name an offender or above
+16 dimensions; mixing probabilities are decided the same way.
 """
 
 from __future__ import annotations
@@ -35,12 +38,30 @@ def validated_densities(matrices) -> np.ndarray:
 
     The one validation pass behind every state. ``matrices`` has shape
     ``(..., d, d)`` with ``d`` a power of two >= 2; each matrix must be
-    finite, Hermitian and of unit trace within ``ATOL`` times its largest
-    entry magnitude (at least 1), and its Hermitian part must have no
-    eigenvalue below minus that tolerance. The first offending matrix is
+    finite, Hermitian and of unit trace within ``tau = ATOL`` times its
+    largest entry magnitude (at least 1), and its Hermitian part ``H`` must
+    have no eigenvalue below ``-tau``. The first offending matrix is
     reported, by the first check it fails, in the words of
-    :class:`DensityOperator`. Returns ``(M + M^dagger) / 2`` for every
-    matrix; the eigenvalues of the whole stack come from one ``eigvalsh``.
+    :class:`DensityOperator`. Returns ``(M + M^dagger) / 2`` for every matrix.
+
+    A valid stack is decided by whole-stack reductions: all entries finite,
+    every matrix Hermitian and of unit trace, and one stacked
+    ``np.linalg.cholesky`` of ``H + (tau - delta) I``, with
+    ``delta = k_d tau``, ``k_d = (d^3 + 4d(d + 2) + 4) u / ATOL`` and
+    ``u = 2^-53``. If any test fails, or ``k_d >= 1`` (``d > 16``), one
+    ``eigvalsh`` over the stack decides, matrix by matrix, and names the
+    first offender. The shortcut accepts only stacks that ``eigvalsh``
+    accepts. Let ``m = tau / ATOL``, so ``|h_ij| <= m`` and
+    ``||H||_F <= d m``. (i) Forming the shift and the shifted diagonal
+    rounds by at most ``4 u m``. (ii) A Cholesky factor that completes has
+    ``R^dagger R = A + E``, ``||E||_2 <= gamma tr(A)`` with
+    ``gamma <= 2(d + 2) u`` in complex arithmetic and ``tr(A) <= 2 d m``
+    (Higham, Accuracy and Stability, Thm 10.3). As ``R^dagger R`` is PSD,
+    ``lambda_min(H) >= -(tau - delta) - (4 + 4d(d + 2)) u m``. (iii)
+    ``eigvalsh`` returns the eigenvalues of ``H + F``,
+    ``||F||_F <= d^2 u ||H||_F <= d^3 u m`` (Householder tridiagonalisation,
+    constant taken as 1). So its lowest eigenvalue is at least
+    ``-tau + delta - (d^3 + 4d(d + 2) + 4) u m = -tau``.
     """
     arr = np.asarray(matrices, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -50,32 +71,53 @@ def validated_densities(matrices) -> np.ndarray:
         raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
     flat = arr.reshape(-1, dim, dim)
     finite_entries = np.isfinite(flat)
-    finite = finite_entries.all(axis=(1, 2))
-    if not finite.all():
+    all_finite = finite_entries.all()
+    if not all_finite:
         # Refused below; zeros keep NaN and infinity out of the arithmetic
         # and out of eigvalsh, which cannot take them.
         flat = np.where(finite_entries, flat, 0.0)
     adjoint = flat.conj().transpose(0, 2, 1)
     hermitized = 0.5 * (flat + adjoint)
     tolerance = ATOL * np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
-    not_hermitian = np.abs(flat - adjoint).max(axis=(1, 2)) > tolerance
+    asymmetry = np.abs(flat - adjoint).max(axis=(1, 2))
     traces = hermitized.trace(axis1=1, axis2=2).real
-    off_trace = np.abs(traces - 1.0) > tolerance
-    lowest = np.linalg.eigvalsh(hermitized)[:, 0]
-    negative = lowest < -tolerance
-    failed = ~finite | not_hermitian | off_trace | negative
-    if failed.any():
-        i = int(np.argmax(failed))
-        if not finite[i]:
-            raise ValueError("density operator has non-finite entries")
-        if not_hermitian[i]:
-            raise ValueError("density operator is not Hermitian within tolerance")
-        if off_trace[i]:
-            raise ValueError(f"density operator has trace {float(traces[i])!r}, expected 1")
-        raise ValueError(f"density operator has negative eigenvalue {float(lowest[i])!r}")
+    deviation = np.abs(traces - 1.0)
+    margin = (dim**3 + 4 * dim * (dim + 2) + 4) * 2.0**-53 / ATOL  # k_d
+    valid = (
+        margin < 1.0
+        and all_finite
+        and (asymmetry <= tolerance).all()
+        and (deviation <= tolerance).all()
+        and _factors(hermitized + ((1.0 - margin) * tolerance)[:, None, None] * np.identity(dim))
+    )
+    if not valid:
+        finite = finite_entries.all(axis=(1, 2))
+        not_hermitian = asymmetry > tolerance
+        off_trace = deviation > tolerance
+        lowest = np.linalg.eigvalsh(hermitized)[:, 0]
+        negative = lowest < -tolerance
+        failed = ~finite | not_hermitian | off_trace | negative
+        if failed.any():
+            i = int(np.argmax(failed))
+            if not finite[i]:
+                raise ValueError("density operator has non-finite entries")
+            if not_hermitian[i]:
+                raise ValueError("density operator is not Hermitian within tolerance")
+            if off_trace[i]:
+                raise ValueError(f"density operator has trace {float(traces[i])!r}, expected 1")
+            raise ValueError(f"density operator has negative eigenvalue {float(lowest[i])!r}")
     hermitized = hermitized.reshape(arr.shape)
     hermitized.setflags(write=False)
     return hermitized
+
+
+def _factors(stack: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` factors every matrix of a Hermitian stack."""
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class DensityOperator:
@@ -104,10 +146,17 @@ def checked_probabilities(probabilities) -> np.ndarray:
     The checks of :class:`StateEnsemble`: an entry that is NaN, infinite or
     negative raises, as does a row summing to 1 only beyond ``NORM_TOL``;
     each row is then divided by its sum. Rows are summed left to right, as
-    Python's ``sum`` adds the members, so a stack of ensembles normalises bit
-    for bit like each ensemble on its own.
+    Python's ``sum`` adds the members (a running ``cumsum``), so a stack of
+    ensembles normalises bit for bit like each ensemble on its own. A valid
+    stack is decided by its least entry and its largest deviation of a sum
+    from 1; the entry-wise checks run only when that verdict fails, to name
+    the first problem.
     """
     p = np.asarray(probabilities, dtype=float)
+    if p.ndim and p.size and p.min() >= 0.0:
+        totals = np.cumsum(p, axis=-1)[..., -1]
+        if np.abs(totals - 1.0).max() <= NORM_TOL:
+            return p / totals[..., None]
     totals = np.asarray(sum(np.moveaxis(p, -1, 0)))
     if not np.all(np.isfinite(p)):
         raise ValueError("ensemble probabilities must be finite")
@@ -208,32 +257,33 @@ def random_densities(n_qubits: int, ranks: Sequence[int], seeds: Sequence[int]) 
     State ``t`` has its own PCG64 stream seeded with ``seeds[t]``; its ``G``
     is 2^n by ``ranks[t]`` with independent standard complex Gaussian
     entries drawn by Box-Muller, so rank-1 states are Haar-distributed pure
-    states and identical seeds reproduce bit-identical matrices. Each ``G``
-    is zero-padded to 2^n columns so that Box-Muller, the trace
-    normalisation and the checks of :func:`validated_densities` each run
-    once over the stack. ``G G^dagger`` is one batched product per distinct
-    rank, over the unpadded columns: BLAS may round a product with extra
-    zero columns differently (it does for 2 x 2 with OpenBLAS).
+    states and identical seeds reproduce bit-identical matrices. Each
+    state's uniforms go into one zero-padded ``(2, T, 2^n, 2^n)`` buffer, by
+    one slice assignment, so that Box-Muller, the trace normalisation and
+    the checks of :func:`validated_densities` each run once over the stack.
+    ``G G^dagger`` is one product per distinct rank, over the unpadded
+    columns (BLAS may round a product with extra zero columns differently:
+    it does for 2 x 2 with OpenBLAS); a rank held by one state multiplies
+    that state's own 2-D view instead of a gathered copy.
     """
     dim = 2**n_qubits
     if len(ranks) != len(seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
-    u1 = np.zeros((len(ranks), dim, dim))
-    u2 = np.zeros((len(ranks), dim, dim))
+    uniforms = np.zeros((2, len(ranks), dim, dim))
     by_rank: dict[int, list[int]] = {}
     for t, (rank, seed) in enumerate(zip(ranks, seeds)):
         if not 1 <= rank <= dim:
             raise ValueError(f"rank must lie in 1..{dim}, got {rank!r}")
-        draws = np.random.Generator(np.random.PCG64(int(seed))).random((2, dim, rank))
-        u1[t, :, :rank] = draws[0]
-        u2[t, :, :rank] = draws[1]
+        generator = np.random.Generator(np.random.PCG64(int(seed)))
+        uniforms[:, t, :, :rank] = generator.random((2, dim, rank))
         by_rank.setdefault(int(rank), []).append(t)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    g = radius * np.exp(2.0j * math.pi * u2)
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[0]))
+    g = radius * np.exp(2.0j * math.pi * uniforms[1])
     rho = np.empty_like(g)
     for rank, chosen in by_rank.items():
-        columns = g[chosen, :, :rank]
-        rho[chosen] = columns @ columns.conj().transpose(0, 2, 1)
+        index = chosen[0] if len(chosen) == 1 else chosen  # one state: a view, not a gather
+        columns = g[index, :, :rank]
+        rho[index] = columns @ np.swapaxes(columns.conj(), -1, -2)
     traces = rho.trace(axis1=1, axis2=2).real
     return validated_densities(rho / traces[:, None, None])
 

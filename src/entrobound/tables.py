@@ -45,7 +45,22 @@ def _checked_weights(weights: np.ndarray) -> np.ndarray:
     Raises when a weight is negative beyond rounding or not finite, or when
     a table's weights sum to 1 only beyond ``NORM_TOL``; weights below
     ``ZERO_PROB`` become exact zeros before each sum is renormalised to 1.
+    A valid stack is decided by two whole-stack reductions, its least weight
+    and its largest deviation of a sum from 1 (a NaN fails both, an
+    infinite weight the second). Only when that verdict fails does
+    :func:`_diagnosed_weights` check weight by weight, to name the first
+    problem.
     """
+    if weights.size and weights.min() >= -_ENTRY_TOL:
+        cleaned = np.where(weights < ZERO_PROB, 0.0, weights)
+        totals = cleaned.sum(axis=1)
+        if np.abs(totals - 1.0).max() <= NORM_TOL:
+            return cleaned / totals[:, None]
+    return _diagnosed_weights(weights)
+
+
+def _diagnosed_weights(weights: np.ndarray) -> np.ndarray:
+    """:func:`_checked_weights` by per-weight masks, raising at the first problem."""
     finite = np.isfinite(weights)
     bad = ~finite | (weights < -_ENTRY_TOL)
     if np.any(bad):
@@ -69,9 +84,22 @@ def _checked_rows(probs: np.ndarray) -> np.ndarray:
     outside [0, 1] beyond rounding (or not finite) raises, as does a row
     that sums to 1 only beyond ``NORM_TOL``. Entries below ``ZERO_PROB``
     become exact zeros, entries just above 1 are clipped, and each row is
-    renormalised. The first offending row is reported, an entry before its
-    sum.
+    renormalised. A valid stack is decided by three whole-stack reductions:
+    its least and largest entries (a NaN fails both) and its largest
+    deviation of a row sum from 1. Only when that verdict fails does
+    :func:`_diagnosed_rows` check row by row and report the first offending
+    row, an entry before its sum.
     """
+    if probs.size and probs.min() >= -_ENTRY_TOL and probs.max() <= 1.0 + _ENTRY_TOL:
+        cleaned = np.minimum(np.where(probs < ZERO_PROB, 0.0, probs), 1.0)
+        totals = cleaned.sum(axis=2)
+        if np.abs(totals - 1.0).max() <= NORM_TOL:
+            return cleaned / totals[..., None]
+    return _diagnosed_rows(probs)
+
+
+def _diagnosed_rows(probs: np.ndarray) -> np.ndarray:
+    """:func:`_checked_rows` by per-row masks, raising at the first offending row."""
     bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
     cleaned = probs.copy()
     cleaned[cleaned < ZERO_PROB] = 0.0
@@ -96,10 +124,13 @@ def validated_arrays(weights, probs) -> tuple[np.ndarray, np.ndarray]:
     The one validation pass behind every table. ``probs`` has shape
     ``(..., contexts, outcomes)`` and ``weights`` shape ``(..., contexts)``;
     leading axes index a stack of same-size tables, each checked as a table
-    of its own, and messages name the offending field of that table.
+    of its own, and messages name the offending field of that table. A
+    valid stack is decided by a few whole-stack reductions; the per-entry
+    checks run only when that verdict fails, to name the problem.
     """
-    weights = np.asarray(weights, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    # C order: the verdicts' sums then add in the order of the diagnoses' copies
+    weights = np.asarray(weights, dtype=float, order="C")
+    probs = np.asarray(probs, dtype=float, order="C")
     if probs.ndim < 2 or weights.shape != probs.shape[:-1]:
         raise ValueError(
             f"weights of shape {weights.shape} do not match outcome rows of shape {probs.shape}"

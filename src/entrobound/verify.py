@@ -163,6 +163,17 @@ def surface_entropy(power_sum, s):
 _MAX_GRID_POINTS = 10**8
 
 
+def _require_resolution(family: MeasurementFamily, resolution) -> int:
+    """``resolution`` as an int, refused unless an integer of at least 50 within the grid limit."""
+    resolution = _require_count("resolution", resolution, 50, "at least")
+    if resolution**family.bases_per_qubit > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"resolution {resolution!r} gives a {family.value} grid of more than "
+            f"10^8 points, the limit of the single-qubit search"
+        )
+    return resolution
+
+
 def _single_qubit_report(
     family: MeasurementFamily, alpha: float, resolution: int, floor: float, grid_min: float, argmin
 ) -> VerificationReport:
@@ -237,15 +248,10 @@ def grid_search_min(
     points (``_MAX_GRID_POINTS``): BB84 resolutions above 10^4 and six-state
     ones above 464.
     """
-    resolution = _require_count("resolution", resolution, 50, "at least")
+    resolution = _require_resolution(family, resolution)
     floor = renyi_floor(alpha, family)
     s = alpha - 1.0
     bases = family.bases_per_qubit
-    if resolution**bases > _MAX_GRID_POINTS:
-        raise ValueError(
-            f"resolution {resolution!r} gives a {family.value} grid of more than "
-            f"10^8 points, the limit of the single-qubit search"
-        )
     r = np.linspace(0.0, 1.0, resolution)
     ang = np.linspace(0.0, math.pi / 2.0, resolution)
     angles = np.meshgrid(*[ang] * (bases - 1), indexing="ij", sparse=True)
@@ -517,9 +523,10 @@ def ensemble_trial(
     probabilities = np.empty((trials, k_count))
     ranks = np.empty((trials, k_count), dtype=np.int64)
     state_seeds = np.empty((trials, k_count), dtype=np.int64)
+    concentration = np.ones(k_count)
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.Generator(np.random.PCG64(child))
-        probabilities[t] = rng.dirichlet(np.ones(k_count))
+        probabilities[t] = rng.dirichlet(concentration)
         ranks[t] = rng.integers(1, dim + 1, size=k_count)
         state_seeds[t] = rng.integers(0, 2**63, size=k_count)
     states = random_densities(n_qubits, ranks.ravel(), state_seeds.ravel())

@@ -18,7 +18,10 @@ ball's grid as a table by the shared reduction instead of the sphere alone
 by the per-point excess, and the entropy-space search is the grid search's
 earlier ``-log2(P)/s`` form on its own pow power sum.
 The decimal Renyi entropy normalises the table exactly and sums the textbook
-power sum at 50 digits instead of the float excess form.
+power sum at 50 digits instead of the float excess form. The reference
+validators are the state, probability, weight and row validators as they
+were before their whole-stack verdicts: every check runs entry by entry
+(for states, one ``eigvalsh`` over the stack) whatever the stack holds.
 """
 
 import itertools
@@ -42,6 +45,8 @@ from entrobound import (
     renyi_floor,
 )
 from entrobound.entropy import renyi_entropies
+from entrobound.simulator import ATOL
+from entrobound.tables import _ENTRY_TOL, NORM_TOL, ZERO_PROB
 from entrobound.verify import (
     _bloch_components,
     _eigenstate_probes,
@@ -438,3 +443,91 @@ def entropy_space_grid_search_min(family: MeasurementFamily, alpha: float, resol
     s = alpha - 1.0
     entropy = surface_entropy(pow_power_sum(s, _bloch_components(radius, angles)), s)
     return _grid_report(family, alpha, resolution, axes, entropy)
+
+
+def reference_validated_densities(matrices) -> np.ndarray:
+    """The density validator, every check run per matrix and PSD from ``eigvalsh``."""
+    arr = np.asarray(matrices, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"density operator must be a square matrix, got shape {arr.shape}")
+    dim = arr.shape[-1]
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
+    flat = arr.reshape(-1, dim, dim)
+    finite_entries = np.isfinite(flat)
+    finite = finite_entries.all(axis=(1, 2))
+    if not finite.all():
+        flat = np.where(finite_entries, flat, 0.0)
+    adjoint = flat.conj().transpose(0, 2, 1)
+    hermitized = 0.5 * (flat + adjoint)
+    tolerance = ATOL * np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
+    not_hermitian = np.abs(flat - adjoint).max(axis=(1, 2)) > tolerance
+    traces = hermitized.trace(axis1=1, axis2=2).real
+    off_trace = np.abs(traces - 1.0) > tolerance
+    lowest = np.linalg.eigvalsh(hermitized)[:, 0]
+    negative = lowest < -tolerance
+    failed = ~finite | not_hermitian | off_trace | negative
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not finite[i]:
+            raise ValueError("density operator has non-finite entries")
+        if not_hermitian[i]:
+            raise ValueError("density operator is not Hermitian within tolerance")
+        if off_trace[i]:
+            raise ValueError(f"density operator has trace {float(traces[i])!r}, expected 1")
+        raise ValueError(f"density operator has negative eigenvalue {float(lowest[i])!r}")
+    hermitized = hermitized.reshape(arr.shape)
+    hermitized.setflags(write=False)
+    return hermitized
+
+
+def reference_checked_probabilities(probabilities) -> np.ndarray:
+    """The mixing-probability validator, each row summed by Python's ``sum``."""
+    p = np.asarray(probabilities, dtype=float)
+    totals = np.asarray(sum(np.moveaxis(p, -1, 0)))
+    if not np.all(np.isfinite(p)):
+        raise ValueError("ensemble probabilities must be finite")
+    if np.any(p < 0.0):
+        raise ValueError("ensemble probabilities must be nonnegative")
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if np.any(off):
+        raise ValueError(f"ensemble probabilities sum to {float(totals[off][0])!r}, expected 1")
+    return p / totals[..., None]
+
+
+def reference_checked_weights(weights: np.ndarray) -> np.ndarray:
+    """The ``(tables, contexts)`` weight validator, weight by weight."""
+    finite = np.isfinite(weights)
+    bad = ~finite | (weights < -_ENTRY_TOL)
+    if np.any(bad):
+        t, i = np.argwhere(bad)[0]
+        problem = "is negative" if finite[t, i] else "is not finite"
+        raise ValueError(f"contexts[{i}].weight = {float(weights[t, i])!r} {problem}")
+    cleaned = weights.copy()
+    cleaned[cleaned < ZERO_PROB] = 0.0
+    totals = cleaned.sum(axis=1)
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if np.any(off):
+        total = float(totals[np.argmax(off)])
+        raise ValueError(f"context weights sum to {total!r}, expected 1 within {NORM_TOL}")
+    return cleaned / totals[:, None]
+
+
+def reference_checked_rows(probs: np.ndarray) -> np.ndarray:
+    """The ``(tables, contexts, outcomes)`` row validator, row by row."""
+    bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
+    cleaned = probs.copy()
+    cleaned[cleaned < ZERO_PROB] = 0.0
+    cleaned[cleaned > 1.0] = 1.0
+    totals = cleaned.sum(axis=2)
+    bad_row = bad_entry.any(axis=2) | (np.abs(totals - 1.0) > NORM_TOL)
+    if np.any(bad_row):
+        t, i = np.argwhere(bad_row)[0]
+        if bad_entry[t, i].any():
+            j = int(np.argmax(bad_entry[t, i]))
+            entry = float(probs[t, i, j])
+            raise ValueError(f"contexts[{i}].p_x[{j}] = {entry!r} is not a probability")
+        raise ValueError(
+            f"contexts[{i}].p_x sums to {float(totals[t, i])!r}, expected 1 within {NORM_TOL}"
+        )
+    return cleaned / totals[..., None]

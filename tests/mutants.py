@@ -6,11 +6,15 @@ A mutant is killed when tier-1 fails and survives when it passes: then no
 test reaches the code it changed. An unmutated copy must pass first, or
 every mutant would look killed. The list covers the verdicts of the
 verifier, one loosened tolerance per constant of ``verify.py``,
-``tables.py`` and ``simulator.py``, the grid search's floor shifted either
+``tables.py`` and ``simulator.py``, the validators' whole-stack verdicts
+(the Cholesky shift of the state check moved to ``tau + delta`` and to
+``tau``, its dimension limit and its trace test dropped, and the row
+verdict's least-entry test made strict), the grid search's floor shifted either
 way by 1e-10, its tie window, its radial check (dropped), the per-axis
 excess it checks (decreasing near x = 1) and the per-point excess's weight
 ``1/B``, the default lemma grid, the grid, table and figure size limits and
-the checks that apply them, the ``verify`` command's check of ``--alpha``,
+the checks that apply them, the ``verify`` command's checks of ``--alpha``,
+``--resolution``, ``--trials`` and ``--seed``,
 the cached probe stacks' qubit limit, the float-fit refusal of block lengths, the
 smoothing term, both search brackets and the probability check of
 ``bounds.py``, the rate maximiser's stop test (loosened by 1e-9) and its
@@ -121,14 +125,29 @@ MUTANTS = [
     (SIMULATOR, "ATOL = 1e-12", "ATOL = 1e-3"),
     (SIMULATOR, "MIN_CONDITION_PROB = 1e-14", "MIN_CONDITION_PROB = 1e-3"),
     (SIMULATOR, "if norm_sq > 1.0 + 1e-12:", "if norm_sq > 1.0 + 1e-3:"),
+    # the whole-stack verdicts: the Cholesky shift at tau + delta and at tau
+    # (delta = 0), its dimension limit and the trace test dropped, and the
+    # rows' least-entry test made strict
+    (SIMULATOR, "((1.0 - margin) * tolerance)", "((1.0 + margin) * tolerance)"),
+    (SIMULATOR, "((1.0 - margin) * tolerance)", "(1.0 * tolerance)"),
+    (SIMULATOR, "        margin < 1.0\n        and all_finite\n", "        all_finite\n"),
+    (SIMULATOR, "        and (deviation <= tolerance).all()\n", ""),
+    (
+        TABLES,
+        "probs.min() >= -_ENTRY_TOL and probs.max()",
+        "probs.min() > -_ENTRY_TOL and probs.max()",
+    ),
     # size limits
     (SIMULATOR, "_MAX_TABLE_ENTRIES = 2**23", "_MAX_TABLE_ENTRIES = 2**24"),
     (VERIFY, "    _require_table_entries(family, n_qubits, trials + 3)\n", ""),
     (VERIFY, "    _require_table_entries(family, n_qubits, trials * k_count)\n", ""),
     (BOUNDS, "_MAX_FIGURE_ROWS = 10**5", "_MAX_FIGURE_ROWS = 10**6"),
     (CLI, "    bounds._require_figure_rows(len(args.rates) * args.points)\n", ""),
-    # the Renyi order checked for every suite, those that do not read it included
-    (CLI, "    bounds._require_alpha(args.alpha)  # the lemma and stationary suites do not read it\n", ""),
+    # every verify option checked for every suite, those that do not read it included
+    (CLI, "    bounds._require_alpha(args.alpha)\n", ""),
+    (CLI, "    verify._require_resolution(args.family, args.resolution)\n", ""),
+    (CLI, "    bounds._require_count(\"trials\", args.trials, 1)\n", ""),
+    (CLI, "    bounds._require_count(\"seed\", args.seed, 0)\n", ""),
     # the figure CSV
     (CLI, "{row.n_legacy},", "{row.n_legacy:.17g},"),
     # the CLI process: a failed stdout write is exit 2, a command's output

@@ -354,6 +354,19 @@ class TestVerifyCommand:
         (report,) = json.loads(out)
         assert report["pass"] is True and abs(report["worst_margin"]) <= 1e-13
 
+    @pytest.mark.parametrize("suite", ["additivity", "single-qubit", "lemma", "all"])
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--trials", "0", "trials must be >= 1, got 0"),
+            ("--seed", "-5", "seed must be >= 0, got -5"),
+            ("--resolution", "-1", "resolution must be at least 50, got -1"),
+        ],
+    )
+    def test_every_suite_names_a_bad_option(self, capsys, suite, option, value, message):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, option, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12, 4, 4)")
@@ -881,10 +894,12 @@ def _argv(draw):
         ))
         family = draw(_FAMILY)
         argv = ["--suite", suite, "--family", family, "--alpha", draw(_ALPHA)]
-        if suite in ("additivity", "ensemble"):
+        # each suite mostly gets the options it reads, sometimes the others too
+        reads_trials = suite in ("additivity", "ensemble")
+        if reads_trials or draw(st.integers(0, 3)) == 0:
             argv += ["--trials", draw(_TRIALS),
                      "--seed", draw(_option(st.integers(0, 2**64).map(str)))]
-        else:
+        if not reads_trials or draw(st.integers(0, 3)) == 0:
             argv += ["--resolution", draw(_resolution(family))]
     return [command, *argv]
 
@@ -919,12 +934,18 @@ def contract_dir(tmp_path_factory):
 @example(["verify", "--suite", "lemma", "--alpha", "nan"])
 @example(["verify", "--suite", "stationary", "--alpha", "inf"])
 @example(["verify", "--suite", "lemma", "--alpha", "1"])
+@example(["verify", "--suite", "lemma", "--resolution", "-1"])
+@example(["verify", "--suite", "lemma", "--trials", "0"])
+@example(["verify", "--suite", "single-qubit", "--trials", "0"])
+@example(["verify", "--suite", "stationary", "--seed", "-5"])
+@example(["verify", "--suite", "additivity", "--resolution", "465", "--family", "six"])
 def test_cli_contract(contract_dir, argv):
     # In process, whatever the values: exit 0 prints one line of finite JSON,
     # exit 1 is a failed verification report, exit 2 prints nothing on stdout
     # and one error line or argparse's usage message on stderr; nothing raises.
-    # An --alpha outside (1, 2] is refused by every suite, those that do not
-    # read it included.
+    # A verify option out of its range (--alpha outside (1, 2], --trials below
+    # 1, a negative --seed, a --resolution the grid search refuses) is refused
+    # by every suite, those that do not read it included.
     argv = [arg.replace("<dir>", contract_dir) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -936,8 +957,14 @@ def test_cli_contract(contract_dir, argv):
         return
     assert code in (0, 1) and err == ""
     assert out.endswith("\n") and out.count("\n") == 1
-    if "--alpha" in argv:
-        assert 1.0 < float(argv[argv.index("--alpha") + 1]) <= 2.0
+    options = dict(zip(argv[1::2], argv[2::2]))
+    if "--alpha" in options:
+        assert 1.0 < float(options["--alpha"]) <= 2.0
+    if argv[0] == "verify":
+        assert int(options.get("--trials", "1")) >= 1
+        assert int(options.get("--seed", "0")) >= 0
+        most = 464 if options.get("--family") == "six" else 10**4
+        assert 50 <= int(options.get("--resolution", "50")) <= most
     doc = _finite_json(out)
     if code == 1:
         assert argv[0] == "verify" and not all(report["pass"] for report in doc)
