@@ -11,7 +11,7 @@ within small tolerances scaled by the matrix norm, by one validator that
 :class:`DensityOperator` also runs. It decides a valid stack of up to 16
 dimensions by whole-stack reductions and one Cholesky factorisation, and
 falls back to ``eigvalsh``, matrix by matrix, to name an offender or above
-16 dimensions; mixing probabilities are decided the same way.
+16 dimensions.
 """
 
 from __future__ import annotations
@@ -50,18 +50,23 @@ def validated_densities(matrices) -> np.ndarray:
     ``delta = k_d tau``, ``k_d = (d^3 + 4d(d + 2) + 4) u / ATOL`` and
     ``u = 2^-53``. If any test fails, or ``k_d >= 1`` (``d > 16``), one
     ``eigvalsh`` over the stack decides, matrix by matrix, and names the
-    first offender. The shortcut accepts only stacks that ``eigvalsh``
-    accepts. Let ``m = tau / ATOL``, so ``|h_ij| <= m`` and
-    ``||H||_F <= d m``. (i) Forming the shift and the shifted diagonal
-    rounds by at most ``4 u m``. (ii) A Cholesky factor that completes has
-    ``R^dagger R = A + E``, ``||E||_2 <= gamma tr(A)`` with
-    ``gamma <= 2(d + 2) u`` in complex arithmetic and ``tr(A) <= 2 d m``
-    (Higham, Accuracy and Stability, Thm 10.3). As ``R^dagger R`` is PSD,
-    ``lambda_min(H) >= -(tau - delta) - (4 + 4d(d + 2)) u m``. (iii)
-    ``eigvalsh`` returns the eigenvalues of ``H + F``,
-    ``||F||_F <= d^2 u ||H||_F <= d^3 u m`` (Householder tridiagonalisation,
-    constant taken as 1). So its lowest eigenvalue is at least
-    ``-tau + delta - (d^3 + 4d(d + 2) + 4) u m = -tau``.
+    first offender. ``delta`` budgets three errors, in units of ``u m``
+    with ``m = tau / ATOL``, so ``|h_ij| <= m`` and ``||H||_2 <= d m``.
+    (i) Forming the shifted diagonal rounds by at most 4. (ii) A Cholesky
+    factor that completes has ``R^dagger R = A + E``,
+    ``|E| <= gamma_(d+1) |R^dagger| |R|`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3, proved for real arithmetic), so
+    ``||E||_2 <= gamma tr(A)`` to first order, with ``tr(A) <= 2 d m``; for
+    complex arithmetic ``gamma = 2(d + 2) u`` is assumed (its Sec. 3.6 widens
+    each complex operation's error by a small constant): ``4d(d + 2)``.
+    (iii) ``eigvalsh`` errs by at most ``p(d) u ||H||_2`` (LAPACK Users'
+    Guide, 3rd ed., Sec. 4.7), where ``p`` is only "a modestly growing
+    function"; ``p(d) = d^2`` is assumed: ``d^3``. Under these two
+    assumptions a stack that factors has
+    ``lambda_min(H) >= -(tau - delta) - (4d(d + 2) + 4) u m`` and ``eigvalsh``
+    reports no eigenvalue below ``-tau``: the shortcut accepts only stacks
+    the ``eigvalsh`` path accepts. The budget is 44 ``u m`` at ``d = 2``;
+    tests plant the least eigenvalue at both edges of the band.
     """
     arr = np.asarray(matrices, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -146,17 +151,10 @@ def checked_probabilities(probabilities) -> np.ndarray:
     The checks of :class:`StateEnsemble`: an entry that is NaN, infinite or
     negative raises, as does a row summing to 1 only beyond ``NORM_TOL``;
     each row is then divided by its sum. Rows are summed left to right, as
-    Python's ``sum`` adds the members (a running ``cumsum``), so a stack of
-    ensembles normalises bit for bit like each ensemble on its own. A valid
-    stack is decided by its least entry and its largest deviation of a sum
-    from 1; the entry-wise checks run only when that verdict fails, to name
-    the first problem.
+    Python's ``sum`` adds the members, so a stack of ensembles normalises bit
+    for bit like each ensemble on its own.
     """
     p = np.asarray(probabilities, dtype=float)
-    if p.ndim and p.size and p.min() >= 0.0:
-        totals = np.cumsum(p, axis=-1)[..., -1]
-        if np.abs(totals - 1.0).max() <= NORM_TOL:
-            return p / totals[..., None]
     totals = np.asarray(sum(np.moveaxis(p, -1, 0)))
     if not np.all(np.isfinite(p)):
         raise ValueError("ensemble probabilities must be finite")

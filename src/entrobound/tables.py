@@ -48,33 +48,32 @@ def _checked_weights(weights: np.ndarray) -> np.ndarray:
     A valid stack is decided by two whole-stack reductions, its least weight
     and its largest deviation of a sum from 1 (a NaN fails both, an
     infinite weight the second). Only when that verdict fails does
-    :func:`_diagnosed_weights` check weight by weight, to name the first
+    :func:`_refuse_weights` check weight by weight, to name the first
     problem.
     """
-    if weights.size and weights.min() >= -_ENTRY_TOL:
-        cleaned = np.where(weights < ZERO_PROB, 0.0, weights)
-        totals = cleaned.sum(axis=1)
-        if np.abs(totals - 1.0).max() <= NORM_TOL:
-            return cleaned / totals[:, None]
-    return _diagnosed_weights(weights)
+    cleaned = np.where(weights < ZERO_PROB, 0.0, weights)
+    totals = cleaned.sum(axis=1)
+    if not (
+        weights.size
+        and weights.min() >= -_ENTRY_TOL
+        and np.abs(totals - 1.0).max() <= NORM_TOL
+    ):
+        _refuse_weights(weights, totals)
+    return cleaned / totals[:, None]
 
 
-def _diagnosed_weights(weights: np.ndarray) -> np.ndarray:
-    """:func:`_checked_weights` by per-weight masks, raising at the first problem."""
+def _refuse_weights(weights: np.ndarray, totals: np.ndarray) -> None:
+    """Raise at the first bad weight, else at the first table whose ``totals`` is off 1."""
     finite = np.isfinite(weights)
     bad = ~finite | (weights < -_ENTRY_TOL)
     if np.any(bad):
         t, i = np.argwhere(bad)[0]
         problem = "is negative" if finite[t, i] else "is not finite"
         raise ValueError(f"contexts[{i}].weight = {float(weights[t, i])!r} {problem}")
-    cleaned = weights.copy()
-    cleaned[cleaned < ZERO_PROB] = 0.0
-    totals = cleaned.sum(axis=1)
     off = np.abs(totals - 1.0) > NORM_TOL
     if np.any(off):
         total = float(totals[np.argmax(off)])
         raise ValueError(f"context weights sum to {total!r}, expected 1 within {NORM_TOL}")
-    return cleaned / totals[:, None]
 
 
 def _checked_rows(probs: np.ndarray) -> np.ndarray:
@@ -87,24 +86,23 @@ def _checked_rows(probs: np.ndarray) -> np.ndarray:
     renormalised. A valid stack is decided by three whole-stack reductions:
     its least and largest entries (a NaN fails both) and its largest
     deviation of a row sum from 1. Only when that verdict fails does
-    :func:`_diagnosed_rows` check row by row and report the first offending
+    :func:`_refuse_rows` check row by row and report the first offending
     row, an entry before its sum.
     """
-    if probs.size and probs.min() >= -_ENTRY_TOL and probs.max() <= 1.0 + _ENTRY_TOL:
-        cleaned = np.minimum(np.where(probs < ZERO_PROB, 0.0, probs), 1.0)
-        totals = cleaned.sum(axis=2)
-        if np.abs(totals - 1.0).max() <= NORM_TOL:
-            return cleaned / totals[..., None]
-    return _diagnosed_rows(probs)
-
-
-def _diagnosed_rows(probs: np.ndarray) -> np.ndarray:
-    """:func:`_checked_rows` by per-row masks, raising at the first offending row."""
-    bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
-    cleaned = probs.copy()
-    cleaned[cleaned < ZERO_PROB] = 0.0
-    cleaned[cleaned > 1.0] = 1.0
+    cleaned = np.minimum(np.where(probs < ZERO_PROB, 0.0, probs), 1.0)
     totals = cleaned.sum(axis=2)
+    if not (
+        probs.size
+        and probs.min() >= -_ENTRY_TOL and probs.max() <= 1.0 + _ENTRY_TOL
+        and np.abs(totals - 1.0).max() <= NORM_TOL
+    ):
+        _refuse_rows(probs, totals)
+    return cleaned / totals[..., None]
+
+
+def _refuse_rows(probs: np.ndarray, totals: np.ndarray) -> None:
+    """Raise at the first row with an entry outside [0, 1] or a ``totals`` entry off 1."""
+    bad_entry = ~((probs >= -_ENTRY_TOL) & (probs <= 1.0 + _ENTRY_TOL))
     bad_row = bad_entry.any(axis=2) | (np.abs(totals - 1.0) > NORM_TOL)
     if np.any(bad_row):
         t, i = np.argwhere(bad_row)[0]
@@ -115,7 +113,6 @@ def _diagnosed_rows(probs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"contexts[{i}].p_x sums to {float(totals[t, i])!r}, expected 1 within {NORM_TOL}"
         )
-    return cleaned / totals[..., None]
 
 
 def validated_arrays(weights, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +125,7 @@ def validated_arrays(weights, probs) -> tuple[np.ndarray, np.ndarray]:
     valid stack is decided by a few whole-stack reductions; the per-entry
     checks run only when that verdict fails, to name the problem.
     """
-    # C order: the verdicts' sums then add in the order of the diagnoses' copies
+    # C order: np.where keeps its input's layout, and a sum over F order adds in another order
     weights = np.asarray(weights, dtype=float, order="C")
     probs = np.asarray(probs, dtype=float, order="C")
     if probs.ndim < 2 or weights.shape != probs.shape[:-1]:

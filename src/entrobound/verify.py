@@ -166,12 +166,17 @@ _MAX_GRID_POINTS = 10**8
 def _require_resolution(family: MeasurementFamily, resolution) -> int:
     """``resolution`` as an int, refused unless an integer of at least 50 within the grid limit."""
     resolution = _require_count("resolution", resolution, 50, "at least")
+    _require_grid_size(family, resolution)
+    return resolution
+
+
+def _require_grid_size(family: MeasurementFamily, resolution: int) -> None:
+    """Refuse a resolution whose box of radius and angles holds more than 10^8 points."""
     if resolution**family.bases_per_qubit > _MAX_GRID_POINTS:
         raise ValueError(
             f"resolution {resolution!r} gives a {family.value} grid of more than "
             f"10^8 points, the limit of the single-qubit search"
         )
-    return resolution
 
 
 def _single_qubit_report(
@@ -248,8 +253,9 @@ def grid_search_min(
     points (``_MAX_GRID_POINTS``): BB84 resolutions above 10^4 and six-state
     ones above 464.
     """
-    resolution = _require_resolution(family, resolution)
+    resolution = _require_count("resolution", resolution, 50, "at least")
     floor = renyi_floor(alpha, family)
+    _require_grid_size(family, resolution)
     s = alpha - 1.0
     bases = family.bases_per_qubit
     r = np.linspace(0.0, 1.0, resolution)

@@ -19,7 +19,7 @@ by the per-point excess, and the entropy-space search is the grid search's
 earlier ``-log2(P)/s`` form on its own pow power sum.
 The decimal Renyi entropy normalises the table exactly and sums the textbook
 power sum at 50 digits instead of the float excess form. The reference
-validators are the state, probability, weight and row validators as they
+validators are the state, weight and row validators as they
 were before their whole-stack verdicts: every check runs entry by entry
 (for states, one ``eigvalsh`` over the stack) whatever the stack holds.
 """
@@ -479,20 +479,6 @@ def reference_validated_densities(matrices) -> np.ndarray:
     hermitized = hermitized.reshape(arr.shape)
     hermitized.setflags(write=False)
     return hermitized
-
-
-def reference_checked_probabilities(probabilities) -> np.ndarray:
-    """The mixing-probability validator, each row summed by Python's ``sum``."""
-    p = np.asarray(probabilities, dtype=float)
-    totals = np.asarray(sum(np.moveaxis(p, -1, 0)))
-    if not np.all(np.isfinite(p)):
-        raise ValueError("ensemble probabilities must be finite")
-    if np.any(p < 0.0):
-        raise ValueError("ensemble probabilities must be nonnegative")
-    off = np.abs(totals - 1.0) > NORM_TOL
-    if np.any(off):
-        raise ValueError(f"ensemble probabilities sum to {float(totals[off][0])!r}, expected 1")
-    return p / totals[..., None]
 
 
 def reference_checked_weights(weights: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The validators' whole-stack verdicts against their entry-by-entry references.
 
-``validated_densities``, ``checked_probabilities`` and the weight and row
-checks of ``validated_arrays`` decide a valid stack by a few whole-stack
+``validated_densities`` and the weight and row checks of
+``validated_arrays`` decide a valid stack by a few whole-stack
 reductions (for states, one Cholesky factorisation) and run their per-entry
 checks only when that verdict fails. On any input each must return the
 reference's array bit for bit, or raise the reference's ``ValueError`` text.
@@ -15,10 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrobound import tables
-from entrobound.simulator import ATOL, checked_probabilities, validated_densities
+from entrobound.simulator import ATOL, validated_densities
 from entrobound.tables import NORM_TOL, validated_arrays
 from helpers import (
-    reference_checked_probabilities,
     reference_checked_rows,
     reference_checked_weights,
     reference_random_density,
@@ -227,27 +226,17 @@ def test_weights_match_the_reference(weights):
 @settings(max_examples=100, deadline=None)
 @given(stacks(sizes(2, 4, 10)), st.booleans())
 def test_arrays_of_any_layout_match_the_reference(probs, fortran):
-    # the verdicts sum a copy in the input's layout, the references a C-order copy
+    # np.where keeps the input's layout; the references sum a C-order copy
     weights = np.full(probs.shape[:2], 1.0 / probs.shape[1])
     if fortran:
         weights, probs = np.asfortranarray(weights), np.asfortranarray(probs)
     assert_same(validated_arrays, reference_arrays, weights, probs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(stacks(st.one_of(sizes(6, 12), sizes(12))), st.booleans())
-@example(np.array([0.5, 0.5]), False)
-def test_probabilities_match_the_reference(probabilities, fortran):
-    probabilities = np.asfortranarray(probabilities) if fortran else probabilities
-    assert_same(checked_probabilities, reference_checked_probabilities, probabilities)
-
-
-@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 2)])
-def test_empty_and_scalar_stacks_match_the_reference(shape):
-    assert_same(checked_probabilities, reference_checked_probabilities, np.full(shape, 1.0))
-    if shape:
-        assert_same(tables._checked_weights, reference_checked_weights, np.zeros((1,) + shape[-1:]))
-        assert_same(tables._checked_rows, reference_checked_rows, np.zeros((1,) + shape))
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)])
+def test_empty_stacks_match_the_reference(shape):
+    assert_same(tables._checked_weights, reference_checked_weights, np.zeros((1,) + shape[-1:]))
+    assert_same(tables._checked_rows, reference_checked_rows, np.zeros((1,) + shape))
 
 
 def test_edge_valid_tables_are_decided_by_the_verdict(monkeypatch):
@@ -260,10 +249,10 @@ def test_edge_valid_tables_are_decided_by_the_verdict(monkeypatch):
     ])
     expected = outcome(reference_checked_weights, weights), outcome(reference_checked_rows, probs)
 
-    def refuse(stack):
+    def refuse(stack, totals):
         raise AssertionError("the per-entry diagnosis ran on a valid stack")
 
-    monkeypatch.setattr(tables, "_diagnosed_weights", refuse)
-    monkeypatch.setattr(tables, "_diagnosed_rows", refuse)
+    monkeypatch.setattr(tables, "_refuse_weights", refuse)
+    monkeypatch.setattr(tables, "_refuse_rows", refuse)
     got = outcome(tables._checked_weights, weights), outcome(tables._checked_rows, probs)
     assert got == expected

@@ -215,6 +215,17 @@ class TestGridSearch:
             grid_search_min(BB84, 2.0, resolution=10)
 
     @pytest.mark.parametrize(
+        "family,resolution,message",
+        [(BB84, 10, "resolution must be at least 50"), (BB84, 10_001, "Renyi order alpha"),
+         (SIX, 465, "Renyi order alpha")],
+        ids=["too-fine", "bb84-too-large", "six-too-large"],
+    )
+    def test_refusal_order_with_a_bad_alpha(self, family, resolution, message):
+        # the resolution's count check, then alpha, then the grid size
+        with pytest.raises(ValueError, match=message):
+            grid_search_min(family, 3.0, resolution)
+
+    @pytest.mark.parametrize(
         "at,depth,passed",
         [("eigenstate", T / 2, True), ("eigenstate", 1e-10, False), ("eigenstate", 1e-6, False),
          ("diagonal", T / 2, False), ("diagonal", 1e-10, False)],
