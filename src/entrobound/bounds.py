@@ -26,8 +26,10 @@ Both inversions to a least block length are one exact search of a predicate
 in n, ``_least_n``, from a guess (the legacy closed form, or 1). It returns a
 crossing, an n where the predicate holds and fails at n - 1; that is the least
 n wherever the computed predicate is monotone, which the new route's rate is
-not at rounding level above about 2e11. A new-route probe stops its search at
-the first ``s`` that reaches the target, with the full search's verdict.
+not at rounding level above about 2e11. The maximiser is a stream of
+candidates, ``_candidates``: the forward rate is its ``max``, and a new-route
+probe holds at the first candidate that reaches the target, which one does
+exactly when the maximum does.
 
 Note the legacy error formula mixes logarithm bases on purpose: the outer
 exponential is natural while the inner log is base 2. The choice reproduces
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .families import MeasurementFamily
 
@@ -133,49 +135,41 @@ def renyi_floor(alpha: float, family: MeasurementFamily) -> float:
     return _rate_at(_require_alpha(alpha) - 1.0, 1, 0.0, family.rate_ceiling)
 
 
-class _Reached(Exception):
-    """A candidate of :func:`_maximize_rate` reached its stop rate."""
+def _candidates(n: int, eps_term: float, ceiling: float) -> Iterator[tuple[float, float]]:
+    """``(rate, s)`` at ``s = 1``, then at each point of a golden-section search over ``log s``.
 
-
-def _maximize_rate(n: int, eps_term: float, ceiling: float, stop: float = math.inf) -> RateResult:
-    """The endpoint ``s = 1``, then a golden-section search over ``log s``.
-
-    Candidates are ``(rate, s)`` pairs, so a tie goes to the larger ``s`` and
-    a clamped optimum reports ``s_opt == 1.0``. Each rate is evaluated as the
-    fixed-``s`` path evaluates it, so ``rate(n, eps, s=s_opt)`` reproduces it.
-
-    The first candidate whose rate is ``>= stop`` is returned at once. That
-    leaves ``result.rate >= stop`` as it is without a stop: each step drops
-    the worse interior candidate, so the maximum returned is the best one
-    evaluated, and it reaches ``stop`` exactly when some candidate does.
+    The stream's ``max`` is the maximised rate: each step drops the worse
+    interior candidate, so the best one yielded is among those kept to the
+    end. As candidates are ``(rate, s)`` pairs, a tie goes to the larger ``s``
+    and a clamped optimum reports ``s_opt == 1.0``. Each rate is evaluated as
+    the fixed-``s`` path evaluates it, so ``rate(n, eps, s=s_opt)`` reproduces
+    it. Each candidate is yielded before the next is evaluated, so a consumer
+    that stops early pays for no more.
     """
 
-    def point(u: float) -> tuple[float, float]:
-        s = math.exp(u)
-        rate = _rate_at(s, n, eps_term, ceiling)
-        if rate >= stop:
-            raise _Reached(rate, s)
-        return rate, s
-
-    try:
-        end = point(0.0)
-        lo, hi = _LOG_S_MIN, 0.0
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        fc, fd = point(c), point(d)
-        while hi - lo > _LOG_S_TOL:
-            if fc < fd:
-                lo, c, fc = c, d, fd
-                d = lo + _GOLDEN * (hi - lo)
-                fd = point(d)
-            else:
-                hi, d, fd = d, c, fc
-                c = hi - _GOLDEN * (hi - lo)
-                fc = point(c)
-    except _Reached as reached:
-        return RateResult(*reached.args)
-    rate, s_opt = max(fc, fd, end)
-    return RateResult(rate=rate, s_opt=s_opt)
+    yield _rate_at(1.0, n, eps_term, ceiling), 1.0
+    lo, hi = _LOG_S_MIN, 0.0
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    s = math.exp(c)
+    fc = _rate_at(s, n, eps_term, ceiling), s
+    yield fc
+    s = math.exp(d)
+    fd = _rate_at(s, n, eps_term, ceiling), s
+    yield fd
+    while hi - lo > _LOG_S_TOL:
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            s = math.exp(d)
+            fd = _rate_at(s, n, eps_term, ceiling), s
+            yield fd
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            s = math.exp(c)
+            fc = _rate_at(s, n, eps_term, ceiling), s
+            yield fc
 
 
 def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
@@ -186,7 +180,7 @@ def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
         if not 0.0 < s <= 1.0:
             raise ValueError(f"Renyi parameter s must lie in (0, 1], got {s!r}")
         return RateResult(rate=_rate_at(s, n, eps_term, family.rate_ceiling), s_opt=s)
-    return _maximize_rate(n, eps_term, family.rate_ceiling)
+    return RateResult(*max(_candidates(n, eps_term, family.rate_ceiling)))
 
 
 def rate_bb84(n, epsilon: float, s: float | None = None) -> RateResult:
@@ -302,10 +296,11 @@ def min_n_for_rate(
 ) -> int:
     """A block length at which the certified rate crosses ``target_rate``.
 
-    ``method="new"`` searches the maximised Renyi-route rate from ``n = 1``,
-    each probe stopping at the first ``s`` that reaches the target, and
-    refuses block lengths above 2^62; ``method="legacy"`` (two-basis only)
-    is :func:`legacy_min_n` at ``delta = 1/2 - rate``. Raises
+    ``method="new"`` searches the maximised Renyi-route rate from ``n = 1``
+    and refuses block lengths above 2^62. Each probe holds at the first
+    candidate of the search over ``s`` that reaches the target, and fails
+    when none does. ``method="legacy"`` (two-basis only) is
+    :func:`legacy_min_n` at ``delta = 1/2 - rate``. Raises
     :class:`InfeasibleRateError` at or above the family's ceiling.
 
     The answer n always satisfies ``rate(n) >= target_rate > rate(n - 1)``
@@ -338,9 +333,13 @@ def min_n_for_rate(
     eps_term = _smoothing_term(epsilon)
 
     def reaches(n: int) -> bool:
+        """Whether the maximised rate at ``n`` reaches the target: some candidate does."""
         if n > 2**62:
             raise InfeasibleRateError(f"no block length up to 2^62 certifies rate {target_rate!r}")
-        return _maximize_rate(n, eps_term, ceiling, target_rate).rate >= target_rate
+        for rate, _ in _candidates(n, eps_term, ceiling):
+            if rate >= target_rate:
+                return True
+        return False
 
     return _least_n(reaches, 1)
 

@@ -52,7 +52,8 @@ def _checked_weights(weights: np.ndarray) -> np.ndarray:
     problem.
     """
     cleaned = np.where(weights < ZERO_PROB, 0.0, weights)
-    totals = cleaned.sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite total fails the verdict below
+        totals = cleaned.sum(axis=1)
     if not (
         weights.size
         and weights.min() >= -_ENTRY_TOL

@@ -148,7 +148,7 @@ def rate_log_scan(n: int, epsilon: float, family: MeasurementFamily) -> float:
 
 
 def full_golden_section(n: int, eps_term: float, ceiling: float) -> tuple[float, float]:
-    """``(rate, s)`` of the maximiser's earlier form, which had no stop.
+    """``(rate, s)`` of the maximiser as one loop, the reference for ``max(bounds._candidates(...))``.
 
     Every golden-section candidate over ``log s`` is evaluated, then the
     endpoint ``s = 1``, and the best ``(rate, s)`` pair is returned.

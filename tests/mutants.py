@@ -14,15 +14,17 @@ way by 1e-10, its tie window, its radial check (dropped), the per-axis
 excess it checks (decreasing near x = 1) and the per-point excess's weight
 ``1/B``, the default lemma grid, the grid, table and figure size limits and
 the checks that apply them, the ``verify`` command's checks of ``--alpha``,
-``--resolution``, ``--trials`` and ``--seed``,
+``--resolution``, ``--trials`` (at least 1, and within the table-entry
+limit) and ``--seed``, the weight sum's overflow warning (not silenced),
 the cached probe stacks' qubit limit, the float-fit refusal of block lengths, the
 smoothing term, both search brackets and the probability check of
-``bounds.py``, the rate maximiser's stop test (loosened by 1e-9) and its
-endpoint ``s = 1`` (dropped), the exact block lengths of the figure CSV,
-and the CLI's process policy: the stdout flush in ``run``, which a
-command's output and the ``--help`` text share, and the collector calls of
-``main`` (``gc.disable()`` moved into ``run``, by adding it there, which
-behaves the same as moving it, and ``gc.freeze()`` dropped).
+``bounds.py``, a block-length probe's test of a candidate (loosened by
+1e-9) and the candidate stream's endpoint ``s = 1`` (dropped), the exact
+block lengths of the figure CSV, and the CLI's process policy: the stdout
+flush in ``run``, which a command's output and the ``--help`` text share,
+and the collector calls of ``main`` (``gc.disable()`` moved into ``run``,
+by adding it there, which behaves the same as moving it, and
+``gc.freeze()`` dropped).
 
 Stdlib only; pytest does not collect this file, so it is not part of tier-1,
 but ``tests/test_mutant_list.py`` runs its check that the list is current.
@@ -122,6 +124,13 @@ MUTANTS = [
     (TABLES, "NORM_TOL = 1e-9", "NORM_TOL = 1e-3"),
     (TABLES, "ZERO_PROB = 1e-15", "ZERO_PROB = 1e-6"),
     (TABLES, "_ENTRY_TOL = 1e-12", "_ENTRY_TOL = 1e-3"),
+    # a weight sum that overflows is refused without numpy's warning
+    (
+        TABLES,
+        "    with np.errstate(over=\"ignore\"):  # an infinite total fails the verdict below\n"
+        "        totals = cleaned.sum(axis=1)\n",
+        "    totals = cleaned.sum(axis=1)\n",
+    ),
     (SIMULATOR, "ATOL = 1e-12", "ATOL = 1e-3"),
     (SIMULATOR, "MIN_CONDITION_PROB = 1e-14", "MIN_CONDITION_PROB = 1e-3"),
     (SIMULATOR, "if norm_sq > 1.0 + 1e-12:", "if norm_sq > 1.0 + 1e-3:"),
@@ -147,6 +156,7 @@ MUTANTS = [
     (CLI, "    bounds._require_alpha(args.alpha)\n", ""),
     (CLI, "    verify._require_resolution(args.family, args.resolution)\n", ""),
     (CLI, "    bounds._require_count(\"trials\", args.trials, 1)\n", ""),
+    (CLI, "    simulator._require_table_entries(args.family, 2, args.trials + 3)\n", ""),
     (CLI, "    bounds._require_count(\"seed\", args.seed, 0)\n", ""),
     # the figure CSV
     (CLI, "{row.n_legacy},", "{row.n_legacy:.17g},"),
@@ -172,9 +182,9 @@ MUTANTS = [
     (BOUNDS, "if not 0.0 <= p <= 1.0:", "if not 0.0 <= p <= 1.000001:"),
     (BOUNDS, "_LOG_S_MIN = -40.0 * _LN2", "_LOG_S_MIN = -20.0 * _LN2"),
     (BOUNDS, "lo, hi = hi, 2 * hi", "lo, hi = hi, 3 * hi"),
-    # the maximiser's early stop and its first candidate, the endpoint s = 1
-    (BOUNDS, "if rate >= stop:", "if rate >= stop - 1e-9:"),
-    (BOUNDS, "        end = point(0.0)\n", "        end = (-math.inf, 1.0)\n"),
+    # a probe's test of a candidate, and the stream's first candidate, the endpoint s = 1
+    (BOUNDS, "if rate >= target_rate:", "if rate >= target_rate - 1e-9:"),
+    (BOUNDS, "    yield _rate_at(1.0, n, eps_term, ceiling), 1.0\n", ""),
 ]
 
 

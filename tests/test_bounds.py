@@ -254,22 +254,22 @@ class TestNewRates:
             st.floats(min_value=-2.0, max_value=0.7).map(lambda value: ("value", value)),
         ),
     )
-    def test_stop_keeps_the_verdict(self, family, n, log10_eps, draw):
+    def test_candidates_reach_a_target_with_their_maximum(self, family, n, log10_eps, draw):
         eps_term = bounds._smoothing_term(10.0**log10_eps)
         ceiling = family.rate_ceiling
-        full = bounds._maximize_rate(n, eps_term, ceiling)
-        assert full == full_golden_section(n, eps_term, ceiling)
+        candidates = list(bounds._candidates(n, eps_term, ceiling))
+        best_rate, _ = best = max(candidates)
+        assert best == full_golden_section(n, eps_term, ceiling)
         kind, value = draw
-        if kind == "ulp":  # the rate itself and its neighbours: the ties
-            stop = full.rate if value == 0 else math.nextafter(full.rate, value * math.inf)
+        if kind == "ulp":  # the maximum itself and its neighbours: the ties
+            target = best_rate if value == 0 else math.nextafter(best_rate, value * math.inf)
         else:
-            stop = full.rate + value if kind == "gap" else value
-        stopped = bounds._maximize_rate(n, eps_term, ceiling, stop)
-        assert (stopped.rate >= stop) == (full.rate >= stop)
-        if stopped.rate < stop:  # never reached: the whole search ran
-            assert stopped == full
-        else:  # the first candidate that reached it
-            assert stopped.rate == bounds._rate_at(stopped.s_opt, n, eps_term, ceiling)
+            target = best_rate + value if kind == "gap" else value
+        reached = [(rate, s) for rate, s in candidates if rate >= target]
+        assert bool(reached) == (best_rate >= target)
+        if reached:  # the first candidate that reaches it is the fixed-s rate there
+            rate, s = reached[0]
+            assert rate == bounds._rate_at(s, n, eps_term, ceiling)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_epsilon_domain(self, eps):
@@ -498,8 +498,8 @@ def _count_calls(monkeypatch, *names):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts calls of the rate maximiser and of the legacy error."""
-    return _count_calls(monkeypatch, "_maximize_rate", "legacy_epsilon")
+    """Counts the candidate streams of the rate maximiser and calls of the legacy error."""
+    return _count_calls(monkeypatch, "_candidates", "legacy_epsilon")
 
 
 @pytest.fixture

@@ -289,6 +289,14 @@ class TestEntropyCommand:
         assert out == ""
         assert err == "error: contexts[1].weight = -0.5 is negative\n"
 
+    def test_weights_whose_sum_overflows_print_one_error_line(self, tmp_path):
+        # in a process of its own, so that numpy's overflow warning would reach stderr
+        path = tmp_path / "overflow.json"
+        context = {"k": "k", "theta": "0", "weight": 1e308, "p_x": [0.5, 0.5]}
+        path.write_text(json.dumps({"contexts": [context, dict(context, theta="1")]}))
+        code, err = run_process("entropy", "--table", str(path), "--alpha", "2.0")
+        assert (code, err) == (2, "error: context weights sum to inf, expected 1 within 1e-09\n")
+
     def test_deeply_nested_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -361,6 +369,12 @@ class TestVerifyCommand:
             ("--trials", "0", "trials must be >= 1, got 0"),
             ("--seed", "-5", "seed must be >= 0, got -5"),
             ("--resolution", "-1", "resolution must be at least 50, got -1"),
+            (
+                "--trials",
+                "1000000000000",
+                "1000000000003 bb84 outcome tables of 2 qubits hold 1000000000003 x 4^2 entries, "
+                "more than the limit of 8388608",
+            ),
         ],
     )
     def test_every_suite_names_a_bad_option(self, capsys, suite, option, value, message):
@@ -937,6 +951,7 @@ def contract_dir(tmp_path_factory):
 @example(["verify", "--suite", "lemma", "--resolution", "-1"])
 @example(["verify", "--suite", "lemma", "--trials", "0"])
 @example(["verify", "--suite", "single-qubit", "--trials", "0"])
+@example(["verify", "--suite", "lemma", "--trials", "1000000000000"])
 @example(["verify", "--suite", "stationary", "--seed", "-5"])
 @example(["verify", "--suite", "additivity", "--resolution", "465", "--family", "six"])
 def test_cli_contract(contract_dir, argv):
@@ -944,8 +959,9 @@ def test_cli_contract(contract_dir, argv):
     # exit 1 is a failed verification report, exit 2 prints nothing on stdout
     # and one error line or argparse's usage message on stderr; nothing raises.
     # A verify option out of its range (--alpha outside (1, 2], --trials below
-    # 1, a negative --seed, a --resolution the grid search refuses) is refused
-    # by every suite, those that do not read it included.
+    # 1 or past the table-entry limit, a negative --seed, a --resolution the
+    # grid search refuses) is refused by every suite, those that do not read
+    # it included.
     argv = [arg.replace("<dir>", contract_dir) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -961,7 +977,9 @@ def test_cli_contract(contract_dir, argv):
     if "--alpha" in options:
         assert 1.0 < float(options["--alpha"]) <= 2.0
     if argv[0] == "verify":
-        assert int(options.get("--trials", "1")) >= 1
+        trials = int(options.get("--trials", "1"))
+        per_state = 6 if options.get("--family") == "six" else 4
+        assert trials >= 1 and (trials + 3) * per_state**2 <= 2**23
         assert int(options.get("--seed", "0")) >= 0
         most = 464 if options.get("--family") == "six" else 10**4
         assert 50 <= int(options.get("--resolution", "50")) <= most

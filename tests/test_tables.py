@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ def test_validated_arrays_checks_each_table_of_a_stack():
         validated_arrays(np.array([[0.5, 0.5], [0.5, 0.75]]), probs)
     with pytest.raises(ValueError, match="do not match"):
         validated_arrays(weights, probs[0])
+
+
+def test_weights_whose_sum_overflows_are_refused_without_a_warning():
+    # the infinite total fails the verdict; numpy's overflow warning is not raised
+    probs = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^context weights sum to inf, expected 1 within 1e-09$"):
+            ConditionalTable.from_arrays(["k", "k"], ["0", "1"], [1e308, 1e308], probs)
 
 
 def test_subtables_by_k_renormalise():
