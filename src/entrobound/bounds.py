@@ -29,7 +29,10 @@ n wherever the computed predicate is monotone, which the new route's rate is
 not at rounding level above about 2e11. The maximiser is a stream of
 candidates, ``_candidates``: the forward rate is its ``max``, and a new-route
 probe holds at the first candidate that reaches the target, which one does
-exactly when the maximum does.
+exactly when the maximum does. A probe fails without the stream when even the
+ceiling bound ``C - c/n``, above every candidate's rate, falls short of the
+target by more than a derived rounding margin (``_short_of_ceiling``); as
+that decides only probes the stream would fail, the search walks the same path.
 
 Note the legacy error formula mixes logarithm bases on purpose: the outer
 exponential is natural while the inner log is base 2. The choice reproduces
@@ -48,10 +51,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LN2 = math.log(2.0)
 # Golden-section bracket and tolerance for log s. For n <= 2^62 and any eps
 # the optimum lies above 1.5e-9, well inside the bracket, and the floor keeps
-# 4e-16 relative accuracy down to 2^-52. A step of 1e-9 in log s moves the
-# objective by far less than one ulp at the optimum.
+# 4e-16 relative accuracy (_FLOOR_REL_ERR, against the floor of the exact
+# ceiling (B-1)/B) down to 2^-52. A step of 1e-9 in log s moves the objective
+# by far less than one ulp at the optimum.
 _LOG_S_MIN = -40.0 * _LN2
 _LOG_S_TOL = 1e-9
+_FLOOR_REL_ERR = 4e-16
+# The floor's error and four roundings of unit roundoff 2^-53 (see _short_of_ceiling).
+_CEILING_MARGIN = _FLOOR_REL_ERR + 4.0 * 2.0**-53
 
 
 class InfeasibleRateError(ValueError):
@@ -170,6 +177,37 @@ def _candidates(n: int, eps_term: float, ceiling: float) -> Iterator[tuple[float
             s = math.exp(c)
             fc = _rate_at(s, n, eps_term, ceiling), s
             yield fc
+
+
+def _short_of_ceiling(n: int, eps_term: float, ceiling: float, target_rate: float) -> bool:
+    """Whether ``ceiling - eps_term / n`` misses ``target_rate`` by more than ``_CEILING_MARGIN``.
+
+    When it does, no candidate of ``_candidates(n, eps_term, ceiling)``
+    reaches the target, for ``0 < target_rate < ceiling <= 2/3`` and
+    ``n <= 2^62``. With ``u = 2^-53``, ``rho = _FLOOR_REL_ERR``, ``C`` the
+    float ceiling and ``q = fl(eps_term / n)``:
+
+    * A candidate at s in (0, 1] is ``fl(F - q_s)``, with ``F`` the computed
+      floor and ``q_s = fl(eps_term / fl(s n))``. Python rounds ``n`` to a
+      float alike in ``s * n`` and ``eps_term / n``, and ``fl(s n) <= fl(n)``
+      as s <= 1, so ``q_s >= q`` by monotone rounding: the candidate is at
+      most ``fl(F - q)``.
+    * The floor is at most the exact ceiling ``(B-1)/B`` at every s (Jensen:
+      ``(1 - C) + C 2^-s >= 2^(-C s)``), which is at most ``C (1 + u)``. So
+      ``F <= (1 + rho)(1 + u) C``.
+    * If a candidate reached ``r > 0``, then ``F - q >= r / (1 + u)``, so the
+      exact ``a = C - q`` is at least ``r (1 - u) - (rho + u + rho u) C``,
+      above ``-C``; and ``a <= C`` as ``q >= 0``, so ``|a| <= C``.
+    * The test's two roundings give ``fl(a) >= a - u C`` and
+      ``fl(r - m) <= r - m + u C``, with ``r, m < C``.
+
+    Then ``fl(a) - fl(r - m) >= m - (rho + 4 u + rho u) C``, which is not
+    negative for ``m = rho + 4 u`` and ``C <= 2/3``: the test is false. So it
+    is true only where no candidate reaches the target. It is never true
+    above 2^62, where ``eps_term / n < 2150 / 2^62 < 5e-16``, so the bound
+    lies closer to the ceiling than ``m - 2 u C``.
+    """
+    return ceiling - eps_term / n < target_rate - _CEILING_MARGIN
 
 
 def _rate(n, epsilon, s, family: MeasurementFamily) -> RateResult:
@@ -299,7 +337,11 @@ def min_n_for_rate(
     ``method="new"`` searches the maximised Renyi-route rate from ``n = 1``
     and refuses block lengths above 2^62. Each probe holds at the first
     candidate of the search over ``s`` that reaches the target, and fails
-    when none does. ``method="legacy"`` (two-basis only) is
+    when none does. A probe whose ceiling bound ``ceiling - c/n`` falls
+    short of the target by more than a derived margin fails without that
+    search (:func:`_short_of_ceiling`): about three in four probes fail, and
+    the test decides only probes the search would fail, so the answer does
+    not move. ``method="legacy"`` (two-basis only) is
     :func:`legacy_min_n` at ``delta = 1/2 - rate``. Raises
     :class:`InfeasibleRateError` at or above the family's ceiling.
 
@@ -336,6 +378,8 @@ def min_n_for_rate(
         """Whether the maximised rate at ``n`` reaches the target: some candidate does."""
         if n > 2**62:
             raise InfeasibleRateError(f"no block length up to 2^62 certifies rate {target_rate!r}")
+        if _short_of_ceiling(n, eps_term, ceiling, target_rate):
+            return False
         for rate, _ in _candidates(n, eps_term, ceiling):
             if rate >= target_rate:
                 return True
@@ -344,8 +388,8 @@ def min_n_for_rate(
     return _least_n(reaches, 1)
 
 
-# Largest figure accepted, in rows: at 0.16 ms (rate 0.3, eps 0.5) to 2.4 ms
-# (rate 0.49999997, eps 1e-270) a row on a 2-CPU host, 16 s to 4 minutes.
+# Largest figure accepted, in rows: at 0.07-0.13 ms (rate 0.3, eps 0.5) to
+# 1.6-2.4 ms (rate 0.49999997, eps 1e-270) a row on a 2-CPU host, 7 s to 4 minutes.
 _MAX_FIGURE_ROWS = 10**5
 
 

@@ -173,12 +173,13 @@ def _cmd_verify(args) -> int:
 
     # Every option is checked for every suite, before any runs: a suite that
     # does not read an option would otherwise answer a bad value in silence.
-    # A trial count is held to the additivity suite's limit of trials + 3
-    # two-qubit tables.
+    # A trial count is held to the limits of both trial suites: trials + 3
+    # two-qubit tables for the additivity suite, 2 * trials for the ensemble one.
     bounds._require_alpha(args.alpha)
     verify._require_resolution(args.family, args.resolution)
     bounds._require_count("trials", args.trials, 1)
     simulator._require_table_entries(args.family, 2, args.trials + 3)
+    simulator._require_table_entries(args.family, 2, 2 * args.trials)
     bounds._require_count("seed", args.seed, 0)
     names = _SUITES if args.suite == "all" else (args.suite,)
     reports = [_run_suite(name, args) for name in names]

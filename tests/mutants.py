@@ -15,12 +15,14 @@ excess it checks (decreasing near x = 1) and the per-point excess's weight
 ``1/B``, the default lemma grid, the grid, table and figure size limits and
 the checks that apply them, the ``verify`` command's checks of ``--alpha``,
 ``--resolution``, ``--trials`` (at least 1, and within the table-entry
-limit) and ``--seed``, the weight sum's overflow warning (not silenced),
-the cached probe stacks' qubit limit, the float-fit refusal of block lengths, the
-smoothing term, both search brackets and the probability check of
-``bounds.py``, a block-length probe's test of a candidate (loosened by
-1e-9) and the candidate stream's endpoint ``s = 1`` (dropped), the exact
-block lengths of the figure CSV, and the CLI's process policy: the stdout
+limit of both the additivity and the ensemble suite) and ``--seed``, the
+weight sum's overflow warning (not silenced), the cached probe stacks'
+qubit limit, the float-fit refusal of block lengths, the smoothing term,
+both search brackets and the probability check of ``bounds.py``, a
+block-length probe's test of a candidate (loosened by 1e-9), the candidate
+stream's endpoint ``s = 1`` (dropped), the ceiling test that fails a probe
+without the stream (flipped, its margin dropped and its margin's sign
+flipped), the exact block lengths of the figure CSV, and the CLI's process policy: the stdout
 flush in ``run``, which a command's output and the ``--help`` text share,
 and the collector calls of ``main`` (``gc.disable()`` moved into ``run``,
 by adding it there, which behaves the same as moving it, and
@@ -32,7 +34,10 @@ From the repository root::
 
     python tests/mutants.py
 
-Prints one line per mutant and exits 1 when a mutant survives.
+Prints one line per mutant and exits 1 when a mutant survives. The mutants
+of ``EQUIVALENT`` change no behaviour, each for the reason given with it;
+they run last and are reported apart, as equivalent or, when killed, as
+not equivalent, and never count as survivors.
 """
 
 from __future__ import annotations
@@ -58,6 +63,12 @@ TABLES = "src/entrobound/tables.py"
 SIMULATOR = "src/entrobound/simulator.py"
 BOUNDS = "src/entrobound/bounds.py"
 CLI = "src/entrobound/cli.py"
+
+_REFUSAL = (
+    "        if n > 2**62:\n"
+    "            raise InfeasibleRateError(f\"no block length up to 2^62 certifies rate {target_rate!r}\")\n"
+)
+_SHORTCUT = "        if _short_of_ceiling(n, eps_term, ceiling, target_rate):\n            return False\n"
 
 # (file, exact old text, new text)
 MUTANTS = [
@@ -157,6 +168,7 @@ MUTANTS = [
     (CLI, "    verify._require_resolution(args.family, args.resolution)\n", ""),
     (CLI, "    bounds._require_count(\"trials\", args.trials, 1)\n", ""),
     (CLI, "    simulator._require_table_entries(args.family, 2, args.trials + 3)\n", ""),
+    (CLI, "    simulator._require_table_entries(args.family, 2, 2 * args.trials)\n", ""),
     (CLI, "    bounds._require_count(\"seed\", args.seed, 0)\n", ""),
     # the figure CSV
     (CLI, "{row.n_legacy},", "{row.n_legacy:.17g},"),
@@ -185,6 +197,35 @@ MUTANTS = [
     # a probe's test of a candidate, and the stream's first candidate, the endpoint s = 1
     (BOUNDS, "if rate >= target_rate:", "if rate >= target_rate - 1e-9:"),
     (BOUNDS, "    yield _rate_at(1.0, n, eps_term, ceiling), 1.0\n", ""),
+    # a probe failed by its ceiling bound: the comparison flipped, the margin
+    # dropped and its sign flipped
+    (
+        BOUNDS,
+        "return ceiling - eps_term / n < target_rate - _CEILING_MARGIN",
+        "return ceiling - eps_term / n >= target_rate - _CEILING_MARGIN",
+    ),
+    (
+        BOUNDS,
+        "return ceiling - eps_term / n < target_rate - _CEILING_MARGIN",
+        "return ceiling - eps_term / n < target_rate",
+    ),
+    (
+        BOUNDS,
+        "return ceiling - eps_term / n < target_rate - _CEILING_MARGIN",
+        "return ceiling - eps_term / n < target_rate + _CEILING_MARGIN",
+    ),
+]
+
+# Mutants that no test can kill, each with the reason it changes no behaviour.
+# They are run too, and reported apart: one that is killed is not equivalent.
+EQUIVALENT = [
+    (
+        BOUNDS,
+        _REFUSAL + _SHORTCUT,
+        _SHORTCUT + _REFUSAL,
+        "the ceiling test cannot hold above 2^62, where eps_term / n < 2150 / 2^62 < "
+        "_CEILING_MARGIN, so the refusal still comes first wherever it applies",
+    ),
 ]
 
 
@@ -214,9 +255,9 @@ def run_mutant(path: str, old: str, new: str) -> tuple[str, str, float]:
 
 
 def stale_mutants() -> list[str]:
-    """One line per mutant whose old text does not occur exactly once in its file."""
+    """One line per mutant, of either list, whose old text does not occur exactly once in its file."""
     stale = []
-    for i, (path, old, _) in enumerate(MUTANTS):
+    for i, (path, old, *_) in enumerate(MUTANTS + EQUIVALENT):
         count = (ROOT / path).read_text(encoding="utf-8").count(old)
         if count != 1:
             stale.append(f"mutant {i}: {path} holds the old text {count} times: {old!r}")
@@ -237,6 +278,10 @@ def main() -> int:
         change = f"{old.strip()!r} -> {new.strip()!r}"
         print(f"{i:2d} {outcome:8s} {seconds:6.1f} s  {path}: {change}  {detail}", flush=True)
     print(f"{survivors} of {len(MUTANTS)} mutants survived")
+    for i, (path, old, new, reason) in enumerate(EQUIVALENT, start=len(MUTANTS)):
+        outcome, detail, seconds = run_mutant(path, old, new)
+        verdict = "equivalent" if outcome == "SURVIVED" else "killed, so not equivalent"
+        print(f"{i:2d} {verdict} {seconds:6.1f} s  {path}: {reason}  {detail}", flush=True)
     return 1 if survivors else 0
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrobound import (
@@ -475,41 +475,86 @@ class TestMinBlockLength:
         for m in (n, other):
             assert fn(m, eps).rate >= target > fn(m - 1, eps).rate
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([BB84, SIX]),
+        st.one_of(
+            st.integers(min_value=1, max_value=2**62),
+            st.floats(min_value=0.0, max_value=62.0).map(lambda log2_n: round(2.0**log2_n)),
+        ),
+        st.floats(min_value=-300.0, max_value=math.log10(0.9)),
+        st.one_of(
+            st.sampled_from(["bound", "below", "above", "-margin", "+margin", "+floor error"]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    def test_a_probe_short_of_the_ceiling_bound_has_no_candidate_that_reaches(
+        self, family, n, log10_eps, where
+    ):
+        eps_term = bounds._smoothing_term(10.0**log10_eps)
+        ceiling = family.rate_ceiling
+        bound = ceiling - eps_term / n
+        margin = bounds._CEILING_MARGIN
+        target = {
+            "bound": bound,
+            "below": math.nextafter(bound, -math.inf),
+            "above": math.nextafter(bound, math.inf),
+            "-margin": bound - margin,
+            "+margin": bound + margin,
+            "+floor error": bound + bounds._FLOOR_REL_ERR * ceiling,
+        }[where] if isinstance(where, str) else where * ceiling
+        assume(0.0 < target < ceiling)
+        short = bounds._short_of_ceiling(n, eps_term, ceiling, target)
+        if short:
+            assert not any(rate >= target for rate, _ in bounds._candidates(n, eps_term, ceiling))
+        # a candidate whose floor is the ceiling, rounded up by the floor's own
+        # error, at the least correction c/n would reach these: none is short
+        if target <= ceiling * (1.0 + bounds._FLOOR_REL_ERR) - eps_term / n:
+            assert not short
+
     def test_six_ceiling_allows_rates_above_half(self):
         n = min_n_for_rate(0.55, 0.2, SIX, "new")
         assert rate_six(n, 0.2).rate >= 0.55
 
 
-def _count_calls(monkeypatch, *names):
-    """Counts calls of the named ``bounds`` functions, all in one counter."""
-    count = [0]
-
-    def counted(function):
-        def wrapper(*args):
-            count[0] += 1
-            return function(*args)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(bounds, name, counted(getattr(bounds, name)))
-    return count
-
-
 @pytest.fixture
-def evaluations(monkeypatch):
-    """Counts the candidate streams of the rate maximiser and calls of the legacy error."""
-    return _count_calls(monkeypatch, "_candidates", "legacy_epsilon")
+def probes(monkeypatch):
+    """Counts the probes of every ``bounds._least_n`` search that return a verdict, not a refusal.
+
+    A probe is a call of the predicate that ``_least_n`` receives, however
+    the predicate decides it.
+    """
+    count = [0]
+    least_n = bounds._least_n
+
+    def counted_least_n(reaches, guess):
+        def counted(n):
+            verdict = reaches(n)
+            count[0] += 1
+            return verdict
+
+        return least_n(counted, guess)
+
+    monkeypatch.setattr(bounds, "_least_n", counted_least_n)
+    return count
 
 
 @pytest.fixture
 def rate_evaluations(monkeypatch):
     """Counts evaluations of the rate at one ``s``."""
-    return _count_calls(monkeypatch, "_rate_at")
+    count = [0]
+    rate_at = bounds._rate_at
+
+    def counted(*args):
+        count[0] += 1
+        return rate_at(*args)
+
+    monkeypatch.setattr(bounds, "_rate_at", counted)
+    return count
 
 
 class TestInversionCost:
-    """Evaluations per inversion, so that no search step is added unnoticed."""
+    """Probes and rate evaluations per inversion, so that no search step is added unnoticed."""
 
     @pytest.mark.parametrize(
         "target, eps, family, method, n, cost",
@@ -521,29 +566,30 @@ class TestInversionCost:
             (0.4999999999, 0.5, BB84, "legacy", 11638982206320208349495296, 85),
         ],
     )
-    def test_search_costs(self, evaluations, target, eps, family, method, n, cost):
+    def test_search_costs(self, probes, target, eps, family, method, n, cost):
         assert min_n_for_rate(target, eps, family, method) == n
-        assert evaluations[0] == cost
+        assert probes[0] == cost
 
     @pytest.mark.parametrize(
         "target, eps, family, n, cost",
-        [(0.4894, 0.1, BB84, 23576, 1257), (0.66, 1e-10, SIX, 468989, 1721), (0.3, 1e-300, BB84, 17335, 1174)],
+        [(0.4894, 0.1, BB84, 23576, 727), (0.66, 1e-10, SIX, 468989, 979), (0.3, 1e-300, BB84, 17335, 432)],
     )
     def test_rate_evaluations_per_inversion(self, rate_evaluations, target, eps, family, n, cost):
-        # a probe that reaches the target stops at the first s that does: the
-        # full searches of the same probes cost 1590, 2014 and 1590
+        # a probe short of the ceiling bound evaluates no rate, and one that
+        # reaches the target stops at the first s that does: searching every
+        # probe in full costs 1590, 2014 and 1590
         assert min_n_for_rate(target, eps, family, "new") == n
         assert rate_evaluations[0] == cost
 
-    def test_refusal_above_2_62_and_its_cost(self, evaluations):
+    def test_refusal_above_2_62_and_its_cost(self, probes):
         # the rate at 2^62 falls short of 0.4999999999 at eps = 0.5: n = 1, 2,
-        # 4, ..., 2^62 are evaluated, and 2^63 is refused before it is
+        # 4, ..., 2^62 are probed, and 2^63 is refused before it is
         with pytest.raises(InfeasibleRateError, match=r"2\^62"):
             min_n_for_rate(0.4999999999, 0.5, BB84, "new")
-        assert evaluations[0] == 63
+        assert probes[0] == 63
 
     @pytest.mark.parametrize("delta, eps, cost", [(0.05, 0.1, 2), (1e-5, 0.1, 52), (1e-8, 0.1, 73)])
-    def test_legacy_costs(self, evaluations, delta, eps, cost):
+    def test_legacy_costs(self, probes, delta, eps, cost):
         # a guess that falls short doubles up from it and never tests it again
         legacy_min_n(delta, eps)
-        assert evaluations[0] == cost
+        assert probes[0] == cost

@@ -408,6 +408,27 @@ class TestVerifyCommand:
             assert err.count("\n") == 1 and err.startswith("error:")
             assert " entries, more than the limit of 8388608" in err
 
+    def test_all_suites_refuse_the_ensemble_suites_tables_before_any_runs(self, capsys, monkeypatch):
+        # 40 trials are 43 additivity tables but 80 ensemble tables; with the
+        # limit at 2^10 entries (64 two-qubit bb84 tables) only the second is over
+        ran = []
+
+        def spy(name):
+            def suite(*args, **kwargs):
+                ran.append(name)
+                raise AssertionError(f"{name} ran before the refusal")
+
+            return suite
+
+        monkeypatch.setattr(entrobound.simulator, "_MAX_TABLE_ENTRIES", 2**10)
+        for name in ("grid_search_min", "additivity_trial", "ensemble_trial"):
+            monkeypatch.setattr(verify, name, spy(name))
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--trials", "40")
+        assert (code, out, ran) == (2, "", [])
+        assert err == (
+            "error: 80 bb84 outcome tables of 2 qubits hold 80 x 4^2 entries, more than the limit of 1024\n"
+        )
+
     def test_oversized_grid_is_refused(self, capsys):
         # BB84 10^8 is 10^16 points, 763 MiB per radius row; 465^3 just exceeds 10^8
         for family, resolution in (("bb84", "100000000"), ("six", "465"), ("six", "1" + "0" * 400)):
@@ -979,7 +1000,7 @@ def test_cli_contract(contract_dir, argv):
     if argv[0] == "verify":
         trials = int(options.get("--trials", "1"))
         per_state = 6 if options.get("--family") == "six" else 4
-        assert trials >= 1 and (trials + 3) * per_state**2 <= 2**23
+        assert trials >= 1 and max(trials + 3, 2 * trials) * per_state**2 <= 2**23
         assert int(options.get("--seed", "0")) >= 0
         most = 464 if options.get("--family") == "six" else 10**4
         assert 50 <= int(options.get("--resolution", "50")) <= most
